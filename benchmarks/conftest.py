@@ -91,9 +91,8 @@ def score_bench_results():
 def stream_bench_results():
     """Collector for the streaming-serving benchmarks' results.
 
-    The online counterpart of ``score_bench_results``: the columnar
-    FleetMonitor speedup over the per-drive object engine and the
-    sustained 100k-drive tick rate drop their records here, written to
+    The online counterpart of ``score_bench_results``: the sustained
+    100k-drive FleetMonitor tick rate drops its record here, written to
     ``BENCH_stream.json`` (override with ``REPRO_BENCH_STREAM_JSON``)
     at session end so the bench history tracks the serving hot path.
     """

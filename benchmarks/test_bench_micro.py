@@ -437,19 +437,15 @@ def test_micro_event_emission_overhead(benchmark, score_bench_results):
     assert per_event_us < 25.0
 
 
-# -- Streaming serving: columnar engine vs per-drive object engine -------------
+# -- Streaming serving: one fleet tick at 100k drives -------------------------
 #
 # The FleetMonitor's deployment loop is one tick per collection interval
-# over the whole fleet.  The columnar engine ingests the tick as a single
-# (n_drives, n_channels) matrix — vectorized gate, ring-buffer voting,
-# one batched model call — where the object engine walks a Python object
-# per drive.  Both produce bit-identical alert/fault/event streams (see
-# tests/test_detection_columnar.py), so the speedup here is pure
-# data-layout win and must not regress.
+# over the whole fleet, ingested as a single (n_drives, n_channels)
+# matrix — vectorized gate, ring-buffer voting, one batched model call.
 
 
-def _make_monitor(engine, n_drives):
-    from repro.detection import FleetMonitor, OnlineMajorityVote
+def _make_monitor(n_drives):
+    from repro.detection import FleetMonitor, VoterSpec
     from repro.features.vectorize import Feature
 
     features = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0),
@@ -458,70 +454,23 @@ def _make_monitor(engine, n_drives):
         features,
         score_sample=lambda row: -1.0 if np.nansum(row) < 0.0 else 1.0,
         score_batch=lambda X: np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0),
-        detector_factory=lambda: OnlineMajorityVote(5),
-        engine=engine,
+        detector_factory=VoterSpec("majority", 5),
     )
     monitor.register_fleet(tuple(f"drive-{i:06d}" for i in range(n_drives)))
     return monitor
 
 
-def _stream_ticks(monitor, ticks):
-    total_alerts = 0
-    for hour, matrix in ticks:
-        total_alerts += len(monitor.observe_tick(hour, matrix))
-    return total_alerts
-
-
-def test_micro_streaming_columnar_speedup(stream_bench_results):
-    """Columnar fleet ticks >= 10x the per-drive object engine."""
-    from repro.smart.attributes import N_CHANNELS
-
-    n_drives, n_ticks = 2_000, 24
-    rng = np.random.default_rng(3)
-    ticks = [
-        (float(hour), rng.normal(size=(n_drives, N_CHANNELS)))
-        for hour in range(n_ticks)
-    ]
-
-    timings = {}
-    alerts = {}
-    for engine in ("object", "columnar"):
-        best = np.inf
-        for _ in range(3):
-            monitor = _make_monitor(engine, n_drives)
-            start = time.perf_counter()
-            alerts[engine] = _stream_ticks(monitor, ticks)
-            best = min(best, time.perf_counter() - start)
-        timings[engine] = best * 1e3
-
-    assert alerts["object"] == alerts["columnar"]
-    speedup = timings["object"] / timings["columnar"]
-    stream_bench_results["columnar_vs_object"] = {
-        "n_drives": n_drives, "n_ticks": n_ticks,
-        "object_ms": timings["object"], "columnar_ms": timings["columnar"],
-        "speedup": speedup, "floor": 10.0,
-    }
-    print(
-        f"\nstreaming {n_drives} drives x {n_ticks} ticks: "
-        f"object {timings['object']:.0f} ms, "
-        f"columnar {timings['columnar']:.0f} ms ({speedup:.1f}x)"
-    )
-    assert speedup >= 10.0
-
-
 def test_micro_streaming_100k_drive_tick_rate(stream_bench_results):
-    """Sustained columnar throughput at 100k drives: >= 2 fleet ticks/sec.
+    """Sustained throughput at 100k drives: >= 2 fleet ticks/sec.
 
     The scale target from the paper's deployment framing: one SMART
-    sample per drive-hour across a datacenter fleet.  Only the columnar
-    engine runs here — the object engine at this scale is exactly the
-    problem the engine replaces.
+    sample per drive-hour across a datacenter fleet.
     """
     from repro.smart.attributes import N_CHANNELS
 
     n_drives, n_ticks = 100_000, 6
     rng = np.random.default_rng(17)
-    monitor = _make_monitor("columnar", n_drives)
+    monitor = _make_monitor(n_drives)
     matrix = rng.normal(size=(n_drives, N_CHANNELS))
 
     monitor.observe_tick(0.0, matrix)  # warm-up: row allocation, buffers
@@ -547,12 +496,12 @@ def test_micro_streaming_100k_drive_tick_rate(stream_bench_results):
 
 # -- Sharded serving: one logical monitor over a million drives ----------------
 #
-# The coordinator's promise is scale-out: N columnar shards, each in its
+# The coordinator's promise is scale-out: N shards, each in its
 # own long-lived worker process, serving one merged contract that stays
 # bit-identical to a single monitor (tests/test_detection_sharded.py).
 # This benchmark publishes the sustained fleet-tick rate at 1M simulated
 # drives for both shapes.  The >= 2x scaling floor over the single
-# columnar process is only enforced where it can physically exist —
+# monitor process is only enforced where it can physically exist —
 # at least 4 usable cores; below that the numbers are still recorded
 # so the bench history tracks every machine honestly.
 
@@ -593,7 +542,6 @@ def test_micro_sharded_million_drive_scaling(shard_bench_results):
         score_sample=_shard_bench_score_sample,
         score_batch=_shard_bench_score_batch,
         detector_factory=VoterSpec("majority", 3),
-        engine="columnar",
     )
     single.register_fleet(serials)
     single.observe_tick(0.0, matrix)  # warm-up: row allocation, buffers

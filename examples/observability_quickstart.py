@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import CTConfig, DriveFailurePredictor, SmartDataset, default_fleet_config
 from repro import observability as obs
-from repro.detection.streaming import FleetMonitor, OnlineMajorityVote
+from repro.detection import FleetMonitor, VoterSpec
 
 
 def main() -> None:
@@ -41,10 +41,8 @@ def main() -> None:
     result = predictor.evaluate(split, n_voters=3)  # -> score.*, detect.*
     print(f"Offline evaluation: {result.as_percentages()}")
 
-    monitor = FleetMonitor(                         # -> serve.* metrics
-        predictor.extractor.features,
-        score_sample=lambda row: float(predictor.tree_.predict(row.reshape(1, -1))[0]),
-        detector_factory=lambda: OnlineMajorityVote(3),
+    monitor = FleetMonitor.from_predictor(          # -> serve.* metrics
+        predictor, VoterSpec("majority", 3)
     )
     drive = split.test_good[0]
     for hour, values in zip(drive.hours[:24], drive.values[:24]):

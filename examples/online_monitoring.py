@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 
 from repro import CTConfig, DriveFailurePredictor, SmartDataset, default_fleet_config
-from repro.detection.streaming import FleetMonitor, OnlineMajorityVote
+from repro.detection import FleetMonitor, VoterSpec
 
 N_VOTERS = 11
 
@@ -45,12 +45,8 @@ def main() -> None:
     predictor = DriveFailurePredictor(CTConfig()).fit(split)
     print("Model trained; starting the monitoring daemon...\n")
 
-    monitor = FleetMonitor(
-        predictor.extractor.features,
-        score_sample=lambda row: float(
-            predictor.tree_.predict(row.reshape(1, -1))[0]
-        ),
-        detector_factory=lambda: OnlineMajorityVote(n_voters=N_VOTERS),
+    monitor = FleetMonitor.from_predictor(
+        predictor, VoterSpec("majority", N_VOTERS)
     )
 
     watched = list(split.test_good) + list(split.test_failed)

@@ -16,13 +16,14 @@ This package owns that layer end to end:
 * :mod:`~repro.detection.cost` — pricing an operating point
   (alarm/miss/data-loss costs) to choose voters or thresholds;
 * :mod:`~repro.detection.streaming` — the online
-  :class:`FleetMonitor` with per-drive buffers, fault gating and
-  quarantine (the deployment surface);
-* :mod:`~repro.detection.columnar` — the structure-of-arrays serving
-  engine behind ``FleetMonitor(engine="columnar")``: whole-tick ingest,
-  mask gating, ring-buffer voting matrices, one batched model call;
+  :class:`FleetMonitor` (the deployment surface): structure-of-arrays
+  drive state, whole-tick ingest, mask gating and quarantine, one
+  batched model call per tick, voting rules chosen by a
+  :class:`VoterSpec`;
+* :mod:`~repro.detection.columnar` — the ring-buffer lag history and
+  voting matrices the monitor stores its per-drive state in;
 * :mod:`~repro.detection.sharded` — fleet-scale serving:
-  :class:`ShardedFleetMonitor` partitions drives across N columnar
+  :class:`ShardedFleetMonitor` partitions drives across N monitor
   shards by serial hash, fans ticks out (in-process or one worker
   process per shard), merges alerts/faults/observability back into one
   coordinator bit-identical to a single monitor, and layers shard
@@ -60,20 +61,12 @@ from repro.detection.metrics import (
     partial_auc,
     roc_dominates,
 )
-from repro.detection.columnar import (
-    ColumnarEngine,
-    MajorityVoteMatrix,
-    MeanThresholdMatrix,
-    window_matrix_for,
-)
+from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix
 from repro.detection.sharded import (
     SHARD_MODES,
     CanaryPolicy,
     ShardedFleetMonitor,
     ShardSpec,
-    TreeBatchScorer,
-    TreeSampleScorer,
-    VoterSpec,
     shard_for,
 )
 from repro.detection.supervision import (
@@ -83,15 +76,11 @@ from repro.detection.supervision import (
     TickJournal,
 )
 from repro.detection.streaming import (
-    ENGINES,
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineFeatureBuffer,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
-    WindowedVoter,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 
@@ -113,27 +102,18 @@ __all__ = [
     "DriveStatus",
     "FleetMonitor",
     "QuarantinePolicy",
-    "OnlineFeatureBuffer",
-    "OnlineMajorityVote",
-    "OnlineMeanThreshold",
-    "WindowedVoter",
-    "ENGINES",
+    "VoterSpec",
     "SHARD_MODES",
     "CanaryPolicy",
     "ShardSpec",
     "ShardedFleetMonitor",
-    "TreeBatchScorer",
-    "TreeSampleScorer",
-    "VoterSpec",
     "shard_for",
     "TICK_JOURNAL_SCHEMA",
     "RestartPolicy",
     "SupervisedShardedMonitor",
     "TickJournal",
-    "ColumnarEngine",
     "MajorityVoteMatrix",
     "MeanThresholdMatrix",
-    "window_matrix_for",
     "Detector",
     "DriveScoreSeries",
     "MajorityVoteDetector",

@@ -1,19 +1,19 @@
 """Sharded fleet serving: one logical monitor over millions of drives.
 
-A single :class:`~repro.detection.streaming.FleetMonitor` — even on the
-columnar engine — is one process, so fleet throughput stops at one
-core.  This module scales the same serving semantics *out*:
-:class:`ShardedFleetMonitor` partitions drives across N columnar shard
-monitors by a stable serial hash (:func:`shard_for`), fans every
-collection tick out to the shards — in-process (``mode="serial"``) or
-on long-lived worker processes (``mode="process"``, one
-:class:`~repro.utils.parallel.WorkerHost` per shard) — and merges the
-per-shard results back into one coordinator-level truth:
+A single :class:`~repro.detection.streaming.FleetMonitor` is one
+process, so fleet throughput stops at one core.  This module scales the
+same serving semantics *out*: :class:`ShardedFleetMonitor` partitions
+drives across N shard monitors by a stable serial hash
+(:func:`shard_for`), fans every collection tick out to the shards —
+in-process (``mode="serial"``) or on long-lived worker processes
+(``mode="process"``, one :class:`~repro.utils.parallel.WorkerHost` per
+shard) — and merges the per-shard results back into one
+coordinator-level truth:
 
 * **Alerts** come home per shard with shard-local ids, are re-ordered
   into the tick's global record order and re-assigned dense coordinator
   ids, so ``alerts``/``alert_id`` are bit-identical to a single
-  columnar monitor over the same stream.
+  monitor over the same stream.
 * **Faults** merge deterministically: duplicate-serial faults in global
   discovery order, then record faults in global record order — the
   exact list a single monitor would have appended.
@@ -43,14 +43,15 @@ parity verdict drives an automatic fleet-wide cutover or rollback.
 Parity contract (pinned by ``tests/test_detection_sharded.py``): over
 any shard count, the coordinator's alerts, alert ids, faults,
 quarantine decisions, ``health_report()`` counters, SLO state, and
-event *set* are identical to a single columnar ``FleetMonitor`` on the
-same stream.  Only the tick-level wall-time histogram and the
-``shard.*`` instrumentation family differ — sharding is a deployment
-choice, never a semantic one.
+event *set* are identical to a single ``FleetMonitor`` on the same
+stream.  Only the tick-level wall-time histogram and the ``shard.*``
+instrumentation family differ — sharding is a deployment choice, never
+a semantic one.
 
-Strict mode (``quarantine=None``) is not supported here: a
-mid-tick ``ValueError`` unwinding across process boundaries cannot
-preserve the reference engine's partial-tick state.  Use a single
+Strict mode (``quarantine=None``) is not supported here: a mid-tick
+``ValueError`` unwinding across process boundaries cannot preserve a
+single monitor's partial-tick state (records before the raising one
+ingested, serials first seen after it unregistered).  Use a single
 ``FleetMonitor`` when the feed is trusted enough for strict mode.
 """
 
@@ -72,9 +73,8 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
     _normalize_tick,
 )
 from repro.features.vectorize import Feature
@@ -130,59 +130,6 @@ def shard_for(serial: str, n_shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class VoterSpec:
-    """A picklable detector factory for the built-in windowed voters.
-
-    ``detector_factory`` is usually a lambda, which cannot cross a
-    process boundary; a ``VoterSpec`` carries the same information as
-    data.  Calling the spec builds a fresh detector, so it drops in
-    anywhere a factory is expected (including plain ``FleetMonitor``).
-    """
-
-    kind: str  # "majority" | "mean"
-    n_voters: int
-    failed_label: float = -1.0
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("majority", "mean"):
-            raise ValueError(
-                f"kind must be 'majority' or 'mean', got {self.kind!r}"
-            )
-
-    def __call__(self):
-        if self.kind == "majority":
-            return OnlineMajorityVote(self.n_voters, failed_label=self.failed_label)
-        return OnlineMeanThreshold(self.n_voters, threshold=self.threshold)
-
-
-@dataclass(frozen=True)
-class TreeSampleScorer:
-    """Picklable ``row -> float`` scorer over a fitted tree.
-
-    :meth:`~repro.tree.base.BaseDecisionTree.sample_scorer` returns a
-    closure, which cannot ship to a shard worker; this wrapper scores
-    identically and pickles whenever the tree does.
-    """
-
-    tree: object
-
-    def __call__(self, row: np.ndarray) -> float:
-        matrix = np.asarray(row, dtype=float).reshape(1, -1)
-        return float(self.tree.predict(matrix)[0])
-
-
-@dataclass(frozen=True)
-class TreeBatchScorer:
-    """Picklable batch scorer over a fitted tree (see :class:`TreeSampleScorer`)."""
-
-    tree: object
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.tree.predict(np.asarray(X, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
 class CanaryPolicy:
     """When does a canary generation win the fleet?
 
@@ -211,14 +158,15 @@ class ShardSpec:
 
     The coordinator ships this (not a built monitor) to worker
     processes; ``mode="process"`` therefore needs every field to be
-    picklable — use :class:`VoterSpec` and
-    :class:`TreeSampleScorer`/:class:`TreeBatchScorer` instead of
-    lambdas and closures.
+    picklable — the tree scorers from
+    :meth:`~repro.tree.base.ServingScorerMixin.sample_scorer` and
+    :meth:`~repro.tree.base.ServingScorerMixin.batch_scorer` are, lambdas
+    and closures are not.
     """
 
     features: tuple
     score_sample: Callable
-    detector_factory: Callable
+    detector_factory: VoterSpec
     score_batch: Optional[Callable] = None
     quarantine: Optional[QuarantinePolicy] = None
     tree: Optional[object] = None
@@ -226,7 +174,7 @@ class ShardSpec:
     model_generation: int = 0
 
     def build(self) -> FleetMonitor:
-        """A fresh columnar shard monitor (SLO state stays coordinator-side)."""
+        """A fresh shard monitor (SLO state stays coordinator-side)."""
         return FleetMonitor(
             self.features,
             score_sample=self.score_sample,
@@ -237,7 +185,6 @@ class ShardSpec:
             feature_names=self.feature_names,
             model_generation=self.model_generation,
             slo=None,
-            engine="columnar",
         )
 
 
@@ -344,13 +291,10 @@ def _shard_pin(state: dict, payload: dict) -> int:
 
 def _shard_status(state: dict, payload: object) -> dict:
     monitor: FleetMonitor = state["monitor"]
+    watched = monitor.watched_drives()
     return {
-        "n_watched": (
-            monitor._columnar.n_watched()
-            if monitor._columnar is not None
-            else len(monitor._drives)
-        ),
-        "watched": monitor.watched_drives(),
+        "n_watched": len(watched),
+        "watched": watched,
         "degraded": monitor.degraded_drives(),
         "fault_counts": monitor.fault_counts(),
         "vote_flips": monitor.vote_flips,
@@ -385,15 +329,15 @@ def _shard_export(state: dict, payload: object) -> dict:
 
 
 class ShardedFleetMonitor:
-    """N columnar shard monitors behind one ``FleetMonitor``-shaped facade.
+    """N shard monitors behind one ``FleetMonitor``-shaped facade.
 
     Args:
         features, score_sample, detector_factory, score_batch, tree,
         feature_names, model_generation: As
             :class:`~repro.detection.streaming.FleetMonitor`.  For
-            ``mode="process"`` these must be picklable (see
-            :class:`VoterSpec`, :class:`TreeSampleScorer`,
-            :class:`TreeBatchScorer`).
+            ``mode="process"`` these must be picklable (a
+            :class:`~repro.detection.streaming.VoterSpec` and the tree's
+            ``sample_scorer()``/``batch_scorer()`` are).
         quarantine: The degraded-mode policy; required (strict mode is
             single-process only, see the module docs).
         slo: Optional coordinator-side
@@ -430,7 +374,7 @@ class ShardedFleetMonitor:
         self,
         features: Sequence[Feature],
         score_sample: Callable,
-        detector_factory: Callable[[], object],
+        detector_factory: VoterSpec,
         *,
         score_batch: Optional[Callable] = None,
         quarantine: Optional[QuarantinePolicy] = _DEFAULT_QUARANTINE,
@@ -509,24 +453,23 @@ class ShardedFleetMonitor:
     def from_predictor(
         cls,
         predictor,
-        detector_factory: Callable[[], object],
+        detector_factory: VoterSpec,
         **kwargs,
     ) -> "ShardedFleetMonitor":
-        """Shard-serve a fitted pipeline's tree (picklable scorers built in).
+        """Shard-serve a fitted pipeline's tree.
 
-        The process-mode counterpart of
-        :meth:`FleetMonitor.from_predictor`: scoring goes through
-        :class:`TreeSampleScorer`/:class:`TreeBatchScorer`, which ship
-        to shard workers whenever the tree itself pickles.
+        The sharded counterpart of :meth:`FleetMonitor.from_predictor`:
+        the tree's ``sample_scorer()``/``batch_scorer()`` ship to shard
+        workers whenever the tree itself pickles.
         """
         tree = predictor.tree_
         if tree is None:
             raise RuntimeError("predictor is not fitted; call fit() first")
         return cls(
             predictor.extractor.features,
-            score_sample=TreeSampleScorer(tree),
+            score_sample=tree.sample_scorer(),
             detector_factory=detector_factory,
-            score_batch=TreeBatchScorer(tree),
+            score_batch=tree.batch_scorer(),
             tree=tree,
             **kwargs,
         )
@@ -707,7 +650,7 @@ class ShardedFleetMonitor:
 
         Semantics (normalization, duplicate-serial faults, alert order,
         alert ids) are exactly ``FleetMonitor.observe_fleet`` on a
-        single columnar monitor — sharding is invisible in the result.
+        single monitor — sharding is invisible in the result.
         """
         items, duplicates = _normalize_tick(records)
         return self._tick(hour, items, duplicates)
@@ -861,7 +804,7 @@ class ShardedFleetMonitor:
             per_items[shard_for(serial, n)].append((serial, values))
         for serial in duplicates:
             per_dups[shard_for(serial, n)].append(serial)
-        # First-seen bookkeeping mirrors the columnar engine's row
+        # First-seen bookkeeping mirrors a single monitor's row
         # allocation: duplicate occurrences register before the items.
         for serial in duplicates:
             self._note_seen(serial)
@@ -1533,7 +1476,7 @@ class ShardedFleetMonitor:
 
         Every shared key (schema, counters, degraded list, SLO status,
         ``serve.*`` metrics) is bit-identical to the report a single
-        columnar ``FleetMonitor`` would produce on the same stream; the
+        ``FleetMonitor`` would produce on the same stream; the
         extra ``"sharding"`` section describes the deployment topology.
         """
         statuses = self._statuses()

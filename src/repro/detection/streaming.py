@@ -2,27 +2,24 @@
 
 The paper's deployment story is a monitoring daemon: every hour each
 drive reports a SMART record, the model scores it, and the voting rule
-decides whether to raise a warning.  This module provides that streaming
-surface with *exactly* the offline semantics:
+decides whether to raise a warning (Section V-A3).  :class:`FleetMonitor`
+provides that streaming surface with *exactly* the offline semantics
+(score_drives + first_alarm), pinned by the test suite.
 
-* :class:`OnlineFeatureBuffer` — per-drive rolling history that computes
-  value and change-rate features incrementally (a change rate needs the
-  reading from ``interval`` hours ago, so the buffer keeps just enough
-  history);
-* :class:`OnlineMajorityVote` / :class:`OnlineMeanThreshold` — O(1)
-  sliding-window reimplementations of the offline detectors;
-* :class:`FleetMonitor` — routes per-drive observations through a fitted
-  model and collects :class:`Alert` events.
-
-Equivalence with the offline path (score_drives + first_alarm) is
-guaranteed by construction and enforced by the test suite.
+Every piece of per-drive state lives in a preallocated array keyed by a
+stable serial→row index, so a collection tick is a handful of
+vectorized passes instead of ``n_drives`` python round-trips: one 2-D
+``(n_drives, n_channels)`` ingest, mask-based validation, online
+features from a ring-buffered lag history, ring-buffer voting matrices
+(:mod:`repro.detection.columnar`) and a single batched model call.
+:meth:`FleetMonitor.observe` is the same tick with one row.
 
 **Degraded-mode serving.**  A production feed is dirty: ticks arrive
 out of order, repeat, carry the wrong shape or a non-finite timestamp.
 The monitor therefore runs every observation through a validation gate
-before it touches a drive's feature buffer: malformed ticks are counted
-and excluded (never scored, never a voting slot) and recorded as
-structured :class:`~repro.utils.errors.SampleFault` events.  A drive
+before it touches a drive's feature history: malformed ticks are
+counted and excluded (never scored, never a voting slot) and recorded
+as structured :class:`~repro.utils.errors.SampleFault` events.  A drive
 whose fault count passes the :class:`QuarantinePolicy` threshold is
 flagged ``DEGRADED`` — its alerts are suppressed and it is reported via
 :meth:`FleetMonitor.degraded_drives` instead of being silently
@@ -31,35 +28,24 @@ by flaky sensors) are not faults: they flow through unchanged and the
 tree's surrogate/``missing_goes_left`` machinery routes them, exactly
 as at fit time; voting treats unscorable samples as NaN gaps without
 resetting its window.
-
-**Two serving engines.**  ``FleetMonitor(engine="object")`` (the
-reference backend) walks one python object per drive per tick — the
-path documented above.  ``engine="columnar"`` replaces that hot path
-with the structure-of-arrays core in
-:mod:`repro.detection.columnar`: one 2-D ``(n_drives, n_channels)``
-ingest per tick, mask-based validation, ring-buffer voting matrices
-and a single batched model call.  The two engines are bit-identical —
-same alerts, same ``health_report()``, same event stream, same
-quarantine decisions — mirroring the compiled-vs-node tree backends;
-the object engine is the oracle the columnar engine is pinned against.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.features.vectorize import Feature, FeatureExtractor
+from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix, _LagHistory
+from repro.features.vectorize import Feature
 from repro.observability import get_event_log, get_registry, get_tracer
 from repro.observability.events import decision_path_payload
 from repro.smart.attributes import N_CHANNELS, channel_index
 from repro.utils.errors import FaultKind, SampleFault
-from repro.utils.validation import check_positive
 
 #: Schema tag on :meth:`FleetMonitor.health_report` (bump on breaking change).
 HEALTH_REPORT_SCHEMA = "repro.health-report/v1"
@@ -70,18 +56,16 @@ SampleScorer = Callable[[np.ndarray], float]
 #: Scores a stacked ``(n_rows, n_features)`` matrix in one call.
 BatchScorer = Callable[[np.ndarray], np.ndarray]
 
-#: Serving engines: ``"object"`` is the per-drive reference path,
-#: ``"columnar"`` the structure-of-arrays hot path (bit-identical).
-ENGINES = ("object", "columnar")
-
-# Counter help strings, shared verbatim by both engines so registry
-# snapshots (and therefore health_report metrics) stay bit-identical.
+# Counter help strings (one registration text per counter name).
 TICKS_HELP = "observations offered"
 FAULTS_HELP = "malformed ticks excluded by the gate"
 SCORED_HELP = "ticks scored"
 FLIPS_HELP = "alarm-signal transitions"
 ALERTS_HELP = "alerts raised"
 QUARANTINED_HELP = "drives transitioned to DEGRADED"
+
+# Gate verdict codes (record-order fault emission keys off these).
+_CLEAN, _SHAPE, _NF_TIME, _DUP_TIME, _OOO = 0, 1, 2, 3, 4
 
 
 def _json_score(score: float) -> Optional[float]:
@@ -90,12 +74,7 @@ def _json_score(score: float) -> Optional[float]:
 
 
 def _duplicate_serial_fault(serial: str, hour: float) -> SampleFault:
-    """The fault recorded for each overridden duplicate-serial record.
-
-    Shared by both engines so the fault detail (and the ``tick_faulted``
-    payload built from it) is identical on the object and columnar
-    paths.
-    """
+    """The fault recorded for each overridden duplicate-serial record."""
     return SampleFault(
         serial,
         float(hour) if np.isfinite(hour) else np.nan,
@@ -132,170 +111,6 @@ def _normalize_tick(
             items[at] = (serial, values)
             duplicates.append(serial)
     return items, duplicates
-
-
-class OnlineFeatureBuffer:
-    """Incremental feature computation for one drive.
-
-    Keeps a bounded history of raw channel readings so change-rate
-    features can look back ``interval`` hours.  Observations must arrive
-    in strictly increasing hour order; gaps (missed samples) are fine —
-    a change rate whose lag hour was never observed is NaN, matching
-    :func:`repro.features.change_rates.change_rate`.
-    """
-
-    def __init__(self, features: Sequence[Feature]):
-        self.features = tuple(features)
-        if not self.features:
-            raise ValueError("at least one feature is required")
-        self._max_lag = max(
-            (f.change_interval_hours for f in self.features), default=0.0
-        )
-        self._history: deque[tuple[float, np.ndarray]] = deque()
-        self._last_hour: Optional[float] = None
-
-    def push(self, hour: float, channel_values: Sequence[float]) -> np.ndarray:
-        """Ingest one SMART record; return the feature row for this hour."""
-        values = np.asarray(channel_values, dtype=float)
-        if values.shape != (N_CHANNELS,):
-            raise ValueError(
-                f"channel_values must have shape ({N_CHANNELS},), got {values.shape}"
-            )
-        hour = float(hour)
-        if self._last_hour is not None and hour <= self._last_hour:
-            raise ValueError(
-                f"observations must be in increasing hour order "
-                f"({hour} after {self._last_hour})"
-            )
-        self._last_hour = hour
-        self._history.append((float(hour), values))
-        # Drop history older than the longest lag (keep the lag hour itself).
-        while self._history and self._history[0][0] < hour - self._max_lag:
-            self._history.popleft()
-
-        row = np.empty(len(self.features))
-        for column, feature in enumerate(self.features):
-            channel = channel_index(feature.short)
-            current = values[channel]
-            if not feature.is_change_rate:
-                row[column] = current
-                continue
-            lag_hour = hour - feature.change_interval_hours
-            lagged = self._lookup(lag_hour, channel)
-            if lagged is None or not np.isfinite(current) or not np.isfinite(lagged):
-                row[column] = np.nan
-            else:
-                row[column] = (current - lagged) / feature.change_interval_hours
-        return row
-
-    def _lookup(self, hour: float, channel: int) -> Optional[float]:
-        for recorded_hour, values in self._history:
-            if np.isclose(recorded_hour, hour):
-                return float(values[channel])
-        return None
-
-
-class WindowedVoter:
-    """Shared mechanics of the streaming (windowed) voting rules.
-
-    Owns the single semantics source every windowed rule pins against:
-    the bounded window itself, the full-window alarm gate (``push``
-    never alarms before ``n_voters`` samples arrived), the
-    short-history flush rule (a shorter-than-window history is judged
-    once, over all its samples, like the offline detectors), and the
-    provenance snapshot.  Subclasses define how one score is stored
-    (:meth:`_ingest`), how a window width is judged (:meth:`_judge`)
-    and how one slot renders into provenance (:meth:`_slot_payload`).
-    The columnar ring-buffer voters
-    (:mod:`repro.detection.columnar`) replicate exactly these
-    semantics, matrix-wide.
-    """
-
-    def __init__(self, n_voters: int):
-        check_positive("n_voters", n_voters)
-        self.n_voters = int(n_voters)
-        self._window: deque = deque(maxlen=self.n_voters)
-
-    def push(self, score: float) -> bool:
-        """Ingest one per-sample score; True when this time point alarms."""
-        self._ingest(score)
-        if len(self._window) < self.n_voters:
-            return False
-        return self._judge(self.n_voters)
-
-    def flush_short_history(self) -> bool:
-        """Judge a drive whose whole history is shorter than the window.
-
-        Mirrors the offline rule that short series are judged once over
-        all their samples.  A filled window is never re-judged.
-        """
-        if not self._window or len(self._window) >= self.n_voters:
-            return False
-        return self._judge(len(self._window))
-
-    def window_contents(self) -> list:
-        """The current voting window, oldest first.
-
-        Alert provenance snapshots this at the moment the window
-        flipped, so ``repro-events explain`` can show exactly which
-        votes carried the decision.
-        """
-        return [self._slot_payload(slot) for slot in self._window]
-
-    # -- rule-specific hooks -------------------------------------------------
-
-    def _ingest(self, score: float) -> None:
-        raise NotImplementedError
-
-    def _judge(self, width: int) -> bool:
-        raise NotImplementedError
-
-    def _slot_payload(self, slot):
-        return slot
-
-
-class OnlineMajorityVote(WindowedVoter):
-    """Streaming equivalent of :class:`~repro.detection.voting.MajorityVoteDetector`.
-
-    ``push`` returns True the first time the trailing window holds a
-    strict failed majority.  NaN scores (missed/unusable samples) occupy
-    a window slot but never count as failed votes.
-    """
-
-    def __init__(self, n_voters: int = 1, failed_label: float = -1.0):
-        super().__init__(n_voters)
-        self.failed_label = failed_label
-        self._failed_in_window = 0
-
-    def _ingest(self, score: float) -> None:
-        if len(self._window) == self._window.maxlen and self._window[0]:
-            self._failed_in_window -= 1
-        vote = bool(np.isfinite(score) and score == self.failed_label)
-        self._window.append(vote)
-        if vote:
-            self._failed_in_window += 1
-
-    def _judge(self, width: int) -> bool:
-        return self._failed_in_window > width / 2.0
-
-
-class OnlineMeanThreshold(WindowedVoter):
-    """Streaming equivalent of :class:`~repro.detection.voting.MeanThresholdDetector`."""
-
-    def __init__(self, n_voters: int = 11, threshold: float = 0.0):
-        super().__init__(n_voters)
-        self.threshold = float(threshold)
-
-    def _ingest(self, score: float) -> None:
-        self._window.append(float(score))
-
-    def _judge(self, width: int) -> bool:
-        values = np.array(list(self._window)[-width:])
-        valid = values[np.isfinite(values)]
-        return valid.size > 0 and float(valid.mean()) < self.threshold
-
-    def _slot_payload(self, slot: float) -> Optional[float]:
-        return float(slot) if np.isfinite(slot) else None
 
 
 @dataclass(frozen=True)
@@ -348,44 +163,73 @@ class QuarantinePolicy:
         return fault_count > self.fault_limit
 
 
-@dataclass
-class _DriveState:
-    buffer: OnlineFeatureBuffer
-    detector: object
-    alerted: bool = False
-    fault_count: int = 0
-    status: DriveStatus = DriveStatus.OK
-    #: Last instantaneous alarm signal (``serve.vote_flips`` tracks its
-    #: transitions; ``None`` until the first scored tick).
-    last_signal: Optional[bool] = None
-    #: Feature row of the most recent well-formed tick — the SMART
-    #: evidence an ``alert_raised`` event's decision path explains.
-    last_row: Optional[np.ndarray] = None
-    #: True once an ``alert_cleared`` event has fired for this drive.
-    cleared: bool = False
+@dataclass(frozen=True)
+class VoterSpec:
+    """The voting rule a monitor applies to each drive's score series.
+
+    ``"majority"`` alarms when more than half of the last ``n_voters``
+    scores equal ``failed_label`` (Section V-A3); ``"mean"`` alarms when
+    the mean of the last ``n_voters`` finite scores falls below
+    ``threshold`` (the health-degree rule, Section V-C).  A spec is
+    plain data, so it pickles across shard process boundaries; the
+    monitor builds the fleet-wide voting matrix from it with
+    :meth:`build`.
+    """
+
+    kind: str  # "majority" | "mean"
+    n_voters: int
+    failed_label: float = -1.0
+    threshold: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("majority", "mean"):
+            raise ValueError(
+                f"kind must be 'majority' or 'mean', got {self.kind!r}"
+            )
+        n_voters = self.n_voters
+        if (
+            isinstance(n_voters, bool)
+            or not isinstance(n_voters, Integral)
+            or n_voters <= 0
+        ):
+            raise ValueError(
+                f"n_voters must be a positive integer, got {n_voters!r}"
+            )
+
+    def build(self, n_rows: int = 0) -> Union[MajorityVoteMatrix, MeanThresholdMatrix]:
+        """The voting matrix applying this rule to ``n_rows`` drives."""
+        if self.kind == "majority":
+            return MajorityVoteMatrix(self.n_voters, self.failed_label, n_rows)
+        return MeanThresholdMatrix(self.n_voters, self.threshold, n_rows)
 
 
 class FleetMonitor:
     """Routes streaming SMART records through a fitted model.
 
+    Per-drive state lives in parallel arrays grown by capacity doubling;
+    rows are allocated in first-seen order, so :meth:`finalize` walks
+    drives in that order and assigns dense alert ids deterministically.
+
     Args:
         features: The feature definitions the model was trained on.
-        score_sample: Callable scoring one feature row (e.g. wrapping
-            ``predictor.tree_.predict``); rows with no finite feature are
-            scored NaN without calling it.
-        detector_factory: Zero-argument callable building a fresh online
-            detector per drive (majority vote or mean threshold).
+        score_sample: Callable scoring one feature row (e.g.
+            ``tree.sample_scorer()``); used by :meth:`observe` and when
+            no ``score_batch`` is installed.  Rows with no finite
+            feature are scored NaN without calling the model.
+        detector_factory: The :class:`VoterSpec` (majority vote or mean
+            threshold) every drive's score series is judged by.
         score_batch: Optional callable scoring a stacked matrix in one
-            call (e.g. ``predictor.tree_.predict`` directly).  When set,
-            :meth:`observe_fleet` scores a whole collection tick through
-            it — one compiled-backend routing pass for the fleet —
-            instead of one ``score_sample`` call per drive.
+            call (e.g. ``tree.batch_scorer()``).  When set, a
+            collection tick's usable rows are scored through it — one
+            compiled-backend routing pass for the fleet — instead of
+            one ``score_sample`` call per drive.  Read at every tick,
+            so it may be reassigned between ticks.
         quarantine: The degraded-mode policy (see
             :class:`QuarantinePolicy`; a default policy is installed when
             omitted).  Pass ``quarantine=None`` for strict mode, where a
             malformed tick raises ``ValueError`` instead of being
-            quarantined (the pre-degraded-mode behaviour; useful when
-            the feed is trusted and corruption means a caller bug).
+            quarantined (useful when the feed is trusted and corruption
+            means a caller bug).
         tree: Optional fitted tree (anything with
             ``decision_path(row)``, e.g. ``predictor.tree_``) used to
             attach decision-path provenance to every ``alert_raised``
@@ -400,20 +244,13 @@ class FleetMonitor:
         slo: Optional :class:`~repro.observability.slo.SLOMonitor` fed
             by :meth:`resolve_outcome`; its burn status is embedded in
             :meth:`health_report`.
-        engine: Serving engine — ``"object"`` (default) keeps one
-            python object per drive (the reference backend);
-            ``"columnar"`` serves the fleet from structure-of-arrays
-            state (:mod:`repro.detection.columnar`) with bit-identical
-            alerts, reports and events.  The columnar engine requires a
-            built-in windowed voter (:class:`OnlineMajorityVote` or
-            :class:`OnlineMeanThreshold`) from ``detector_factory``.
 
     Example:
         >>> from repro.features.selection import critical_features
         >>> monitor = FleetMonitor(
         ...     critical_features(),
         ...     score_sample=lambda row: 1.0,
-        ...     detector_factory=lambda: OnlineMajorityVote(3),
+        ...     detector_factory=VoterSpec("majority", 3),
         ... )
         >>> import numpy as np
         >>> monitor.observe("d1", 0.0, np.ones(12)) is None
@@ -426,7 +263,7 @@ class FleetMonitor:
         self,
         features: Sequence[Feature],
         score_sample: SampleScorer,
-        detector_factory: Callable[[], object],
+        detector_factory: VoterSpec,
         *,
         score_batch: Optional[BatchScorer] = None,
         quarantine: Optional[QuarantinePolicy] = _DEFAULT_QUARANTINE,
@@ -434,8 +271,12 @@ class FleetMonitor:
         feature_names: Optional[Sequence[str]] = None,
         model_generation: int = 0,
         slo: Optional[object] = None,
-        engine: str = "object",
     ):
+        if not isinstance(detector_factory, VoterSpec):
+            raise TypeError(
+                "detector_factory must be a VoterSpec, got "
+                f"{type(detector_factory).__name__}"
+            )
         self.features = tuple(features)
         self.score_sample = score_sample
         self.detector_factory = detector_factory
@@ -449,28 +290,53 @@ class FleetMonitor:
         )
         self.model_generation = int(model_generation)
         self.slo = slo
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        self.engine = engine
-        self._drives: dict[str, _DriveState] = {}
         self.alerts: list[Alert] = []
         self.faults: list[SampleFault] = []
         self.vote_flips = 0
         self._tick_serials: Optional[tuple[str, ...]] = None
-        if engine == "columnar":
-            from repro.detection.columnar import ColumnarEngine
 
-            self._columnar: Optional[ColumnarEngine] = ColumnarEngine(self)
-        else:
-            self._columnar = None
+        self._n_features = len(self.features)
+        self._value_cols = [
+            (j, channel_index(f.short))
+            for j, f in enumerate(self.features)
+            if not f.is_change_rate
+        ]
+        self._rate_cols = [
+            (j, channel_index(f.short), float(f.change_interval_hours))
+            for j, f in enumerate(self.features)
+            if f.is_change_rate
+        ]
+        lag_channels = sorted({channel for _, channel, _ in self._rate_cols})
+        self._lag_channels = np.asarray(lag_channels, dtype=np.intp)
+        self._lag_col = {channel: at for at, channel in enumerate(lag_channels)}
+        self._intervals = sorted({interval for _, _, interval in self._rate_cols})
+        max_lag = max((interval for _, _, interval in self._rate_cols), default=0.0)
+        self._voter = detector_factory.build()
+        self._history = (
+            _LagHistory(0, lag_channels, max_lag) if self._rate_cols else None
+        )
+        self._capacity = 0
+        self._row: dict[str, int] = {}
+        self._serials: list[str] = []
+        self._roster_cache: Optional[tuple] = None
+        self._last_hour = np.empty(0)
+        self._fault_count = np.empty(0, dtype=np.int64)
+        self._degraded = np.empty(0, dtype=bool)
+        self._alerted = np.empty(0, dtype=bool)
+        self._cleared = np.empty(0, dtype=bool)
+        #: Last instantaneous alarm signal per row (-1 until the first
+        #: scored tick); ``serve.vote_flips`` tracks its transitions.
+        self._last_signal = np.empty(0, dtype=np.int8)
+        #: Feature row of each drive's most recent well-formed tick —
+        #: the SMART evidence an ``alert_raised`` decision path explains.
+        self._last_rows = np.empty((0, self._n_features))
+        self._has_row = np.empty(0, dtype=bool)
 
     @classmethod
     def from_predictor(
         cls,
         predictor,
-        detector_factory: Callable[[], object],
-        *,
-        engine: str = "columnar",
+        detector_factory: VoterSpec,
         **kwargs,
     ) -> "FleetMonitor":
         """Build a monitor serving a fitted pipeline's tree.
@@ -492,194 +358,77 @@ class FleetMonitor:
             detector_factory=detector_factory,
             score_batch=tree.batch_scorer(),
             tree=tree,
-            engine=engine,
             **kwargs,
         )
 
-    def _state(self, serial: str) -> _DriveState:
-        state = self._drives.get(serial)
-        if state is None:
-            state = _DriveState(
-                buffer=OnlineFeatureBuffer(self.features),
-                detector=self.detector_factory(),
-            )
-            self._drives[serial] = state
+    def __getstate__(self) -> dict:
+        """Pickle support for shard snapshot/restore.
+
+        The roster cache is keyed by tuple *identity*, which cannot
+        survive a pickle round-trip; drop it so a restored monitor
+        re-resolves rows on its first tick (state, not caches, is what
+        a snapshot preserves).
+        """
+        state = self.__dict__.copy()
+        state["_roster_cache"] = None
         return state
 
-    # -- the validation gate -------------------------------------------------
+    # -- row allocation -------------------------------------------------------
 
-    def _gate(
-        self, serial: str, state: _DriveState, hour: float, values: Sequence[float]
-    ) -> Union[np.ndarray, SampleFault]:
-        """Validate one tick; a clean tick comes back as its channel array.
-
-        A malformed tick is returned as a :class:`SampleFault` (strict
-        mode raises instead), already counted against the drive's
-        quarantine budget and appended to :attr:`faults`.
-        """
-        registry = get_registry()
-        registry.counter("serve.ticks", help=TICKS_HELP).inc()
-        fault: Optional[SampleFault] = None
-        array = np.asarray(values, dtype=float)
-        last = state.buffer._last_hour
-        if array.shape != (N_CHANNELS,):
-            fault = SampleFault(
-                serial, float(hour) if np.isfinite(hour) else np.nan,
-                FaultKind.WRONG_SHAPE,
-                f"expected ({N_CHANNELS},) channel values, got {array.shape}",
-            )
-        elif not np.isfinite(hour):
-            fault = SampleFault(
-                serial, np.nan, FaultKind.NON_FINITE_TIME,
-                f"timestamp {hour!r} is not a finite hour",
-            )
-        elif last is not None and hour == last:
-            fault = SampleFault(
-                serial, float(hour), FaultKind.DUPLICATE_TIME,
-                f"hour {hour} already ingested",
-            )
-        elif last is not None and hour < last:
-            fault = SampleFault(
-                serial, float(hour), FaultKind.OUT_OF_ORDER,
-                f"hour {hour} arrived after {last}",
-            )
-        if fault is None:
-            return array
-        self._quarantine_fault(serial, state, fault)
-        return fault
-
-    def _quarantine_fault(
-        self, serial: str, state: _DriveState, fault: SampleFault
-    ) -> None:
-        """Record one malformed tick against a drive's quarantine budget.
-
-        Strict mode (``quarantine=None``) raises instead.  Shared by the
-        in-stream gate and the duplicate-serial check so every fault
-        kind flows through one bookkeeping path.
-        """
-        if self.quarantine is None:
-            raise ValueError(f"drive {serial}: {fault.kind}: {fault.detail}")
-        registry = get_registry()
-        self.faults.append(fault)
-        state.fault_count += 1
-        registry.counter(
-            "serve.faults", help=FAULTS_HELP, kind=fault.kind.value,
-        ).inc()
-        log = get_event_log()
-        log.emit(
-            "tick_faulted", drive=serial, hour=fault.hour,
-            kind=fault.kind.value, detail=fault.detail,
+    def _ensure_capacity(self, n: int) -> None:
+        if n <= self._capacity:
+            return
+        capacity = max(self._capacity * 2, 64)
+        while capacity < n:
+            capacity *= 2
+        grow = capacity - self._capacity
+        self._last_hour = np.concatenate([self._last_hour, np.full(grow, np.nan)])
+        self._fault_count = np.concatenate(
+            [self._fault_count, np.zeros(grow, dtype=np.int64)]
         )
-        if self.quarantine.degrades(state.fault_count):
-            if state.status is not DriveStatus.DEGRADED:
-                registry.counter(
-                    "serve.quarantined", help=QUARANTINED_HELP
-                ).inc()
-                log.emit(
-                    "drive_quarantined", drive=serial, hour=fault.hour,
-                    fault_count=state.fault_count,
-                    fault_limit=self.quarantine.fault_limit,
-                )
-            state.status = DriveStatus.DEGRADED
+        self._degraded = np.concatenate(
+            [self._degraded, np.zeros(grow, dtype=bool)]
+        )
+        self._alerted = np.concatenate([self._alerted, np.zeros(grow, dtype=bool)])
+        self._cleared = np.concatenate([self._cleared, np.zeros(grow, dtype=bool)])
+        self._last_signal = np.concatenate(
+            [self._last_signal, np.full(grow, -1, dtype=np.int8)]
+        )
+        self._last_rows = np.concatenate(
+            [self._last_rows, np.full((grow, self._n_features), np.nan)]
+        )
+        self._has_row = np.concatenate([self._has_row, np.zeros(grow, dtype=bool)])
+        if self._history is not None:
+            self._history.grow_rows(capacity)
+        self._voter.grow_rows(capacity)
+        self._capacity = capacity
 
-    def _record_score(
-        self, serial: str, state: _DriveState, hour: float, score: float
-    ) -> Optional[Alert]:
-        """Feed one score to the drive's detector; latch and report alerts.
+    def _row_for(self, serial: str) -> int:
+        row = self._row.get(serial)
+        if row is None:
+            row = len(self._serials)
+            self._ensure_capacity(row + 1)
+            self._row[serial] = row
+            self._serials.append(serial)
+        return row
 
-        Degraded drives keep their detector state current but never
-        alert — a page driven by a quarantined feed would be noise.
-        Emits the lifecycle events (``sample_scored`` → ``vote_flip`` →
-        ``alert_raised``/``alert_cleared``) into the structured log;
-        with the default null log every emission is a no-op.
-        """
-        log = get_event_log()
-        if log.enabled and np.isfinite(score):
-            log.emit("sample_scored", drive=serial, hour=hour, score=float(score))
-        alarmed = state.detector.push(score)
-        previous = state.last_signal
-        if previous is not None and alarmed != previous:
-            self.vote_flips += 1
-            get_registry().counter(
-                "serve.vote_flips", help=FLIPS_HELP
-            ).inc()
-            log.emit("vote_flip", drive=serial, hour=hour, signal=bool(alarmed))
-        state.last_signal = alarmed
-        if alarmed and not state.alerted and state.status is DriveStatus.OK:
-            state.alerted = True
-            alert = Alert(
-                serial=serial, hour=float(hour), score=score,
-                alert_id=f"alert-{len(self.alerts):04d}",
-            )
-            self.alerts.append(alert)
-            get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
-            if log.enabled:
-                log.emit(
-                    "alert_raised", drive=serial, hour=hour,
-                    **self._provenance(alert, state),
-                )
-            return alert
-        if (
-            not alarmed and previous and state.alerted and not state.cleared
-            and state.status is DriveStatus.OK
-        ):
-            state.cleared = True
-            log.emit("alert_cleared", drive=serial, hour=hour, score=_json_score(score))
-        return None
-
-    def _provenance(self, alert: Alert, state: _DriveState) -> dict:
-        """The evidence payload of an ``alert_raised`` event.
-
-        Built only when a recording event log is installed: the alert
-        id, the triggering score, the serving model's generation, the
-        voting-window contents at the flip, and — when the monitor
-        knows its ``tree`` — the CART decision path that classified the
-        last well-formed sample (identical for the compiled and node
-        backends by construction).
-        """
-        payload: dict = {
-            "alert_id": alert.alert_id,
-            "score": _json_score(alert.score),
-            "model_generation": self.model_generation,
-        }
-        window = getattr(state.detector, "window_contents", None)
-        if window is not None:
-            payload["window"] = window()
-        if self.tree is not None and state.last_row is not None:
-            payload["path"] = decision_path_payload(
-                self.tree, state.last_row, self.feature_names
-            )
-        return payload
+    # -- tick entry points ----------------------------------------------------
 
     def observe(
         self, serial: str, hour: float, channel_values: Sequence[float]
     ) -> Optional[Alert]:
         """Ingest one record; return an :class:`Alert` if the drive trips.
 
-        A drive raises at most one alert (further records are ignored for
+        A one-row collection tick, scored through ``score_sample``.  A
+        drive raises at most one alert (further records are ignored for
         alerting but still tracked, so health queries stay current).
         Malformed ticks are quarantined — counted, excluded from scoring
         and voting — rather than raised (see the class docs); missing
         values inside a well-formed tick flow through to the model's
         surrogate routing unchanged.
         """
-        if self._columnar is not None:
-            alerts = self._columnar.tick(
-                hour, [(serial, channel_values)], [], single=True
-            )
-            return alerts[0] if alerts else None
-        state = self._state(serial)
-        gated = self._gate(serial, state, hour, channel_values)
-        if isinstance(gated, SampleFault):
-            return None
-        row = state.buffer.push(hour, gated)
-        state.last_row = row
-        if np.any(np.isfinite(row)):
-            score = float(self.score_sample(row))
-            get_registry().counter("serve.scored", help=SCORED_HELP).inc()
-        else:
-            score = np.nan
-        return self._record_score(serial, state, hour, score)
+        alerts = self._tick(hour, [(serial, channel_values)], [], single=True)
+        return alerts[0] if alerts else None
 
     def observe_fleet(
         self,
@@ -723,9 +472,9 @@ class FleetMonitor:
 
         ``values`` is a ``(n_drives, n_channels)`` float matrix; row
         ``i`` is the reading of ``serials[i]`` (default: the roster from
-        :meth:`register_fleet`).  On the columnar engine with a
-        registered roster this is the zero-copy hot path: no per-drive
-        python objects are touched.  Semantically identical to
+        :meth:`register_fleet`).  With a registered roster this is the
+        zero-copy hot path: no per-drive python objects are touched.
+        Semantically identical to
         ``observe_fleet(hour, zip(serials, values))``.
         """
         roster = tuple(serials) if serials is not None else self._tick_serials
@@ -739,10 +488,7 @@ class FleetMonitor:
                 f"values must have shape ({len(roster)}, {N_CHANNELS}), "
                 f"got {matrix.shape}"
             )
-        if self._columnar is not None:
-            return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
-        items, duplicates = _normalize_tick(zip(roster, matrix))
-        return self._run_tick(hour, items, duplicates)
+        return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
 
     def shard_tick(
         self,
@@ -767,15 +513,11 @@ class FleetMonitor:
 
         Pass either normalized ``items``/``duplicates`` (from
         :func:`_normalize_tick`) or an aligned ``roster``/``matrix``
-        pair (the zero-copy path; the roster must be duplicate-free).
+        pair (the zero-copy path).
         """
         if roster is not None:
-            if self._columnar is not None:
-                return self._columnar.tick_matrix(hour, roster, matrix)
-            items, duplicates = _normalize_tick(zip(roster, matrix))
-        if self._columnar is not None:
-            return self._columnar.tick(hour, items, duplicates)
-        return self._observe_fleet_impl(hour, items, duplicates)
+            return self._tick_matrix(hour, roster, matrix)
+        return self._tick(hour, items, duplicates)
 
     def _run_tick(
         self,
@@ -786,19 +528,16 @@ class FleetMonitor:
         roster: Optional[tuple[str, ...]] = None,
         matrix: Optional[np.ndarray] = None,
     ) -> list[Alert]:
-        """Shared per-tick instrumentation around both engines."""
+        """A collection tick wrapped in its tick-level instrumentation."""
         registry = get_registry()
         start = perf_counter() if registry.enabled else 0.0
         n_drives = len(roster) if roster is not None else len(items)
         with get_tracer().span(
             "serve.tick", category="serve", n_drives=n_drives
         ):
-            if roster is not None:
-                alerts = self._columnar.tick_matrix(hour, roster, matrix)
-            elif self._columnar is not None:
-                alerts = self._columnar.tick(hour, items, duplicates)
-            else:
-                alerts = self._observe_fleet_impl(hour, items, duplicates)
+            alerts = self.shard_tick(
+                hour, items, duplicates, roster=roster, matrix=matrix
+            )
         registry.counter("serve.fleet_ticks", help="collection ticks").inc()
         if registry.enabled:
             registry.histogram(
@@ -807,77 +546,396 @@ class FleetMonitor:
             ).observe(perf_counter() - start)
         return alerts
 
-    def _observe_fleet_impl(
-        self, hour: float, items: list[tuple], duplicates: list[str]
+    def _tick(
+        self,
+        hour: float,
+        items: list[tuple],
+        duplicates: list[str],
+        *,
+        single: bool = False,
+    ) -> list[Alert]:
+        """One collection tick from ``(serial, values)`` pairs.
+
+        ``single=True`` marks the one-record tick of :meth:`observe`,
+        scored through ``score_sample``.
+        """
+        registry = get_registry()
+        strict = self.quarantine is None
+        if duplicates:
+            if strict:
+                # The tick counter covers the record that raises; nothing
+                # past it is reached.
+                registry.counter("serve.ticks", help=TICKS_HELP).inc()
+                serial = duplicates[0]
+                self._fault_row(
+                    serial, self._row_for(serial),
+                    _duplicate_serial_fault(serial, hour),
+                )
+            registry.counter("serve.ticks", help=TICKS_HELP).inc(len(duplicates))
+            for serial in duplicates:
+                self._fault_row(
+                    serial, self._row_for(serial),
+                    _duplicate_serial_fault(serial, hour),
+                )
+        n_before = len(self._serials)
+        n = len(items)
+        serials = [serial for serial, _ in items]
+        rows = np.fromiter(
+            (self._row_for(serial) for serial in serials), dtype=np.intp, count=n
+        )
+        values = np.empty((n, N_CHANNELS))
+        bad_shape: dict[int, tuple] = {}
+        for at, (_, channel_values) in enumerate(items):
+            array = np.asarray(channel_values, dtype=float)
+            if array.shape != (N_CHANNELS,):
+                bad_shape[at] = array.shape
+                values[at] = np.nan
+            else:
+                values[at] = array
+        return self._process(hour, serials, rows, values, bad_shape, n_before, single)
+
+    def _tick_matrix(
+        self, hour: float, roster: tuple, matrix: np.ndarray
+    ) -> list[Alert]:
+        """One collection tick as an aligned channel matrix (zero-copy).
+
+        Row resolution is cached by roster identity: register a fleet
+        once and repeated ticks touch no per-drive python at all.
+        """
+        cache = self._roster_cache
+        if cache is not None and cache[0] is roster:
+            rows = cache[1]
+            n_before = len(self._serials)
+        else:
+            if len(set(roster)) != len(roster):
+                items, duplicates = _normalize_tick(zip(roster, matrix))
+                return self._tick(hour, items, duplicates)
+            n_before = len(self._serials)
+            rows = np.fromiter(
+                (self._row_for(serial) for serial in roster),
+                dtype=np.intp, count=len(roster),
+            )
+            self._roster_cache = (roster, rows)
+        return self._process(hour, roster, rows, matrix, {}, n_before, False)
+
+    # -- the vectorized hot path ----------------------------------------------
+
+    def _process(
+        self,
+        hour: float,
+        serials: Sequence[str],
+        rows: np.ndarray,
+        values: np.ndarray,
+        bad_shape: dict[int, tuple],
+        n_before: int,
+        single: bool,
     ) -> list[Alert]:
         registry = get_registry()
-        for serial in duplicates:
-            registry.counter("serve.ticks", help=TICKS_HELP).inc()
-            self._quarantine_fault(
-                serial, self._state(serial), _duplicate_serial_fault(serial, hour)
-            )
-        ingested: list[tuple[str, _DriveState, np.ndarray]] = []
-        for serial, values in items:
-            state = self._state(serial)
-            gated = self._gate(serial, state, hour, values)
-            if isinstance(gated, SampleFault):
-                continue
-            row = state.buffer.push(hour, gated)
-            state.last_row = row
-            ingested.append((serial, state, row))
-        usable = [
-            index
-            for index, (_, _, row) in enumerate(ingested)
-            if np.any(np.isfinite(row))
-        ]
-        scores = np.full(len(ingested), np.nan)
-        if usable:
-            stacked = np.vstack([ingested[index][2] for index in usable])
-            if self.score_batch is not None:
-                scores[usable] = np.asarray(self.score_batch(stacked), dtype=float)
-            else:
+        strict = self.quarantine is None
+        n = len(rows)
+
+        # Vectorized validation gate; per-record verdicts in priority
+        # order: shape, then non-finite time, then duplicate/out-of-order.
+        verdict = np.zeros(n, dtype=np.int8)
+        for at in bad_shape:
+            verdict[at] = _SHAPE
+        last = self._last_hour[rows]
+        if not np.isfinite(hour):
+            verdict[verdict == _CLEAN] = _NF_TIME
+        else:
+            unjudged = verdict == _CLEAN
+            verdict[unjudged & (last == hour)] = _DUP_TIME
+            verdict[unjudged & (last > hour)] = _OOO
+        faulted = verdict != _CLEAN
+
+        if strict and faulted.any():
+            first = int(np.argmax(faulted))
+            # Strict mode stops at the raising record: records before it
+            # are ingested, serials first seen after it are unregistered.
+            doomed = rows[first + 1:]
+            doomed = doomed[doomed >= n_before]
+            if doomed.size:
+                cutoff = int(doomed.min())
+                for serial in self._serials[cutoff:]:
+                    del self._row[serial]
+                del self._serials[cutoff:]
+                self._roster_cache = None
+            registry.counter("serve.ticks", help=TICKS_HELP).inc(first + 1)
+            head = ~faulted
+            head[first:] = False
+            if head.any():
+                self._ingest(hour, rows[head], values[head])
+            self._fault_row(
+                serials[first], int(rows[first]),
+                self._build_fault(
+                    serials[first], hour, int(verdict[first]),
+                    bad_shape.get(first), last[first],
+                ),
+            )  # raises
+
+        if n:
+            registry.counter("serve.ticks", help=TICKS_HELP).inc(n)
+        if faulted.any():
+            for at in np.nonzero(faulted)[0]:
+                self._fault_row(
+                    serials[at], int(rows[at]),
+                    self._build_fault(
+                        serials[at], hour, int(verdict[at]),
+                        bad_shape.get(at), last[at],
+                    ),
+                )
+
+        clean = ~faulted
+        clean_rows = rows[clean]
+        k = len(clean_rows)
+        alerts: list[Alert] = []
+        if k == 0:
+            return alerts
+        feature_rows = self._ingest(
+            hour, clean_rows, values if k == n else values[clean]
+        )
+
+        # One scoring pass for the whole tick.
+        usable = np.any(np.isfinite(feature_rows), axis=1)
+        scores = np.full(k, np.nan)
+        n_usable = int(np.count_nonzero(usable))
+        if n_usable:
+            stacked = feature_rows[usable]
+            if single or self.score_batch is None:
                 scores[usable] = [
                     float(self.score_sample(stacked[at]))
-                    for at in range(len(usable))
+                    for at in range(n_usable)
                 ]
-            registry.counter(
-                "serve.scored", help=SCORED_HELP
-            ).inc(len(usable))
-        alerts = []
-        for (serial, state, _), score in zip(ingested, scores):
-            alert = self._record_score(serial, state, hour, float(score))
-            if alert is not None:
-                alerts.append(alert)
+            else:
+                scores[usable] = np.asarray(
+                    self.score_batch(stacked), dtype=float
+                )
+            registry.counter("serve.scored", help=SCORED_HELP).inc(n_usable)
+
+        # Fleet-wide voting and alert latching.  Degraded drives keep
+        # their windows current but never alert.
+        alarmed = self._voter.push(clean_rows, scores)
+        previous = self._last_signal[clean_rows]
+        previous_true = previous == 1
+        flips = (previous >= 0) & (alarmed != previous_true)
+        n_flips = int(np.count_nonzero(flips))
+        if n_flips:
+            self.vote_flips += n_flips
+            registry.counter("serve.vote_flips", help=FLIPS_HELP).inc(n_flips)
+        healthy = ~self._degraded[clean_rows]
+        latched = self._alerted[clean_rows]
+        new_alert = alarmed & ~latched & healthy
+        cleared = (
+            ~alarmed & previous_true & latched
+            & ~self._cleared[clean_rows] & healthy
+        )
+
+        log = get_event_log()
+        if log.enabled:
+            # Per-drive lifecycle events in record order (sample_scored →
+            # vote_flip → alert_raised/alert_cleared); the arrays above
+            # did the work, this loop only narrates it.
+            clean_at = np.nonzero(clean)[0]
+            for at in range(k):
+                serial = serials[clean_at[at]]
+                score = scores[at]
+                if np.isfinite(score):
+                    log.emit(
+                        "sample_scored", drive=serial, hour=hour,
+                        score=float(score),
+                    )
+                if flips[at]:
+                    log.emit(
+                        "vote_flip", drive=serial, hour=hour,
+                        signal=bool(alarmed[at]),
+                    )
+                if new_alert[at]:
+                    alerts.append(
+                        self._raise_alert(
+                            serial, int(clean_rows[at]), hour, float(score), log
+                        )
+                    )
+                elif cleared[at]:
+                    log.emit(
+                        "alert_cleared", drive=serial, hour=hour,
+                        score=_json_score(score),
+                    )
+        elif new_alert.any():
+            clean_at = np.nonzero(clean)[0]
+            for at in np.nonzero(new_alert)[0]:
+                alerts.append(
+                    self._raise_alert(
+                        serials[clean_at[at]], int(clean_rows[at]),
+                        hour, float(scores[at]), log,
+                    )
+                )
+
+        self._last_signal[clean_rows] = alarmed.astype(np.int8)
+        if new_alert.any():
+            self._alerted[clean_rows] |= new_alert
+        if cleared.any():
+            self._cleared[clean_rows] |= cleared
         return alerts
+
+    def _ingest(
+        self, hour: float, rows: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """Push one tick of raw channels; return the tick's feature rows.
+
+        A change rate whose lag hour was never observed (or holds a
+        non-finite reading) is NaN, matching
+        :func:`repro.features.change_rates.change_rate`.
+        """
+        now = float(hour)
+        feature_rows = np.empty((len(rows), self._n_features))
+        lagged = {}
+        if self._rate_cols:
+            self._history.push(rows, now, values[:, self._lag_channels])
+            for interval in self._intervals:
+                lagged[interval] = self._history.lookup(rows, now - interval, now)
+        for column, channel in self._value_cols:
+            feature_rows[:, column] = values[:, channel]
+        with np.errstate(invalid="ignore"):
+            for column, channel, interval in self._rate_cols:
+                current = values[:, channel]
+                lag = lagged[interval][:, self._lag_col[channel]]
+                rate = (current - lag) / interval
+                feature_rows[:, column] = np.where(
+                    np.isfinite(current) & np.isfinite(lag), rate, np.nan
+                )
+        self._last_hour[rows] = now
+        self._last_rows[rows] = feature_rows
+        self._has_row[rows] = True
+        return feature_rows
+
+    # -- fault and alert bookkeeping -------------------------------------------
+
+    def _build_fault(
+        self,
+        serial: str,
+        hour: float,
+        verdict: int,
+        shape: Optional[tuple],
+        last: float,
+    ) -> SampleFault:
+        if verdict == _SHAPE:
+            return SampleFault(
+                serial, float(hour) if np.isfinite(hour) else np.nan,
+                FaultKind.WRONG_SHAPE,
+                f"expected ({N_CHANNELS},) channel values, got {shape}",
+            )
+        if verdict == _NF_TIME:
+            return SampleFault(
+                serial, np.nan, FaultKind.NON_FINITE_TIME,
+                f"timestamp {hour!r} is not a finite hour",
+            )
+        if verdict == _DUP_TIME:
+            return SampleFault(
+                serial, float(hour), FaultKind.DUPLICATE_TIME,
+                f"hour {hour} already ingested",
+            )
+        return SampleFault(
+            serial, float(hour), FaultKind.OUT_OF_ORDER,
+            f"hour {hour} arrived after {last}",
+        )
+
+    def _fault_row(self, serial: str, row: int, fault: SampleFault) -> None:
+        """Record one malformed tick against a drive's quarantine budget.
+
+        Strict mode (``quarantine=None``) raises instead.  Every fault
+        kind, duplicate serials included, flows through here.
+        """
+        if self.quarantine is None:
+            raise ValueError(f"drive {serial}: {fault.kind}: {fault.detail}")
+        registry = get_registry()
+        self.faults.append(fault)
+        self._fault_count[row] += 1
+        registry.counter(
+            "serve.faults", help=FAULTS_HELP, kind=fault.kind.value,
+        ).inc()
+        log = get_event_log()
+        log.emit(
+            "tick_faulted", drive=serial, hour=fault.hour,
+            kind=fault.kind.value, detail=fault.detail,
+        )
+        if self.quarantine.degrades(int(self._fault_count[row])):
+            if not self._degraded[row]:
+                registry.counter(
+                    "serve.quarantined", help=QUARANTINED_HELP
+                ).inc()
+                log.emit(
+                    "drive_quarantined", drive=serial, hour=fault.hour,
+                    fault_count=int(self._fault_count[row]),
+                    fault_limit=self.quarantine.fault_limit,
+                )
+            self._degraded[row] = True
+
+    def _raise_alert(
+        self, serial: str, row: int, hour: float, score: float, log
+    ) -> Alert:
+        self._alerted[row] = True
+        alert = Alert(
+            serial=serial, hour=float(hour), score=score,
+            alert_id=f"alert-{len(self.alerts):04d}",
+        )
+        self.alerts.append(alert)
+        get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
+        if log.enabled:
+            log.emit(
+                "alert_raised", drive=serial, hour=hour,
+                **self._provenance(alert, row),
+            )
+        return alert
+
+    def _provenance(self, alert: Alert, row: int) -> dict:
+        """The evidence payload of an ``alert_raised`` event.
+
+        Built only when a recording event log is installed: the alert
+        id, the triggering score, the serving model's generation, the
+        voting-window contents at the flip, and — when the monitor
+        knows its ``tree`` — the CART decision path that classified the
+        last well-formed sample (identical for the compiled and node
+        backends by construction).
+        """
+        payload: dict = {
+            "alert_id": alert.alert_id,
+            "score": _json_score(alert.score),
+            "model_generation": self.model_generation,
+            "window": self._voter.window_contents(row),
+        }
+        if self.tree is not None and self._has_row[row]:
+            payload["path"] = decision_path_payload(
+                self.tree, self._last_rows[row], self.feature_names
+            )
+        return payload
 
     def finalize(self) -> list[Alert]:
         """Apply the short-history rule to drives that never filled a window.
 
         Call once at the end of a replay; returns (and records) the extra
-        alerts.  Idempotent per drive thanks to the ``alerted`` latch.
+        alerts, in first-seen drive order.  Idempotent per drive thanks
+        to the alert latch.
         """
-        if self._columnar is not None:
-            return self._columnar.finalize()
-        extra = []
         log = get_event_log()
-        for serial, state in self._drives.items():
-            if state.alerted or state.status is not DriveStatus.OK:
+        extra: list[Alert] = []
+        for row, serial in enumerate(self._serials):
+            if self._alerted[row] or self._degraded[row]:
                 continue
-            flush = getattr(state.detector, "flush_short_history", None)
-            if flush is not None and flush():
-                state.alerted = True
-                alert = Alert(
-                    serial=serial, hour=np.nan, score=np.nan,
-                    alert_id=f"alert-{len(self.alerts):04d}",
+            if not self._voter.flush(row):
+                continue
+            self._alerted[row] = True
+            alert = Alert(
+                serial=serial, hour=np.nan, score=np.nan,
+                alert_id=f"alert-{len(self.alerts):04d}",
+            )
+            self.alerts.append(alert)
+            get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
+            if log.enabled:
+                log.emit(
+                    "alert_raised", drive=serial, hour=None,
+                    short_history=True, **self._provenance(alert, row),
                 )
-                self.alerts.append(alert)
-                get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
-                if log.enabled:
-                    log.emit(
-                        "alert_raised", drive=serial, hour=None,
-                        short_history=True, **self._provenance(alert, state),
-                    )
-                extra.append(alert)
+            extra.append(alert)
         return extra
 
     # -- model lifecycle and ground truth --------------------------------------
@@ -963,45 +1021,35 @@ class FleetMonitor:
         return outcome
 
     def _is_alerted(self, serial: str) -> bool:
-        """Whether the drive's alert latch has fired (either engine)."""
-        if self._columnar is not None:
-            return self._columnar.is_alerted(serial)
-        state = self._drives.get(serial)
-        return state.alerted if state is not None else False
+        """Whether the drive's alert latch has fired."""
+        row = self._row.get(serial)
+        return bool(self._alerted[row]) if row is not None else False
 
     def watched_drives(self) -> list[str]:
         """Serials currently tracked."""
-        if self._columnar is not None:
-            return self._columnar.watched_drives()
-        return sorted(self._drives)
+        return sorted(self._row)
 
     # -- degraded-mode reporting ----------------------------------------------
 
     def drive_status(self, serial: str) -> DriveStatus:
         """Serving status of one drive (unknown serials are ``OK``)."""
-        if self._columnar is not None:
-            return self._columnar.drive_status(serial)
-        state = self._drives.get(serial)
-        return state.status if state is not None else DriveStatus.OK
+        row = self._row.get(serial)
+        if row is not None and self._degraded[row]:
+            return DriveStatus.DEGRADED
+        return DriveStatus.OK
 
     def degraded_drives(self) -> list[str]:
         """Serials currently quarantined (reported, never mis-scored)."""
-        if self._columnar is not None:
-            return self._columnar.degraded_drives()
         return sorted(
-            serial
-            for serial, state in self._drives.items()
-            if state.status is DriveStatus.DEGRADED
+            serial for serial, row in self._row.items() if self._degraded[row]
         )
 
     def fault_counts(self) -> dict[str, int]:
         """Per-drive count of quarantined (malformed, excluded) ticks."""
-        if self._columnar is not None:
-            return self._columnar.fault_counts()
         return {
-            serial: state.fault_count
-            for serial, state in sorted(self._drives.items())
-            if state.fault_count
+            serial: int(self._fault_count[row])
+            for serial, row in sorted(self._row.items())
+            if self._fault_count[row]
         }
 
     def health_report(self) -> dict[str, object]:
@@ -1018,14 +1066,9 @@ class FleetMonitor:
         for fault in self.faults:
             kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
         snapshot = get_registry().snapshot()
-        watched = (
-            self._columnar.n_watched()
-            if self._columnar is not None
-            else len(self._drives)
-        )
         report: dict[str, object] = {
             "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": watched,
+            "watched_drives": len(self._serials),
             "alerts": len(self.alerts),
             "faults_total": len(self.faults),
             "faults_by_kind": kinds,

@@ -31,8 +31,8 @@ hand, and every tick since the last snapshot is silently gone.
   double-counted.  Because the coordinator itself never died, its
   merged alerts/faults/events already include every completed tick;
   replay only rebuilds *shard-side* state — and the result is
-  bit-identical to a never-crashed run (the golden-parity bar the
-  sharded and columnar engines already meet).  A tick that was
+  bit-identical to a never-crashed run (the golden-parity bar sharded
+  serving already meets against a single monitor).  A tick that was
   in flight when the shard died is excluded from replay and re-submitted
   through the normal merge path instead.
 

@@ -127,8 +127,8 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("serve.tick_seconds", "histogram", "seconds", (),
                "repro.detection.streaming",
                "wall time of each observe_fleet collection tick (the one "
-               "serve.* metric that differs between the object and columnar "
-               "engines — everything else is bit-identical across them)",
+               "serve.* metric that depends on the machine rather than the "
+               "stream)",
                TIME_BUCKETS_S),
     # -- shard: sharded fleet serving (repro/detection/sharded.py) ----------
     MetricSpec("shard.ticks", "counter", "", ("shard",),

@@ -34,6 +34,31 @@ from repro.utils.validation import check_2d, check_in_choices, check_positive
 BACKENDS = ("compiled", "node")
 
 
+class _SampleScorer:
+    """Picklable ``row -> float`` scorer holding a fitted estimator."""
+
+    __slots__ = ("estimator",)
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def __call__(self, row: np.ndarray) -> float:
+        matrix = np.asarray(row, dtype=float).reshape(1, -1)
+        return float(self.estimator.predict(matrix)[0])
+
+
+class _BatchScorer:
+    """Picklable ``matrix -> scores`` scorer holding a fitted estimator."""
+
+    __slots__ = ("estimator",)
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(self.estimator.predict(X), dtype=float)
+
+
 class ServingScorerMixin:
     """Serving-layer scoring entry points for fitted estimators.
 
@@ -43,26 +68,18 @@ class ServingScorerMixin:
     batch of one, :meth:`batch_scorer` scores a stacked
     ``(n_rows, n_features)`` matrix in a single call — one compiled
     routing pass per collection tick on estimators with a compiled
-    backend.  Both close over ``self``, so :meth:`sample_scorer` and
-    :meth:`batch_scorer` track later refits of the same estimator.
+    backend.  Both hold the estimator itself, so they track later
+    refits of the same estimator, and they pickle whenever it does
+    (which lets them ship to shard worker processes).
     """
 
-    def sample_scorer(self):
+    def sample_scorer(self) -> _SampleScorer:
         """A ``row -> float`` scorer for per-record serving."""
+        return _SampleScorer(self)
 
-        def score_sample(row: np.ndarray) -> float:
-            matrix = np.asarray(row, dtype=float).reshape(1, -1)
-            return float(self.predict(matrix)[0])
-
-        return score_sample
-
-    def batch_scorer(self):
+    def batch_scorer(self) -> _BatchScorer:
         """A ``matrix -> scores`` scorer for whole-tick serving."""
-
-        def score_batch(X: np.ndarray) -> np.ndarray:
-            return np.asarray(self.predict(X), dtype=float)
-
-        return score_batch
+        return _BatchScorer(self)
 
 
 class BaseDecisionTree(ServingScorerMixin, ABC):

@@ -1,11 +1,9 @@
 """Golden parity suite for the sharded coordinator (`ShardedFleetMonitor`).
 
-PR 6 proved the columnar engine bit-identical to the object engine; this
-suite extends the same contract one level up: for any shard count and
-either execution mode, the coordinator's alerts, alert ids, faults,
-quarantine decisions, `health_report()` counters, SLO state, metrics and
-event *set* must equal a single columnar `FleetMonitor` on the same
-stream.  Exemptions: the `serve.tick_seconds` wall-time histogram, the
+The contract: for any shard count and either execution mode, the
+coordinator's alerts, alert ids, faults, quarantine decisions,
+`health_report()` counters, SLO state, metrics and event *set* must
+equal a single `FleetMonitor` on the same stream.  Exemptions: the `serve.tick_seconds` wall-time histogram, the
 coordinator-only `shard.*` family, and the report's extra `"sharding"`
 section.  On top of the data path it pins the partitioner properties,
 kill-and-resume bit-identity, and the canary rollout lifecycle.
@@ -25,8 +23,6 @@ from repro.detection import (
     CanaryPolicy,
     QuarantinePolicy,
     ShardedFleetMonitor,
-    TreeBatchScorer,
-    TreeSampleScorer,
     VoterSpec,
     shard_for,
 )
@@ -63,7 +59,7 @@ def _build_single(**kwargs):
     kwargs.setdefault("score_batch", _score_batch)
     kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
     return FleetMonitor(
-        FEATURES, score_sample=_score_sample, engine="columnar", **kwargs
+        FEATURES, score_sample=_score_sample, **kwargs
     )
 
 
@@ -253,11 +249,12 @@ class TestPicklableSpecs:
     """The callables that cross process/snapshot boundaries."""
 
     def test_voter_spec_builds_builtin_voters(self):
-        voter = VoterSpec("majority", 3)()
-        assert voter.push(-1.0) is False
-        mean = VoterSpec("mean", 2, threshold=0.5)()
-        assert mean.push(0.0) is False
-        assert mean.push(0.0) is True
+        rows, failed = np.array([0]), np.array([-1.0])
+        voter = VoterSpec("majority", 3).build(1)
+        assert voter.push(rows, failed).tolist() == [False]
+        mean = VoterSpec("mean", 2, threshold=0.5).build(1)
+        assert mean.push(rows, np.array([0.0])).tolist() == [False]
+        assert mean.push(rows, np.array([0.0])).tolist() == [True]
 
     def test_voter_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -273,13 +270,6 @@ class TestPicklableSpecs:
 
         config = CTConfig(minsplit=4, minbucket=2, cp=0.002)
         return DriveFailurePredictor(config).fit(split)
-
-    def test_tree_scorers_round_trip(self, tiny_split):
-        predictor = self._fit_predictor(tiny_split)
-        sample = TreeSampleScorer(predictor.tree_)
-        batch = TreeBatchScorer(predictor.tree_)
-        X = np.zeros((3, len(predictor.extractor.features)))
-        assert [sample(row) for row in X] == list(batch(X))
 
     def test_from_predictor_builds_a_sharded_monitor(self, tiny_split):
         predictor = self._fit_predictor(tiny_split)

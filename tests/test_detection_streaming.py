@@ -9,14 +9,13 @@ from repro.utils.errors import FaultKind
 
 from repro.core.config import CTConfig
 from repro.core.predictor import DriveFailurePredictor
+from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix
 from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineFeatureBuffer,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 from repro.features.selection import critical_features
@@ -24,53 +23,120 @@ from repro.features.vectorize import Feature
 from repro.smart.attributes import N_CHANNELS, channel_index
 
 
+def _feature_rows(features, ticks, serial="d"):
+    """The monitor's online feature row after each ``(hour, values)`` tick."""
+    monitor = FleetMonitor(
+        features, score_sample=lambda row: 1.0,
+        detector_factory=VoterSpec("majority", 1), quarantine=None,
+    )
+    rows = []
+    for hour, values in ticks:
+        monitor.observe(serial, hour, values)
+        rows.append(monitor._last_rows[monitor._row[serial]].copy())
+    return rows
+
+
+def _strict_monitor(features):
+    return FleetMonitor(
+        features, score_sample=lambda row: 1.0,
+        detector_factory=VoterSpec("majority", 1), quarantine=None,
+    )
+
+
 class TestOnlineFeatureBuffer:
+    """Incremental value and change-rate features of the monitor."""
+
     def test_value_features_pass_through(self):
-        buffer = OnlineFeatureBuffer([Feature("POH")])
         values = np.ones(N_CHANNELS)
         values[channel_index("POH")] = 42.0
-        row = buffer.push(0.0, values)
+        [row] = _feature_rows([Feature("POH")], [(0.0, values)])
         assert row[0] == 42.0
 
     def test_change_rate_needs_lag_history(self):
-        buffer = OnlineFeatureBuffer([Feature("RRER", 2.0)])
         base = np.zeros(N_CHANNELS)
-        for hour in (0.0, 1.0):
-            row = buffer.push(hour, base + hour)
-            assert np.isnan(row[0])
-        row = buffer.push(2.0, base + 4.0)  # (4 - 0) / 2
-        assert row[0] == pytest.approx(2.0)
+        rows = _feature_rows(
+            [Feature("RRER", 2.0)],
+            [(0.0, base), (1.0, base + 1.0), (2.0, base + 4.0)],
+        )
+        assert np.isnan(rows[0][0]) and np.isnan(rows[1][0])
+        assert rows[2][0] == pytest.approx(2.0)  # (4 - 0) / 2
 
     def test_gap_in_history_yields_nan(self):
-        buffer = OnlineFeatureBuffer([Feature("RRER", 2.0)])
-        buffer.push(0.0, np.zeros(N_CHANNELS))
-        row = buffer.push(3.0, np.ones(N_CHANNELS))  # lag hour 1 never seen
-        assert np.isnan(row[0])
+        rows = _feature_rows(
+            [Feature("RRER", 2.0)],
+            [(0.0, np.zeros(N_CHANNELS)), (3.0, np.ones(N_CHANNELS))],
+        )
+        assert np.isnan(rows[1][0])  # lag hour 1 never seen
 
     def test_non_increasing_hours_rejected(self):
-        buffer = OnlineFeatureBuffer([Feature("POH")])
-        buffer.push(5.0, np.zeros(N_CHANNELS))
-        with pytest.raises(ValueError, match="increasing"):
-            buffer.push(5.0, np.zeros(N_CHANNELS))
+        monitor = _strict_monitor([Feature("POH")])
+        monitor.observe("d", 5.0, np.zeros(N_CHANNELS))
+        with pytest.raises(ValueError, match="duplicate-time"):
+            monitor.observe("d", 5.0, np.zeros(N_CHANNELS))
+        with pytest.raises(ValueError, match="out-of-order"):
+            monitor.observe("d", 4.0, np.zeros(N_CHANNELS))
 
     def test_wrong_shape_rejected(self):
-        buffer = OnlineFeatureBuffer([Feature("POH")])
-        with pytest.raises(ValueError, match="shape"):
-            buffer.push(0.0, np.zeros(3))
+        monitor = _strict_monitor([Feature("POH")])
+        with pytest.raises(ValueError, match="wrong-shape"):
+            monitor.observe("d", 0.0, np.zeros(3))
 
     def test_matches_offline_extractor(self, tiny_fleet):
-        drive = tiny_fleet.good_drives[0]
-        features = critical_features()
         from repro.features.vectorize import FeatureExtractor
 
-        offline = FeatureExtractor(features).extract(drive)
-        buffer = OnlineFeatureBuffer(features)
-        for index, (hour, values) in enumerate(zip(drive.hours, drive.values)):
-            online_row = buffer.push(hour, values)
-            np.testing.assert_allclose(
-                online_row, offline[index], equal_nan=True,
-                err_msg=f"divergence at sample {index}",
+        features = critical_features()
+        for drive in (tiny_fleet.good_drives[0], tiny_fleet.failed_drives[0]):
+            offline = FeatureExtractor(features).extract(drive)
+            online = _feature_rows(
+                features, zip(drive.hours, drive.values), drive.serial
             )
+            for index, row in enumerate(online):
+                np.testing.assert_allclose(
+                    row, offline[index], equal_nan=True,
+                    err_msg=f"divergence at sample {index}",
+                )
+
+    def test_fleet_tick_rows_match_per_drive_rows(self, tiny_fleet):
+        drives = tiny_fleet.good_drives[:3]
+        features = critical_features()
+        monitor = FleetMonitor(
+            features, score_sample=lambda row: 1.0,
+            detector_factory=VoterSpec("majority", 1),
+        )
+        serials = [drive.serial for drive in drives]
+        monitor.register_fleet(serials)
+        n_ticks = min(len(drive.hours) for drive in drives)
+        for tick in range(n_ticks):
+            # a shared clock per tick; each drive keeps its own readings
+            monitor.observe_tick(
+                float(tick), np.stack([drive.values[tick] for drive in drives])
+            )
+        for drive in drives:
+            expected = _feature_rows(
+                features,
+                [(float(t), drive.values[t]) for t in range(n_ticks)],
+                drive.serial,
+            )[-1]
+            got = monitor._last_rows[monitor._row[drive.serial]]
+            np.testing.assert_array_equal(got, expected)
+
+
+def _first_alarm(voter, series):
+    """Index of a one-row matrix voter's first alarm, the offline way.
+
+    Streams ``series`` through row 0; a history that never filled the
+    window is judged once at its end (the short-history flush), like
+    ``first_alarm`` on the offline detectors.
+    """
+    rows = np.array([0])
+    for index, score in enumerate(series):
+        if voter.push(rows, np.array([score]))[0]:
+            return index
+    return len(series) - 1 if voter.flush(0) else None
+
+
+def _push(voter, score):
+    return bool(voter.push(np.array([0]), np.array([score]))[0])
 
 
 class TestOnlineDetectors:
@@ -82,14 +148,8 @@ class TestOnlineDetectors:
     def test_majority_vote_matches_offline(self, scores, n_voters):
         series = np.array(scores)
         offline = MajorityVoteDetector(n_voters=n_voters).first_alarm(series)
-        online = OnlineMajorityVote(n_voters=n_voters)
-        online_alarm = None
-        for index, score in enumerate(series):
-            if online.push(score) and online_alarm is None:
-                online_alarm = index
-        if online_alarm is None and online.flush_short_history():
-            online_alarm = len(series) - 1
-        assert online_alarm == offline
+        online = MajorityVoteMatrix(n_voters, -1.0, 1)
+        assert _first_alarm(online, series) == offline
 
     @given(
         st.lists(
@@ -105,14 +165,8 @@ class TestOnlineDetectors:
         offline = MeanThresholdDetector(
             n_voters=n_voters, threshold=threshold
         ).first_alarm(series)
-        online = OnlineMeanThreshold(n_voters=n_voters, threshold=threshold)
-        online_alarm = None
-        for index, score in enumerate(series):
-            if online.push(score) and online_alarm is None:
-                online_alarm = index
-        if online_alarm is None and online.flush_short_history():
-            online_alarm = len(series) - 1
-        assert online_alarm == offline
+        online = MeanThresholdMatrix(n_voters, threshold, 1)
+        assert _first_alarm(online, series) == offline
 
     @given(
         st.lists(
@@ -135,18 +189,12 @@ class TestOnlineDetectors:
         offline = MeanThresholdDetector(
             n_voters=n_voters, threshold=threshold
         ).first_alarm(series)
-        online = OnlineMeanThreshold(n_voters=n_voters, threshold=threshold)
-        online_alarm = None
-        for index, score in enumerate(series):
-            if online.push(score) and online_alarm is None:
-                online_alarm = index
-        if online_alarm is None and online.flush_short_history():
-            online_alarm = len(series) - 1
-        assert online_alarm == offline
+        online = MeanThresholdMatrix(n_voters, threshold, 1)
+        assert _first_alarm(online, series) == offline
 
 
 class TestShortHistoryProperties:
-    """flush_short_history on shorter-than-window, gap-ridden streams."""
+    """The short-history flush on shorter-than-window, gap-ridden streams."""
 
     short_majority_streams = st.lists(
         st.sampled_from([1.0, -1.0, float("nan")]), min_size=1, max_size=12
@@ -156,11 +204,11 @@ class TestShortHistoryProperties:
     @settings(max_examples=80, deadline=None)
     def test_majority_flush_is_strict_majority_of_failed(self, scores, extra):
         n_voters = len(scores) + extra  # guaranteed shorter than the window
-        online = OnlineMajorityVote(n_voters=n_voters)
+        online = MajorityVoteMatrix(n_voters, -1.0, 1)
         for score in scores:
-            assert online.push(score) is False  # window can never fill
+            assert _push(online, score) is False  # window can never fill
         failed = sum(1 for s in scores if np.isfinite(s) and s == -1.0)
-        assert online.flush_short_history() == (failed > len(scores) / 2.0)
+        assert online.flush(0) == (failed > len(scores) / 2.0)
 
     @given(short_majority_streams, st.integers(min_value=1, max_value=10))
     @settings(max_examples=80, deadline=None)
@@ -168,15 +216,15 @@ class TestShortHistoryProperties:
         # A NaN occupies a slot without voting, so inserting gaps can
         # only make the strict-majority bar harder to clear.
         n_voters = len(scores) + extra + len(scores) + 1
-        with_gaps = OnlineMajorityVote(n_voters=n_voters)
+        with_gaps = MajorityVoteMatrix(n_voters, -1.0, 1)
         for score in scores:
-            with_gaps.push(score)
-            with_gaps.push(float("nan"))
-        without_gaps = OnlineMajorityVote(n_voters=n_voters)
+            _push(with_gaps, score)
+            _push(with_gaps, float("nan"))
+        without_gaps = MajorityVoteMatrix(n_voters, -1.0, 1)
         for score in scores:
-            without_gaps.push(score)
-        if with_gaps.flush_short_history():
-            assert without_gaps.flush_short_history()
+            _push(without_gaps, score)
+        if with_gaps.flush(0):
+            assert without_gaps.flush(0)
 
     @given(
         st.lists(
@@ -192,36 +240,36 @@ class TestShortHistoryProperties:
     @settings(max_examples=80, deadline=None)
     def test_mean_flush_is_nanmean_rule(self, scores, extra, threshold):
         n_voters = len(scores) + extra
-        online = OnlineMeanThreshold(n_voters=n_voters, threshold=threshold)
+        online = MeanThresholdMatrix(n_voters, threshold, 1)
         for score in scores:
-            assert online.push(score) is False
+            assert _push(online, score) is False
         finite = [s for s in scores if np.isfinite(s)]
         expected = bool(finite) and float(np.mean(finite)) < threshold
-        assert online.flush_short_history() == expected
+        assert online.flush(0) == expected
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=13))
     @settings(max_examples=40, deadline=None)
     def test_all_gap_stream_never_alarms(self, n_samples, n_voters):
-        majority = OnlineMajorityVote(n_voters=n_voters)
-        mean = OnlineMeanThreshold(n_voters=n_voters, threshold=0.5)
+        majority = MajorityVoteMatrix(n_voters, -1.0, 1)
+        mean = MeanThresholdMatrix(n_voters, 0.5, 1)
         for _ in range(n_samples):
-            assert majority.push(float("nan")) is False
-            assert mean.push(float("nan")) is False
-        assert majority.flush_short_history() is False
-        assert mean.flush_short_history() is False
+            assert _push(majority, float("nan")) is False
+            assert _push(mean, float("nan")) is False
+        assert majority.flush(0) is False
+        assert mean.flush(0) is False
 
     @given(short_majority_streams, st.integers(min_value=1, max_value=10))
     @settings(max_examples=40, deadline=None)
     def test_flush_disabled_once_window_fills(self, scores, n_voters):
-        # flush_short_history judges *only* short histories; a filled
-        # window must never re-judge the tail.
-        majority = OnlineMajorityVote(n_voters=n_voters)
-        mean = OnlineMeanThreshold(n_voters=n_voters, threshold=0.5)
+        # The flush judges *only* short histories; a filled window must
+        # never re-judge the tail.
+        majority = MajorityVoteMatrix(n_voters, -1.0, 1)
+        mean = MeanThresholdMatrix(n_voters, 0.5, 1)
         for score in list(scores) + [-1.0] * n_voters:
-            majority.push(score)
-            mean.push(score)
-        assert majority.flush_short_history() is False
-        assert mean.flush_short_history() is False
+            _push(majority, score)
+            _push(mean, score)
+        assert majority.flush(0) is False
+        assert mean.flush(0) is False
 
 
 class TestFleetMonitor:
@@ -244,7 +292,7 @@ class TestFleetMonitor:
         monitor = FleetMonitor(
             ct.extractor.features,
             score_sample=lambda row: float(ct.tree_.predict(row.reshape(1, -1))[0]),
-            detector_factory=lambda: OnlineMajorityVote(n_voters=n_voters),
+            detector_factory=VoterSpec("majority", n_voters),
         )
         for drive in drives:
             for hour, values in zip(drive.hours, drive.values):
@@ -257,7 +305,7 @@ class TestFleetMonitor:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
         )
         values = np.ones(N_CHANNELS)
         first = monitor.observe("d", 0.0, values)
@@ -270,7 +318,7 @@ class TestFleetMonitor:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: 1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
         )
         monitor.observe("b", 0.0, np.ones(N_CHANNELS))
         monitor.observe("a", 0.0, np.ones(N_CHANNELS))
@@ -286,7 +334,7 @@ class TestFleetMonitor:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=scorer,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
         )
         monitor.observe("d", 0.0, np.full(N_CHANNELS, np.nan))
         assert calls == []
@@ -297,7 +345,7 @@ class TestQuarantine:
         return FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
             **kwargs,
         )
 
@@ -322,7 +370,7 @@ class TestQuarantine:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: 1.0,  # healthy until we flip it
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
             quarantine=QuarantinePolicy(fault_limit=2),
         )
         values = np.ones(N_CHANNELS)
@@ -358,7 +406,7 @@ class TestQuarantine:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(5),
+            detector_factory=VoterSpec("majority", 5),
             quarantine=QuarantinePolicy(fault_limit=0),
         )
         values = np.ones(N_CHANNELS)
@@ -384,7 +432,7 @@ class TestQuarantine:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
             score_batch=lambda rows: -np.ones(rows.shape[0]),
         )
         values = np.ones(N_CHANNELS)

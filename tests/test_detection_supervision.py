@@ -72,7 +72,7 @@ def _build_single(**kwargs):
     kwargs.setdefault("score_batch", _score_batch)
     kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
     return FleetMonitor(
-        FEATURES, score_sample=_score_sample, engine="columnar", **kwargs
+        FEATURES, score_sample=_score_sample, **kwargs
     )
 
 

@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from repro import observability as obs
 from repro.detection.streaming import (
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.explain import (
     EXPLAIN_REPORT_SCHEMA,
@@ -72,7 +72,7 @@ def _alerting_monitor(tree) -> FleetMonitor:
     return FleetMonitor(
         basic_features(),
         score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        detector_factory=VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         tree=tree,
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection.reporting import PathStep
-from repro.detection.streaming import OnlineMajorityVote, OnlineMeanThreshold
+from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix
 from repro.smart.stats import FleetSummaryRow, fleet_summary
 from repro.tree.export import Rule
 from repro.utils.tables import format_float
@@ -27,27 +27,31 @@ class TestRuleRendering:
         assert "support=0.0310" in text and "confidence=0.94" in text
 
 
+def _push(detector, score):
+    return bool(detector.push(np.array([0]), np.array([score]))[0])
+
+
 class TestOnlineDetectorWarmup:
     def test_majority_vote_no_alarm_before_full_window(self):
-        detector = OnlineMajorityVote(n_voters=5)
+        detector = MajorityVoteMatrix(5, -1.0, 1)
         for _ in range(4):
-            assert not detector.push(-1.0)
-        assert detector.push(-1.0)  # fifth fills the window
+            assert not _push(detector, -1.0)
+        assert _push(detector, -1.0)  # fifth fills the window
 
     def test_flush_noop_after_full_window(self):
-        detector = OnlineMajorityVote(n_voters=2)
-        detector.push(1.0)
-        detector.push(1.0)
-        assert not detector.flush_short_history()
+        detector = MajorityVoteMatrix(2, -1.0, 1)
+        _push(detector, 1.0)
+        _push(detector, 1.0)
+        assert not detector.flush(0)
 
     def test_mean_threshold_flush_on_singleton(self):
-        detector = OnlineMeanThreshold(n_voters=5, threshold=0.0)
-        detector.push(-0.8)
-        assert detector.flush_short_history()
+        detector = MeanThresholdMatrix(5, 0.0, 1)
+        _push(detector, -0.8)
+        assert detector.flush(0)
 
     def test_mean_threshold_flush_noop_when_empty(self):
-        detector = OnlineMeanThreshold(n_voters=3)
-        assert not detector.flush_short_history()
+        detector = MeanThresholdMatrix(3, 0.0, 1)
+        assert not detector.flush(0)
 
 
 class TestFleetSummaryEdges:

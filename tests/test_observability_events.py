@@ -27,9 +27,8 @@ from repro import observability as obs
 from repro.detection.metrics import DetectionResult
 from repro.detection.streaming import (
     FleetMonitor,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.features.selection import basic_features
 from repro.observability.cli import main as events_cli
@@ -314,7 +313,7 @@ def _alerting_monitor(tree=None, *, slo=None) -> FleetMonitor:
     return FleetMonitor(
         basic_features(),
         score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        detector_factory=VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         tree=tree,
         slo=slo,
@@ -343,7 +342,7 @@ class TestReplayInvariant:
         monitor = FleetMonitor(
             basic_features(),
             score_sample=alternating,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            detector_factory=VoterSpec("majority", 1),
             quarantine=QuarantinePolicy(fault_limit=0),
         )
         clean = np.ones(N_CHANNELS)
@@ -430,7 +429,7 @@ class TestAlertProvenance:
         monitor = FleetMonitor(
             basic_features(),
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMeanThreshold(2, threshold=0.0),
+            detector_factory=VoterSpec("mean", 2, threshold=0.0),
         )
         clean = np.ones(N_CHANNELS)
         monitor.observe("d1", 0.0, clean)

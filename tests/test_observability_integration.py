@@ -35,8 +35,8 @@ from repro.detection.evaluator import evaluate_detection
 from repro.detection.streaming import (
     HEALTH_REPORT_SCHEMA,
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector
 from repro.experiments.common import ExperimentScale, run_experiment_grid
@@ -95,7 +95,7 @@ def _run_serving():
     monitor = FleetMonitor(
         basic_features(),
         score_sample=alternating_score,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        detector_factory=VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         slo=SLOMonitor(),
     )
@@ -123,7 +123,7 @@ def _run_serving():
     batch = FleetMonitor(
         basic_features(),
         score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(3),
+        detector_factory=VoterSpec("majority", 3),
         score_batch=lambda X: -np.ones(len(X)),
     )
     for hour in range(2):

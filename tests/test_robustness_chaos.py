@@ -26,8 +26,8 @@ from repro.core.predictor import DriveFailurePredictor
 from repro.detection.streaming import (
     DriveStatus,
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.robustness import (
     BUILTIN_PROFILES,
@@ -147,7 +147,7 @@ class TestChaosEndToEnd:
         monitor = FleetMonitor(
             ct.extractor.features,
             score_sample=lambda row: float(ct.tree_.predict(row.reshape(1, -1))[0]),
-            detector_factory=lambda: OnlineMajorityVote(N_VOTERS),
+            detector_factory=VoterSpec("majority", N_VOTERS),
             quarantine=QuarantinePolicy(fault_limit=3),
         )
         alerts = replay_stream(monitor, events)
@@ -252,7 +252,6 @@ def test_kill9_recovery(tmp_path, chaos_report):
             score_batch=_chaos_score_batch,
             detector_factory=VoterSpec("majority", 3),
             quarantine=QuarantinePolicy(fault_limit=3),
-            engine="columnar",
         )
 
     def state_of(monitor):
@@ -324,7 +323,7 @@ class TestGapsDoNotResetVoting:
         monitor = FleetMonitor(
             [Feature("POH")],
             score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(3),
+            detector_factory=VoterSpec("majority", 3),
         )
         values = np.ones(N_CHANNELS)
         blank = np.full(N_CHANNELS, np.nan)

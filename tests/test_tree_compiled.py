@@ -49,7 +49,10 @@ def make_matrix(n_rows, n_features=8, *, nan_frac=0.15, inf_frac=0.01, seed=0):
 
 def make_labels(X, seed=0):
     rng = np.random.default_rng(seed)
-    signal = np.nansum(X[:, : min(3, X.shape[1])], axis=1)
+    # +inf and -inf in one row sum to NaN (labelled -1); that NaN is
+    # intended, so it must not warn.
+    with np.errstate(invalid="ignore"):
+        signal = np.nansum(X[:, : min(3, X.shape[1])], axis=1)
     return np.where(signal + 0.5 * rng.normal(size=X.shape[0]) > 0, 1, -1)
 
 

@@ -1,9 +1,12 @@
 """Tests for the forest and boosting extensions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.tree.boosting import AdaBoostClassifier
+from repro.tree.classification import ClassificationTree
 from repro.tree.forest import RandomForestClassifier
 
 
@@ -95,3 +98,42 @@ class TestAdaBoost:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             AdaBoostClassifier().decision_function([[0.0]])
+
+
+SERVING_ESTIMATORS = {
+    "ct": lambda: ClassificationTree(minsplit=4, minbucket=2, cp=0.0),
+    "forest": lambda: RandomForestClassifier(
+        n_trees=3, minsplit=4, minbucket=2, seed=1
+    ),
+    "adaboost": lambda: AdaBoostClassifier(n_rounds=3, minsplit=4, minbucket=2),
+}
+
+
+class TestServingScorers:
+    """``sample_scorer``/``batch_scorer`` as shipped to shard workers."""
+
+    @pytest.mark.parametrize("name", sorted(SERVING_ESTIMATORS))
+    def test_pickle_round_trip_scores_identically(self, separable, name):
+        X, y = separable
+        model = SERVING_ESTIMATORS[name]().fit(X, y)
+        sample, batch = model.sample_scorer(), model.batch_scorer()
+        sample_copy = pickle.loads(pickle.dumps(sample))
+        batch_copy = pickle.loads(pickle.dumps(batch))
+        expected = model.predict(X)
+        np.testing.assert_array_equal(batch(X), expected)
+        np.testing.assert_array_equal(batch_copy(X), expected)
+        assert [sample_copy(row) for row in X[:20]] == [
+            sample(row) for row in X[:20]
+        ] == list(expected[:20])
+
+    @pytest.mark.parametrize("name", sorted(SERVING_ESTIMATORS))
+    def test_issued_scorers_track_refits(self, separable, name):
+        X, y = separable
+        model = SERVING_ESTIMATORS[name]().fit(X, y)
+        sample, batch = model.sample_scorer(), model.batch_scorer()
+        before = batch(X)
+        model.fit(X, -y)  # same estimator, opposite labels
+        after = model.predict(X)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(batch(X), after)
+        assert [sample(row) for row in X[:20]] == list(after[:20])

@@ -16,6 +16,7 @@ from repro.utils.errors import (
     BrokenPoolWarning,
     SerialFallbackWarning,
     TaskRetryWarning,
+    UnpicklableTaskWarning,
     WorkerDiedError,
 )
 from repro.utils.parallel import (
@@ -124,7 +125,8 @@ class TestRunTasks:
     def test_lambda_falls_back_to_serial(self):
         # Lambdas cannot cross a process boundary; the fallback must
         # still produce the serial answer.
-        result = run_tasks(lambda context, task: task + 1, [1, 2, 3], n_jobs=4)
+        with pytest.warns(UnpicklableTaskWarning):
+            result = run_tasks(lambda context, task: task + 1, [1, 2, 3], n_jobs=4)
         assert result == [2, 3, 4]
 
     def test_single_task_stays_serial(self):
@@ -137,7 +139,8 @@ class TestRunTasks:
 
     def test_unknown_start_method_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "not-a-method")
-        assert run_tasks(_square_plus_context, [1, 2], n_jobs=2) == [1, 4]
+        with pytest.warns(SerialFallbackWarning):
+            assert run_tasks(_square_plus_context, [1, 2], n_jobs=2) == [1, 4]
 
     def test_unknown_start_method_warning_category(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "not-a-method")
