@@ -25,6 +25,11 @@ from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
 from repro.tree.classification import ClassificationTree
 from repro.tree.forest import RandomForestClassifier
+from tests.tree_oracle import (
+    ResortingClassificationTree,
+    node_forest_predict,
+    node_predict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +106,15 @@ def test_micro_voting_detector(benchmark):
     benchmark(detector.first_alarm, scores)
 
 
-# -- compiled vs node backend: fleet-scale batch prediction -----------------
+# -- compiled scoring vs the node walk: fleet-scale batch prediction --------
 #
 # The deployment-shaped comparison.  The seed pipeline scored each drive
-# separately through the node-graph walk; the compiled backend scores the
-# whole fleet's stacked sample matrix in one flat-array routing pass.  The
-# benchmark fixture times the compiled call; the node baseline (per-drive
-# loop, as score_drives behaved before batching) is timed inline and the
-# speedup floors asserted.
+# separately through the node-graph walk (kept as the test oracle in
+# tests/tree_oracle.py); compiled scoring covers the whole fleet's stacked
+# sample matrix in one flat-array routing pass.  The benchmark fixture
+# times the compiled call; the node baseline (per-drive oracle loop, as
+# score_drives behaved before batching) is timed inline and the speedup
+# floors asserted.
 
 
 @pytest.fixture(scope="module")
@@ -138,21 +144,14 @@ def fleet_setup():
     return training.X, training.y, matrices
 
 
-def _time_node_per_drive(model, matrices, predict):
-    """Per-drive node-walk scoring (the seed pipeline), best of 3."""
-    flipped = [model] + list(getattr(model, "trees_", ()))
-    for part in flipped:
-        part.backend = "node"
-    try:
-        best = np.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            for matrix in matrices:
-                predict(matrix)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        for part in flipped:
-            part.backend = "compiled"
+def _time_node_per_drive(matrices, node_predict):
+    """Per-drive oracle node-walk scoring (the seed pipeline), best of 3."""
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for matrix in matrices:
+            node_predict(matrix)
+        best = min(best, time.perf_counter() - start)
     return best * 1e3
 
 
@@ -165,7 +164,9 @@ def test_micro_compiled_tree_fleet_speedup(benchmark, fleet_setup, score_bench_r
     out = benchmark(tree.predict, fleet)
     assert out.shape == (fleet.shape[0],)
 
-    node_ms = _time_node_per_drive(tree, matrices, tree.predict)
+    node_ms = _time_node_per_drive(
+        matrices, lambda matrix: node_predict(tree, matrix)
+    )
     compiled_ms = benchmark.stats.stats.min * 1e3
     speedup = node_ms / compiled_ms
     score_bench_results["single_tree_fleet_scoring"] = {
@@ -192,7 +193,9 @@ def test_micro_compiled_forest_fleet_speedup(
     out = benchmark(forest.predict, fleet)
     assert out.shape == (fleet.shape[0],)
 
-    node_ms = _time_node_per_drive(forest, matrices, forest.predict)
+    node_ms = _time_node_per_drive(
+        matrices, lambda matrix: node_forest_predict(forest, matrix)
+    )
     compiled_ms = benchmark.stats.stats.min * 1e3
     speedup = node_ms / compiled_ms
     score_bench_results["forest_fleet_scoring"] = {
@@ -212,8 +215,9 @@ def test_micro_compiled_forest_fleet_speedup(
 #
 # The training-side counterparts of the compiled-inference benchmarks.
 # The presorted columnar frontier argsorts every feature once per fit and
-# partitions the sorted order down the tree; the legacy path re-sorts
-# every feature at every node.  Both produce bit-identical trees (see
+# partitions the sorted order down the tree; the legacy baseline (the
+# re-sorting oracle grower in tests/tree_oracle.py) re-sorts every
+# feature at every node.  Both produce bit-identical trees (see
 # tests/test_tree_frontier.py), so the only question here is speed.
 # Results are also written to BENCH_train.json via train_bench_results.
 
@@ -245,31 +249,36 @@ def _best_of(n_rounds, func):
 
 
 def test_micro_train_presort_speedup(benchmark, train_matrix, train_bench_results):
-    """Presorted single-tree fit at n=20k: >= 3x the per-node re-sort."""
+    """Presorted single-tree fit at n=20k: >= 3.3x the re-sorting oracle.
+
+    The oracle grower still builds and partitions the frontier it
+    ignores, which makes it about 1.09x slower than the in-product
+    re-sort it replaced; the floor was raised from 3.0 by that ratio.
+    """
     X, y = train_matrix
     params = dict(minsplit=20, minbucket=7, cp=0.001)
 
     tree = benchmark.pedantic(
-        lambda: ClassificationTree(presort=True, **params).fit(X, y),
+        lambda: ClassificationTree(**params).fit(X, y),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert tree.n_leaves_ >= 2
 
     presort_ms = benchmark.stats.stats.min * 1e3
     legacy_ms = _best_of(
-        3, lambda: ClassificationTree(presort=False, **params).fit(X, y)
+        3, lambda: ResortingClassificationTree(**params).fit(X, y)
     )
     speedup = legacy_ms / presort_ms
     train_bench_results["single_tree_presort"] = {
         "n_rows": X.shape[0], "n_features": X.shape[1],
         "legacy_ms": legacy_ms, "presort_ms": presort_ms,
-        "speedup": speedup, "floor": 3.0,
+        "speedup": speedup, "floor": 3.3,
     }
     print(
         f"\nsingle tree fit, n={X.shape[0]}: legacy {legacy_ms:.0f} ms, "
         f"presorted {presort_ms:.0f} ms ({speedup:.2f}x)"
     )
-    assert speedup >= 3.0
+    assert speedup >= 3.3
 
 
 def test_micro_train_forest_parallel_speedup(

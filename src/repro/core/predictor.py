@@ -42,7 +42,7 @@ class _PipelineBase:
 
     Fleet scoring is batched end to end: ``score_drives`` stacks every
     drive's usable samples into one matrix and ``_score_rows`` sees a
-    single call, which the compiled tree backend turns into one
+    single call, which the compiled tree turns into one
     vectorised routing pass over the whole fleet.
     """
 

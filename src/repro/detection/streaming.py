@@ -221,7 +221,7 @@ class FleetMonitor:
         score_batch: Optional callable scoring a stacked matrix in one
             call (e.g. ``tree.batch_scorer()``).  When set, a
             collection tick's usable rows are scored through it — one
-            compiled-backend routing pass for the fleet — instead of
+            compiled routing pass for the fleet — instead of
             one ``score_sample`` call per drive.  Read at every tick,
             so it may be reassigned between ticks.
         quarantine: The degraded-mode policy (see
@@ -233,9 +233,9 @@ class FleetMonitor:
         tree: Optional fitted tree (anything with
             ``decision_path(row)``, e.g. ``predictor.tree_``) used to
             attach decision-path provenance to every ``alert_raised``
-            event.  Identical output under the compiled and node
-            backends, so provenance never depends on the serving
-            backend.
+            event.  The compiled walk visits the same nodes as
+            :meth:`~repro.tree.node.Node.route`, so provenance reads
+            like the Figure-1 tree.
         feature_names: Optional names for the feature columns, rendered
             into provenance steps (defaults to the ``features``
             descriptions).
@@ -894,8 +894,8 @@ class FleetMonitor:
         id, the triggering score, the serving model's generation, the
         voting-window contents at the flip, and — when the monitor
         knows its ``tree`` — the CART decision path that classified the
-        last well-formed sample (identical for the compiled and node
-        backends by construction).
+        last well-formed sample (the same nodes
+        :meth:`~repro.tree.node.Node.route` walks).
         """
         payload: dict = {
             "alert_id": alert.alert_id,

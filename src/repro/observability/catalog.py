@@ -339,8 +339,7 @@ EVENTS: tuple[EventSpec, ...] = (
               "once per raised alert, carrying full provenance: the alert "
               "id, triggering score, model generation, voting-window "
               "contents, and the CART decision path of the last "
-              "well-formed sample (identical for compiled and node "
-              "backends)",
+              "well-formed sample (the same nodes Node.route walks)",
               ("alert_id", "score", "model_generation", "window?", "path?",
                "short_history?")),
     EventSpec("alert_cleared", "repro.detection.streaming",

@@ -10,9 +10,8 @@ Public surface:
 * :class:`RandomForestClassifier` / :class:`AdaBoostClassifier` —
   ensemble extensions named by the paper's future/related work.
 * :class:`CompiledTree` / :class:`CompiledForest` — the flat-array
-  inference backend (fleet-scale batch scoring); every fitted tree
-  carries one, and ``backend="node"`` falls back to the Figure-1
-  object-graph walk.
+  form every fitted tree and ensemble scores through (fleet-scale batch
+  scoring), compiled from the Figure-1 node graph after each fit.
 """
 
 from repro.tree.bagging import subsample_member_inputs

@@ -22,16 +22,10 @@ from repro.tree.frontier import FrontierNode, TrainingFrontier
 from repro.tree.node import Node
 from repro.tree.splitter import SplitCandidate, partition
 from repro.tree.surrogates import (
-    find_surrogate_splits,
     find_surrogate_splits_presorted,
     route_left_with_surrogates,
 )
-from repro.utils.validation import check_2d, check_in_choices, check_positive
-
-#: Inference backends: "compiled" routes through the flat-array
-#: :class:`~repro.tree.compiled.CompiledTree`; "node" walks the Figure-1
-#: object graph (the reference implementation / escape hatch).
-BACKENDS = ("compiled", "node")
+from repro.utils.validation import check_2d, check_positive
 
 
 class _SampleScorer:
@@ -67,10 +61,9 @@ class ServingScorerMixin:
     consumes: :meth:`sample_scorer` scores one feature row through a
     batch of one, :meth:`batch_scorer` scores a stacked
     ``(n_rows, n_features)`` matrix in a single call — one compiled
-    routing pass per collection tick on estimators with a compiled
-    backend.  Both hold the estimator itself, so they track later
-    refits of the same estimator, and they pickle whenever it does
-    (which lets them ship to shard worker processes).
+    routing pass per collection tick.  Both hold the estimator itself,
+    so they track later refits of the same estimator, and they pickle
+    whenever it does (which lets them ship to shard worker processes).
     """
 
     def sample_scorer(self) -> _SampleScorer:
@@ -85,7 +78,12 @@ class ServingScorerMixin:
 class BaseDecisionTree(ServingScorerMixin, ABC):
     """Common fit/apply/prune logic for classification and regression trees.
 
-    Parameters mirror the paper's (and rpart's) controls:
+    Parameters mirror the paper's (and rpart's) controls.  Growth runs
+    through the presorted :class:`~repro.tree.frontier.TrainingFrontier`
+    (every feature argsorted once per fit, sorted index partitions kept
+    per node, so split and surrogate search are linear scans); scoring
+    runs through the flat-array :class:`CompiledTree`, rebuilt from the
+    Figure-1 node graph after every fit.
 
     Args:
         minsplit: Minimum number of samples a node must hold to be
@@ -99,18 +97,6 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
         n_surrogates: Surrogate splits kept per node for missing-value
             routing (0 = rpart surrogates disabled; NaNs then follow the
             heavier child).
-        backend: Inference backend — ``"compiled"`` (default) scores
-            through the flat-array :class:`CompiledTree`; ``"node"``
-            walks the Figure-1 object graph (reference implementation).
-            Both produce bit-identical outputs; fitting is unaffected.
-        presort: Training-side twin of ``backend``.  ``True`` (default)
-            argsorts every feature column once per fit and maintains
-            per-node sorted index partitions down the tree
-            (:class:`~repro.tree.frontier.TrainingFrontier`), making
-            node-level split and surrogate search linear scans;
-            ``False`` re-sorts at every node (the Algorithm 1/2
-            transcription, kept as the reference).  Both produce
-            node-for-node identical trees.
     """
 
     def __init__(
@@ -120,8 +106,6 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
         cp: float = 0.001,
         max_depth: Optional[int] = None,
         n_surrogates: int = 0,
-        backend: str = "compiled",
-        presort: bool = True,
     ):
         self.minsplit = int(check_positive("minsplit", minsplit))
         self.minbucket = int(check_positive("minbucket", minbucket))
@@ -134,8 +118,6 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
         if n_surrogates < 0:
             raise ValueError(f"n_surrogates must be >= 0, got {n_surrogates}")
         self.n_surrogates = int(n_surrogates)
-        self.backend = check_in_choices("backend", backend, BACKENDS)
-        self.presort = bool(presort)
         self.root_: Optional[Node] = None
         self.compiled_: Optional[CompiledTree] = None
         self.n_features_: Optional[int] = None
@@ -152,13 +134,11 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
 
     @abstractmethod
     def _search_split(
-        self, indices: np.ndarray, frontier_node: Optional[FrontierNode] = None
+        self, indices: np.ndarray, frontier_node: FrontierNode
     ) -> Optional[SplitCandidate]:
         """Best split over the node's samples, or None.
 
-        ``frontier_node`` is the node's presorted partition when the
-        tree was constructed with ``presort=True``; ``None`` selects the
-        per-node re-sorting reference path.
+        ``frontier_node`` is the node's presorted partition.
         """
 
     @abstractmethod
@@ -186,9 +166,8 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
             self._w = sample_weight
             all_indices = np.arange(X.shape[0])
             self.root_ = self._create_node(node_id=1, depth=0, indices=all_indices)
-            root_frontier = TrainingFrontier(X).root if self.presort else None
             stack: list[tuple[Node, np.ndarray, Optional[FrontierNode]]] = [
-                (self.root_, all_indices, root_frontier)
+                (self.root_, all_indices, TrainingFrontier(X).root)
             ]
             while stack:
                 node, indices, frontier_node = stack.pop()
@@ -220,16 +199,13 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
                 node.left = self._create_node(2 * node.node_id, node.depth + 1, left_idx)
                 node.right = self._create_node(2 * node.node_id + 1, node.depth + 1, right_idx)
                 n_splits += 1
-                if frontier_node is not None:
-                    # Skip materialising a child's partition when Minsplit or
-                    # the depth cap already rules out splitting it.
-                    left_frontier, right_frontier = frontier_node.split(
-                        left_idx,
-                        keep_left=self._child_may_split(len(left_idx), node.depth + 1),
-                        keep_right=self._child_may_split(len(right_idx), node.depth + 1),
-                    )
-                else:
-                    left_frontier = right_frontier = None
+                # Skip materialising a child's partition (None) when Minsplit
+                # or the depth cap already rules out splitting it.
+                left_frontier, right_frontier = frontier_node.split(
+                    left_idx,
+                    keep_left=self._child_may_split(len(left_idx), node.depth + 1),
+                    keep_right=self._child_may_split(len(right_idx), node.depth + 1),
+                )
                 stack.append((node.left, left_idx, left_frontier))
                 stack.append((node.right, right_idx, right_frontier))
             self._prune(self.cp)
@@ -248,7 +224,7 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
 
         Called automatically after fitting; call it manually after
         mutating ``root_`` in place (e.g. custom pruning) so the
-        compiled backend stays in sync with the object graph.
+        flat arrays scoring reads stay in sync with the object graph.
         """
         self.compiled_ = compile_tree(self.root_)
 
@@ -266,7 +242,7 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Left/right masks for a training node, without copying X[indices].
 
-        Same routing as :meth:`_partition_rows` (primary split, then
+        Same routing as :meth:`Node.route` (primary split, then
         surrogates, then the majority fallback for missing values), but
         gathers only the split column plus the individual missing-value
         rows instead of the node's full feature matrix.
@@ -292,53 +268,20 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
         self,
         indices: np.ndarray,
         candidate: SplitCandidate,
-        frontier_node: Optional[FrontierNode] = None,
+        frontier_node: FrontierNode,
     ):
         """Rank surrogate splits on the node's primary-routable samples."""
         if self.n_surrogates <= 0:
             return ()
-        if frontier_node is not None:
-            return find_surrogate_splits_presorted(
-                frontier_node,
-                self._X,
-                self._w,
-                indices,
-                primary_feature=candidate.feature,
-                primary_threshold=candidate.threshold,
-                max_surrogates=self.n_surrogates,
-            )
-        rows = self._X[indices]
-        column = rows[:, candidate.feature]
-        finite = np.isfinite(column)
-        if finite.sum() < 2:
-            return ()
-        return find_surrogate_splits(
-            rows[finite],
-            column[finite] < candidate.threshold,
-            self._w[indices][finite],
-            exclude_feature=candidate.feature,
+        return find_surrogate_splits_presorted(
+            frontier_node,
+            self._X,
+            self._w,
+            indices,
+            primary_feature=candidate.feature,
+            primary_threshold=candidate.threshold,
             max_surrogates=self.n_surrogates,
         )
-
-    @staticmethod
-    def _partition_rows(
-        rows: np.ndarray,
-        feature: int,
-        threshold: float,
-        surrogates,
-        missing_goes_left: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right masks using the primary split, surrogates, fallback."""
-        column = rows[:, feature]
-        left, right = partition(column, threshold, missing_goes_left)
-        if surrogates:
-            for index in np.nonzero(~np.isfinite(column))[0]:
-                goes_left = route_left_with_surrogates(
-                    rows[index], feature, threshold, surrogates, missing_goes_left
-                )
-                left[index] = goes_left
-                right[index] = not goes_left
-        return left, right
 
     def _may_split(self, node: Node, indices: np.ndarray) -> bool:
         """The paper's split conditions: Minsplit, optional depth, purity."""
@@ -398,66 +341,22 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
             )
         return matrix
 
-    def _use_compiled(self) -> Optional[CompiledTree]:
-        """The compiled form when the compiled backend is active, else None."""
-        if self.backend != "compiled":
-            return None
+    def _compiled(self) -> CompiledTree:
+        """The fitted tree's flat arrays, compiled on first use."""
+        self._check_fitted()
         if self.compiled_ is None:
             self.recompile()
         return self.compiled_
 
     def apply(self, X: object) -> np.ndarray:
         """Return the id of the leaf each row of ``X`` lands in."""
-        root = self._check_fitted()
-        matrix = self._validate_X(X)
-        compiled = self._use_compiled()
-        if compiled is not None:
-            return compiled.apply(matrix)
-        return self._route_rows_node_ids(root, matrix)
+        compiled = self._compiled()
+        return compiled.apply(self._validate_X(X))
 
     def _leaf_predictions(self, X: np.ndarray) -> np.ndarray:
         """Per-row leaf ``prediction`` values."""
-        root = self._check_fitted()
-        matrix = self._validate_X(X)
-        compiled = self._use_compiled()
-        if compiled is not None:
-            return compiled.predict(matrix)
-        return self._route_rows_predictions(root, matrix)
-
-    # Reference (node-walk) routing.  Each leaf accessor is typed and
-    # explicit — no string-keyed getattr dispatch — and both share the
-    # same recursive partitioning so backend="node" remains the oracle
-    # the compiled arrays are validated against.
-
-    @classmethod
-    def _route_rows_node_ids(cls, root: Node, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.int64)
-        cls._route_rows(root, X, out, lambda leaf: leaf.node_id)
-        return out
-
-    @classmethod
-    def _route_rows_predictions(cls, root: Node, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=float)
-        cls._route_rows(root, X, out, lambda leaf: leaf.prediction)
-        return out
-
-    @staticmethod
-    def _route_rows(root: Node, X: np.ndarray, out: np.ndarray, leaf_value) -> None:
-        """Descend all rows through the tree, writing ``leaf_value(leaf)`` to ``out``."""
-        stack = [(root, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if len(rows) == 0:
-                continue
-            if node.is_leaf:
-                out[rows] = leaf_value(node)
-                continue
-            left_mask, right_mask = BaseDecisionTree._partition_rows(
-                X[rows], node.feature, node.threshold,
-                node.surrogates, node.missing_goes_left,
-            )
-            stack.append((node.left, rows[left_mask]))
-            stack.append((node.right, rows[right_mask]))
+        compiled = self._compiled()
+        return compiled.predict(self._validate_X(X))
 
     # -- introspection --------------------------------------------------------
 
@@ -496,26 +395,17 @@ class BaseDecisionTree(ServingScorerMixin, ABC):
             raise ValueError(
                 f"sample must be 1-D with {self.n_features_} features, got shape {row.shape}"
             )
-        compiled = self._use_compiled()
-        if compiled is not None:
-            by_id = {node.node_id: node for node in root.iter_nodes()}
-            return [by_id[nid] for nid in compiled.decision_path_ids(row)]
-        path = [root]
-        node = root
-        while not node.is_leaf:
-            node = node.route(row)
-            path.append(node)
-        return path
+        by_id = {node.node_id: node for node in root.iter_nodes()}
+        return [by_id[nid] for nid in self._compiled().decision_path_ids(row)]
 
     def decision_paths(self, X: object) -> list[tuple[int, ...]]:
         """Root-to-leaf node-id chains for every row of ``X``, batched.
 
         The batched counterpart of :meth:`decision_path`: rows are
-        routed to leaves in one :meth:`apply` call (the compiled hot
-        path when that backend is active) and each leaf's ancestor
-        chain is recovered from the heap id convention (parent of
-        ``i`` is ``i // 2``), so the result is bit-identical across
-        backends by construction.  One tuple of node ids per row,
+        routed to leaves in one compiled :meth:`apply` call and each
+        leaf's ancestor chain is recovered from the heap id convention
+        (parent of ``i`` is ``i // 2``), so the result equals the
+        per-row walk by construction.  One tuple of node ids per row,
         root (id 1) first, leaf last — the fleet-scale path extraction
         :mod:`repro.explain` aggregates over.
         """

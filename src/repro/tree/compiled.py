@@ -1,4 +1,4 @@
-"""Compiled flat-array tree backend for fleet-scale scoring.
+"""Compiled flat-array trees: the one scoring path for fitted CARTs.
 
 A fitted CART is, logically, the paper's Figure-1 object graph of
 :class:`~repro.tree.node.Node` instances — ideal for rendering, rule
@@ -27,15 +27,17 @@ Routing is a vectorised subset descent: an explicit stack of
 column gather, one scalar compare and two boolean compressions — a few
 flat numpy passes per node actually visited, never a Python frame per
 row.  The semantics — including NaN/inf handling and surrogate
-fallbacks — are bit-identical to the node-walk reference implementation
-(``backend="node"``), which the golden-equivalence test suite enforces.
+fallbacks — are bit-identical to walking the Figure-1 node graph with
+:meth:`~repro.tree.node.Node.route`; the golden-equivalence tests
+enforce that against a node-walk oracle kept in the test suite.
 
 :class:`CompiledForest` stacks the members of an ensemble into one flat
 arena (child indices offset per member) and scores all of them against
 one shared :class:`_RoutingContext` — the transposed matrix and
 per-column missing masks are computed once and reused by every member —
 which is what makes 50-tree forest scoring over a whole fleet's sample
-matrix one call.
+matrix one call.  :func:`member_predictions` is the one entry point the
+ensembles score their members through.
 """
 
 from __future__ import annotations
@@ -409,37 +411,6 @@ class CompiledTree(_FlatArrays):
         """Root-to-leaf Figure-1 ``node_id`` sequence for one 1-D sample."""
         return [int(self.node_id[slot]) for slot in self.decision_path_slots(row)]
 
-    # -- persistence ---------------------------------------------------------
-
-    _ARRAY_FIELDS = (
-        "feature",
-        "threshold",
-        "children_left",
-        "children_right",
-        "missing_goes_left",
-        "node_id",
-        "prediction",
-        "values",
-        "surrogate_offset",
-        "surrogate_feature",
-        "surrogate_threshold",
-        "surrogate_less_goes_left",
-    )
-
-    def to_dict(self) -> dict:
-        """JSON-able dict of the flat arrays (lossless round trip)."""
-        return {name: getattr(self, name).tolist() for name in self._ARRAY_FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CompiledTree":
-        """Rebuild from :meth:`to_dict` output."""
-        values = np.asarray(payload["values"], dtype=float)
-        if values.ndim == 1:  # a single-node tree serialises to a flat list
-            values = values.reshape(len(values), 1)
-        kwargs = {name: np.asarray(payload[name]) for name in cls._ARRAY_FIELDS}
-        kwargs["values"] = values
-        return cls(**kwargs)
-
 
 class CompiledForest(_FlatArrays):
     """Ensemble members stacked into one flat arena for batch scoring.
@@ -535,3 +506,18 @@ class CompiledForest(_FlatArrays):
 def compile_tree(root: Optional[Node]) -> Optional[CompiledTree]:
     """Compile a fitted root, or pass ``None`` through (unfitted trees)."""
     return None if root is None else CompiledTree.from_node(root)
+
+
+def member_predictions(ensemble, X: np.ndarray) -> np.ndarray:
+    """Per-member predictions ``(n_trees, n_rows)`` of a fitted ensemble.
+
+    Stacks ``ensemble.trees_`` into one :class:`CompiledForest` on first
+    use and caches it on the ensemble, keyed on the identity of the
+    ``trees_`` list: every ``fit`` binds a new list, so a refit rebuilds
+    the stack without the ensemble resetting anything.
+    """
+    cached = getattr(ensemble, "_member_stack", None)
+    if cached is None or cached[0] is not ensemble.trees_:
+        stack = CompiledForest([tree.compiled_ for tree in ensemble.trees_])
+        cached = ensemble._member_stack = (ensemble.trees_, stack)
+    return cached[1].predict_matrix(X)

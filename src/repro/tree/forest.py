@@ -15,7 +15,7 @@ import numpy as np
 from repro.tree.bagging import subsample_member_inputs
 from repro.tree.base import ServingScorerMixin
 from repro.tree.classification import ClassificationTree, ClassWeight
-from repro.tree.compiled import CompiledForest
+from repro.tree.compiled import member_predictions
 from repro.utils.parallel import run_tasks
 from repro.utils.rng import RandomState, as_rng, spawn_child
 from repro.utils.validation import check_2d, check_matching_length
@@ -48,10 +48,6 @@ class RandomForestClassifier(ServingScorerMixin):
             Forwarded to every member tree (paper-default values).
         bootstrap: Sample rows with replacement per tree when True.
         seed: Seed / generator for reproducible resampling.
-        backend: ``"compiled"`` (default) stacks the members into one
-            :class:`~repro.tree.compiled.CompiledForest` and scores every
-            (tree, row) lane in a single vectorised pass; ``"node"``
-            loops the reference per-tree object-graph walk.
         n_jobs: Worker processes for fitting members (``None`` defers to
             ``REPRO_N_JOBS``, default serial; ``0``/negative = all
             cores).  Fitted members are identical at any ``n_jobs`` —
@@ -71,14 +67,12 @@ class RandomForestClassifier(ServingScorerMixin):
         max_depth: Optional[int] = None,
         bootstrap: bool = True,
         seed: RandomState = None,
-        backend: str = "compiled",
         n_jobs: Optional[int] = None,
     ):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.max_features = max_features
-        self.backend = backend
         self.tree_params = dict(
             minsplit=minsplit,
             minbucket=minbucket,
@@ -87,14 +81,12 @@ class RandomForestClassifier(ServingScorerMixin):
             class_weight=class_weight,
             loss_matrix=loss_matrix,
             max_depth=max_depth,
-            backend=backend,
         )
         self.bootstrap = bool(bootstrap)
         self.seed = seed
         self.n_jobs = n_jobs
         self.trees_: list[ClassificationTree] = []
         self.classes_: Optional[np.ndarray] = None
-        self._compiled_forest: Optional[CompiledForest] = None
 
     def _resolve_max_features(self, n_features: int) -> int:
         if self.max_features is None:
@@ -137,36 +129,19 @@ class RandomForestClassifier(ServingScorerMixin):
         self.trees_ = [tree for tree, _ in members]
         self._feature_masks = [active for _, active in members]
         self.classes_ = np.unique(labels)
-        self._compiled_forest = None
         return self
 
     def _check_fitted(self) -> None:
         if not self.trees_:
             raise RuntimeError("RandomForestClassifier is not fitted; call fit() first")
 
-    def _batch_predictions(self, matrix: np.ndarray) -> np.ndarray:
-        """Member predictions stacked ``(n_trees, n_rows)``; one routing pass."""
-        if self._compiled_forest is None:
-            self._compiled_forest = CompiledForest(
-                [tree.compiled_ for tree in self.trees_]
-            )
-        return self._compiled_forest.predict_matrix(matrix)
-
     def predict_proba(self, X: object) -> np.ndarray:
-        """Ensemble-averaged class probabilities."""
+        """Ensemble-averaged class probabilities (one stacked routing pass)."""
         self._check_fitted()
-        matrix = check_2d("X", X)
-        if self.backend == "compiled":
-            predictions = self._batch_predictions(matrix)
-            votes = (predictions[:, :, None] == self.classes_[None, None, :]).sum(
-                axis=0, dtype=float
-            )
-            return votes / len(self.trees_)
-        votes = np.zeros((matrix.shape[0], len(self.classes_)), dtype=float)
-        for tree in self.trees_:
-            predictions = tree.predict(matrix)
-            for column, cls in enumerate(self.classes_):
-                votes[:, column] += predictions == cls
+        predictions = member_predictions(self, check_2d("X", X))
+        votes = (predictions[:, :, None] == self.classes_[None, None, :]).sum(
+            axis=0, dtype=float
+        )
         return votes / len(self.trees_)
 
     def predict(self, X: object) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.tree.bagging import subsample_member_inputs
 from repro.tree.base import ServingScorerMixin
-from repro.tree.compiled import CompiledForest
+from repro.tree.compiled import member_predictions
 from repro.tree.regression import RegressionTree
 from repro.utils.parallel import run_tasks
 from repro.utils.rng import RandomState, as_rng, spawn_child
@@ -50,9 +50,6 @@ class RandomForestRegressor(ServingScorerMixin):
         minsplit/minbucket/cp/max_depth: Forwarded to every member.
         bootstrap: Resample rows with replacement per tree.
         seed: Seed for reproducible resampling.
-        backend: ``"compiled"`` (default) scores the stacked
-            :class:`~repro.tree.compiled.CompiledForest` in one pass;
-            ``"node"`` loops the reference per-tree walk.
         n_jobs: Worker processes for fitting members (``None`` defers to
             ``REPRO_N_JOBS``, default serial; ``0``/negative = all
             cores).  Fitted members are identical at any ``n_jobs``.
@@ -68,23 +65,19 @@ class RandomForestRegressor(ServingScorerMixin):
         max_depth: Optional[int] = None,
         bootstrap: bool = True,
         seed: RandomState = None,
-        backend: str = "compiled",
         n_jobs: Optional[int] = None,
     ):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.max_features = max_features
-        self.backend = backend
         self.tree_params = dict(
             minsplit=minsplit, minbucket=minbucket, cp=cp, max_depth=max_depth,
-            backend=backend,
         )
         self.bootstrap = bool(bootstrap)
         self.seed = seed
         self.n_jobs = n_jobs
         self.trees_: list[RegressionTree] = []
-        self._compiled_forest: Optional[CompiledForest] = None
 
     def _resolve_max_features(self, n_features: int) -> int:
         if self.max_features is None:
@@ -118,18 +111,10 @@ class RandomForestRegressor(ServingScorerMixin):
         self.trees_ = run_tasks(
             _fit_member, tasks, n_jobs=self.n_jobs, context=context
         )
-        self._compiled_forest = None
         return self
 
     def predict(self, X: object) -> np.ndarray:
-        """Ensemble-averaged predictions."""
+        """Ensemble-averaged predictions (one stacked routing pass)."""
         if not self.trees_:
             raise RuntimeError("RandomForestRegressor is not fitted; call fit() first")
-        matrix = check_2d("X", X)
-        if self.backend == "compiled":
-            if self._compiled_forest is None:
-                self._compiled_forest = CompiledForest(
-                    [tree.compiled_ for tree in self.trees_]
-                )
-            return np.mean(self._compiled_forest.predict_matrix(matrix), axis=0)
-        return np.mean([tree.predict(matrix) for tree in self.trees_], axis=0)
+        return np.mean(member_predictions(self, check_2d("X", X)), axis=0)

@@ -15,11 +15,7 @@ import numpy as np
 
 from repro.tree.base import BaseDecisionTree
 from repro.tree.node import Node
-from repro.tree.splitter import (
-    SplitCandidate,
-    find_best_split,
-    find_best_split_presorted,
-)
+from repro.tree.splitter import SplitCandidate, find_best_split_presorted
 from repro.utils.validation import check_1d, check_2d, check_matching_length
 
 
@@ -35,9 +31,6 @@ class RegressionTree(BaseDecisionTree):
         max_depth: Optional depth cap.
         n_surrogates: Surrogate splits per node for missing-value
             routing (rpart behaviour; 0 disables).
-        backend: ``"compiled"`` (default, flat-array inference) or
-            ``"node"`` (reference object-graph walk); outputs are
-            bit-identical.
 
     Example:
         >>> tree = RegressionTree(minsplit=2, minbucket=1, cp=0.0)
@@ -69,11 +62,11 @@ class RegressionTree(BaseDecisionTree):
         if np.any(weights < 0):
             raise ValueError("sample_weight must be non-negative")
         self._y = targets
-        # Fit-wide w·y / w·y·y columns for the presorted scorer;
-        # elementwise products commute with row gathering, so hoisting
-        # them out of the node loop changes no scored float.
+        # Fit-wide w·y / w·y·y columns for the split scorer; elementwise
+        # products commute with row gathering, so hoisting them out of
+        # the node loop changes no scored float.
         wy = weights * targets
-        self._target_products = (wy, wy * targets) if self.presort else None
+        self._target_products = (wy, wy * targets)
         self.n_features_ = matrix.shape[1]
         self._grow(matrix, weights)
         del self._y, self._target_products
@@ -93,24 +86,16 @@ class RegressionTree(BaseDecisionTree):
         y = self._y[indices]
         return bool(np.all(y == y[0]))
 
-    def _search_split(self, indices, frontier_node=None) -> Optional[SplitCandidate]:
-        if frontier_node is not None:
-            return find_best_split_presorted(
-                frontier_node,
-                self._X,
-                indices,
-                task="regression",
-                weights=self._w,
-                minbucket=self.minbucket,
-                targets=self._y,
-                target_products=self._target_products,
-            )
-        return find_best_split(
-            self._X[indices],
+    def _search_split(self, indices, frontier_node) -> Optional[SplitCandidate]:
+        return find_best_split_presorted(
+            frontier_node,
+            self._X,
+            indices,
             task="regression",
-            weights=self._w[indices],
+            weights=self._w,
             minbucket=self.minbucket,
-            targets=self._y[indices],
+            targets=self._y,
+            target_products=self._target_products,
         )
 
     def _relative_gain(self, node: Node, root: Node) -> float:

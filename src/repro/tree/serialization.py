@@ -7,6 +7,12 @@ extends to the artefact on disk); the BP ANN serialises its weight
 matrices as nested lists.  ``save_model``/``load_model`` dispatch on a
 ``kind`` tag so deployment code can reload any supported model without
 knowing its class up front.
+
+A tree payload stores only the node graph (``root``); loading always
+recompiles the flat scoring arrays from it, so the graph is the one
+source of truth.  Payloads from older builds may also carry a
+``compiled`` copy of those arrays and ``backend``/``presort`` params;
+the loader ignores all three.
 """
 
 from __future__ import annotations
@@ -19,33 +25,11 @@ import numpy as np
 
 from repro.ann.network import BPNeuralNetwork
 from repro.tree.classification import ClassificationTree
-from repro.tree.compiled import CompiledTree
 from repro.tree.node import Node
 from repro.tree.regression import RegressionTree
 from repro.tree.surrogates import SurrogateSplit
 
 FORMAT_VERSION = 1
-
-
-def _compiled_payload(tree) -> dict:
-    """The tree's flat-array form (compiling first if backend is lazy)."""
-    if tree.compiled_ is None:
-        tree.recompile()
-    return tree.compiled_.to_dict()
-
-
-def _restore_compiled(tree, payload: dict) -> None:
-    """Attach the serialised flat arrays, or rebuild them from the graph.
-
-    Payloads written before the compiled backend existed lack the
-    ``compiled`` section; those recompile from the node graph, which is
-    lossless because the arrays are a pure function of the graph.
-    """
-    compiled = payload.get("compiled")
-    if compiled is not None:
-        tree.compiled_ = CompiledTree.from_dict(compiled)
-    else:
-        tree.recompile()
 
 
 def _node_to_dict(node: Node) -> dict:
@@ -123,14 +107,11 @@ def classification_tree_to_dict(tree: ClassificationTree) -> dict:
             "criterion": tree.criterion,
             "max_depth": tree.max_depth,
             "n_surrogates": tree.n_surrogates,
-            "backend": tree.backend,
-            "presort": tree.presort,
         },
         "classes": np.asarray(tree.classes_).tolist(),
         "n_features": tree.n_features_,
         "loss_matrix": None if tree.loss_matrix is None else tree.loss_matrix.tolist(),
         "root": _node_to_dict(root),
-        "compiled": _compiled_payload(tree),
     }
 
 
@@ -146,13 +127,11 @@ def classification_tree_from_dict(payload: dict) -> ClassificationTree:
         loss_matrix=payload.get("loss_matrix"),
         max_depth=params["max_depth"],
         n_surrogates=params.get("n_surrogates", 0),
-        backend=params.get("backend", "compiled"),
-        presort=params.get("presort", True),
     )
     tree.classes_ = np.asarray(payload["classes"])
     tree.n_features_ = int(payload["n_features"])
     tree.root_ = _node_from_dict(payload["root"])
-    _restore_compiled(tree, payload)
+    tree.recompile()
     return tree
 
 
@@ -168,12 +147,9 @@ def regression_tree_to_dict(tree: RegressionTree) -> dict:
             "cp": tree.cp,
             "max_depth": tree.max_depth,
             "n_surrogates": tree.n_surrogates,
-            "backend": tree.backend,
-            "presort": tree.presort,
         },
         "n_features": tree.n_features_,
         "root": _node_to_dict(root),
-        "compiled": _compiled_payload(tree),
     }
 
 
@@ -187,12 +163,10 @@ def regression_tree_from_dict(payload: dict) -> RegressionTree:
         cp=params["cp"],
         max_depth=params["max_depth"],
         n_surrogates=params.get("n_surrogates", 0),
-        backend=params.get("backend", "compiled"),
-        presort=params.get("presort", True),
     )
     tree.n_features_ = int(payload["n_features"])
     tree.root_ = _node_from_dict(payload["root"])
-    _restore_compiled(tree, payload)
+    tree.recompile()
     return tree
 
 

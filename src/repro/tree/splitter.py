@@ -8,13 +8,15 @@ is vectorised over candidate thresholds with prefix sums.
 
 Two entry points share that scoring:
 
-* :func:`find_best_split` — the reference path; re-sorts each feature at
-  the node (``O(d * n log n)`` per node).
-* :func:`find_best_split_presorted` — reads the node's pre-partitioned
-  sort orders from a :class:`~repro.tree.frontier.FrontierNode`
-  (``O(d * n)`` per node).  Bit-identical to the reference because both
-  feed element-for-element identical sorted sequences to the same
-  scoring functions.
+* :func:`find_best_split` — the direct Algorithm 1/2 transcription;
+  re-sorts each feature at the node (``O(d * n log n)`` per node).  The
+  trees do not call it; it is the reference the test suite's re-sorting
+  oracle grows with.
+* :func:`find_best_split_presorted` — what the trees grow with; reads
+  the node's pre-partitioned sort orders from a
+  :class:`~repro.tree.frontier.FrontierNode` (``O(d * n)`` per node).
+  Bit-identical to the reference because both feed element-for-element
+  identical sorted sequences to the same scoring functions.
 
 Missing values (NaN) are ignored while scoring a feature and are routed
 to the heavier child when the node is actually split, mirroring how the

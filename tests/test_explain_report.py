@@ -9,8 +9,8 @@ The contract under test:
   ``alert_id`` (exact) or drive serial (legacy fallback), and alerts
   without ground truth count as ``unresolved`` — they can never skew a
   subtree's precision;
-* (hypothesis) reports aggregated under ``backend="compiled"`` and
-  ``backend="node"`` path extraction are identical, and a report
+* (hypothesis) reports aggregated from compiled path extraction and
+  from the test oracle's node walk are identical, and a report
   replayed from a torn-tail-tolerant log matches the live run
   byte-for-byte;
 * multi-log merges fold exactly like the equivalent single stream.
@@ -49,6 +49,7 @@ from repro.observability.events import (
 from repro.smart.attributes import N_CHANNELS
 from repro.tree import ClassificationTree
 from repro.utils.errors import TornEventLogWarning
+from tests.tree_oracle import NodeWalkClassificationTree
 
 
 @pytest.fixture(autouse=True)
@@ -57,14 +58,18 @@ def _restore_instruments():
     obs.disable()
 
 
+#: The product's compiled tree, and the test oracle's node-walk tree.
+_TREES = {"compiled": ClassificationTree, "node": NodeWalkClassificationTree}
+
+
 @functools.lru_cache(maxsize=4)
-def _fit_tree(backend: str, seed: int = 0) -> ClassificationTree:
+def _fit_tree(scoring: str, seed: int = 0) -> ClassificationTree:
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(300, N_CHANNELS))
     X[rng.random(X.shape) < 0.1] = np.nan
     y = np.where(np.nansum(X[:, :3], axis=1) > 0, 1, -1)
-    return ClassificationTree(
-        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2, backend=backend
+    return _TREES[scoring](
+        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2
     ).fit(X, y)
 
 

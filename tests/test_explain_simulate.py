@@ -13,8 +13,9 @@ The contract under test:
 * redundancy summaries expose importance spread across splits, path
   co-occurrence interaction, and substitution for anti-correlated
   importances;
-* batched ``decision_paths`` equals per-row ``decision_path`` under
-  both tree backends.
+* batched ``decision_paths`` equals the per-row ``Node.route`` walk of
+  the test oracle, for compiled trees and for the oracle's own
+  node-walk trees.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.explain import (
     summarize_redundancy,
 )
 from repro.tree import ClassificationTree
+from tests.tree_oracle import NodeWalkClassificationTree, node_decision_paths
 
 
 @pytest.fixture(autouse=True)
@@ -186,27 +188,26 @@ class TestSimulateUplift:
 
 
 class TestDecisionPathsBatched:
-    @pytest.mark.parametrize("backend", ["compiled", "node"])
-    def test_batched_paths_match_per_row_walks(self, backend):
+    @pytest.mark.parametrize(
+        "tree_class", [ClassificationTree, NodeWalkClassificationTree],
+        ids=["compiled", "node"],
+    )
+    def test_batched_paths_match_per_row_walks(self, tree_class):
         X, y = _xor_free_data(seed=3)
         X[::7, 1] = np.nan  # exercise surrogate/missing routing
-        tree = ClassificationTree(
+        tree = tree_class(
             minsplit=4, minbucket=2, cp=0.001, n_surrogates=2,
-            backend=backend,
         ).fit(X, y)
         batched = tree.decision_paths(X)
         for row, chain in zip(X, batched):
             walked = tuple(node.node_id for node in tree.decision_path(row))
             assert chain == walked
+        assert batched == node_decision_paths(tree, X)
 
     def test_batched_paths_identical_across_backends(self):
         X, y = _xor_free_data(seed=4)
-        compiled = ClassificationTree(
-            minsplit=4, minbucket=2, cp=0.001, backend="compiled"
-        ).fit(X, y)
-        node = ClassificationTree(
-            minsplit=4, minbucket=2, cp=0.001, backend="node"
-        ).fit(X, y)
+        compiled = ClassificationTree(minsplit=4, minbucket=2, cp=0.001).fit(X, y)
+        node = NodeWalkClassificationTree(minsplit=4, minbucket=2, cp=0.001).fit(X, y)
         assert compiled.decision_paths(X) == node.decision_paths(X)
 
 

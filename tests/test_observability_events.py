@@ -8,7 +8,8 @@ The contract under test, end to end:
   ``health_report`` fault/quarantine/vote-flip counters — the log is an
   audit artefact, not a best-effort trace;
 * ``alert_raised`` provenance (decision path, voting window, model
-  generation) is identical under the compiled and node tree backends;
+  generation) is identical for a compiled tree and the test oracle's
+  node-walk tree;
 * SLO burn-rate monitors ignite exactly once per excursion and replay
   from the log;
 * events emitted inside pooled workers ship home in the result
@@ -57,6 +58,7 @@ from repro.smart.attributes import N_CHANNELS
 from repro.tree import ClassificationTree
 from repro.utils.errors import TornEventLogWarning
 from repro.utils.parallel import run_tasks
+from tests.tree_oracle import NodeWalkClassificationTree
 
 
 @pytest.fixture(autouse=True)
@@ -298,13 +300,17 @@ class TestTornTailTolerance:
         assert "ok (1 events)" in out and "TORN TAIL" in out
 
 
-def _fit_tree(backend: str, seed: int = 0) -> ClassificationTree:
+#: The product's compiled tree, and the test oracle's node-walk tree.
+_TREES = {"compiled": ClassificationTree, "node": NodeWalkClassificationTree}
+
+
+def _fit_tree(scoring: str, seed: int = 0) -> ClassificationTree:
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(300, N_CHANNELS))
     X[rng.random(X.shape) < 0.1] = np.nan
     y = np.where(np.nansum(X[:, :3], axis=1) > 0, 1, -1)
-    return ClassificationTree(
-        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2, backend=backend
+    return _TREES[scoring](
+        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2
     ).fit(X, y)
 
 
@@ -611,11 +617,11 @@ class TestWorkerEventPropagation:
 
 
 class TestEventsCLI:
-    def _write_scenario(self, tmp_path, backend: str):
-        log = EventLog(tmp_path / f"run-{backend}.jsonl")
+    def _write_scenario(self, tmp_path, scoring: str):
+        log = EventLog(tmp_path / f"run-{scoring}.jsonl")
         previous = set_event_log(log)
         try:
-            tree = _fit_tree(backend)
+            tree = _fit_tree(scoring)
             monitor = _alerting_monitor(tree, slo=SLOMonitor())
             _drive_scenario(monitor)
             monitor.resolve_outcome("d-alert", failed=True, failure_hour=72.0)
@@ -651,10 +657,10 @@ class TestEventsCLI:
         self, tmp_path, capsys
     ):
         outputs = {}
-        for backend in ("compiled", "node"):
-            path = self._write_scenario(tmp_path, backend)
+        for scoring in _TREES:
+            path = self._write_scenario(tmp_path, scoring)
             assert events_cli(["explain", str(path), "alert-0000"]) == 0
-            outputs[backend] = capsys.readouterr().out
+            outputs[scoring] = capsys.readouterr().out
         assert outputs["compiled"] == outputs["node"]
         text = outputs["compiled"]
         assert "alert-0000: drive d-alert alerted at hour 0" in text

@@ -1,7 +1,7 @@
-"""Golden-equivalence tests for the compiled flat-array backend.
+"""Golden-equivalence tests for compiled flat-array scoring.
 
 The compiled representation must be *bit-identical* to the paper-faithful
-node-walk reference (``backend="node"``) — including NaN/inf routing,
+node walk kept in :mod:`tests.tree_oracle` — including NaN/inf routing,
 surrogate splits, pruning, ensembles and serialization — so every check
 here uses exact comparisons, never tolerances.
 """
@@ -18,11 +18,11 @@ from repro.core.predictor import DriveFailurePredictor
 from repro.core.sampling import build_training_set
 from repro.features.selection import critical_features
 from repro.features.vectorize import FeatureExtractor
+from repro.robustness import BUILTIN_PROFILES
 from repro.tree import (
     AdaBoostClassifier,
     ClassificationTree,
     CompiledForest,
-    CompiledTree,
     RandomForestClassifier,
     RandomForestRegressor,
     RegressionTree,
@@ -34,6 +34,23 @@ from repro.tree import (
 from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
+)
+from tests.tree_oracle import (
+    NodeWalkClassificationTree,
+    NodeWalkRegressionTree,
+    node_adaboost_decision_function,
+    node_decision_paths,
+    node_forest_predict,
+    node_forest_predict_proba,
+    node_forest_regressor_predict,
+)
+
+#: The flat arrays a :class:`~repro.tree.compiled.CompiledTree` is built from.
+ARRAY_FIELDS = (
+    "feature", "threshold", "children_left", "children_right",
+    "missing_goes_left", "node_id", "prediction", "values",
+    "surrogate_offset", "surrogate_feature", "surrogate_threshold",
+    "surrogate_less_goes_left",
 )
 
 
@@ -57,9 +74,9 @@ def make_labels(X, seed=0):
 
 
 def fit_pair(X, y, **params):
-    """The same tree fitted under both backends."""
-    compiled = ClassificationTree(backend="compiled", **params).fit(X, y)
-    node = ClassificationTree(backend="node", **params).fit(X, y)
+    """The same tree fitted twice: scored compiled, and by the oracle walk."""
+    compiled = ClassificationTree(**params).fit(X, y)
+    node = NodeWalkClassificationTree(**params).fit(X, y)
     return compiled, node
 
 
@@ -88,6 +105,7 @@ class TestGoldenEquivalence:
             path_compiled = [n.node_id for n in compiled.decision_path(row)]
             path_node = [n.node_id for n in node.decision_path(row)]
             assert path_compiled == path_node
+        assert compiled.decision_paths(Xt) == node_decision_paths(node, Xt)
 
     def test_regression_outputs_identical(self):
         X = make_matrix(600, seed=7)
@@ -95,7 +113,7 @@ class TestGoldenEquivalence:
             X.shape[0]
         )
         compiled = RegressionTree(cp=0.001, n_surrogates=2).fit(X, target)
-        node = RegressionTree(cp=0.001, n_surrogates=2, backend="node").fit(X, target)
+        node = NodeWalkRegressionTree(cp=0.001, n_surrogates=2).fit(X, target)
         Xt = make_matrix(400, seed=8)
         assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
         assert np.array_equal(compiled.apply(Xt), node.apply(Xt))
@@ -121,44 +139,38 @@ class TestGoldenEquivalence:
             compiled.predict_proba(usable), node.predict_proba(usable)
         )
 
-    def test_backend_switch_on_fitted_tree(self):
-        """Flipping ``backend`` after fit reroutes without refitting."""
-        X = make_matrix(300, seed=9)
-        y = make_labels(X)
-        tree = ClassificationTree(minsplit=8, cp=0.001).fit(X, y)
-        batched = tree.predict(X)
-        tree.backend = "node"
-        assert np.array_equal(tree.predict(X), batched)
-
 
 class TestEnsembleEquivalence:
     def test_random_forest_identical(self):
         X = make_matrix(500, seed=10)
         y = make_labels(X)
         Xt = make_matrix(300, seed=11)
-        compiled = RandomForestClassifier(n_trees=8, seed=2).fit(X, y)
-        node = RandomForestClassifier(n_trees=8, seed=2, backend="node").fit(X, y)
-        assert np.array_equal(compiled.predict_proba(Xt), node.predict_proba(Xt))
-        assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
+        forest = RandomForestClassifier(n_trees=8, seed=2).fit(X, y)
+        assert np.array_equal(
+            forest.predict_proba(Xt), node_forest_predict_proba(forest, Xt)
+        )
+        assert np.array_equal(forest.predict(Xt), node_forest_predict(forest, Xt))
 
     def test_regression_forest_identical(self):
         X = make_matrix(500, seed=12)
         target = np.where(np.isfinite(X[:, 1]), X[:, 1], 0.0) * 3.0
         Xt = make_matrix(300, seed=13)
-        compiled = RandomForestRegressor(n_trees=6, seed=2).fit(X, target)
-        node = RandomForestRegressor(n_trees=6, seed=2, backend="node").fit(X, target)
-        assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
+        forest = RandomForestRegressor(n_trees=6, seed=2).fit(X, target)
+        assert np.array_equal(
+            forest.predict(Xt), node_forest_regressor_predict(forest, Xt)
+        )
 
     def test_adaboost_identical(self):
         X = make_matrix(500, seed=14)
         y = make_labels(X)
         Xt = make_matrix(300, seed=15)
-        compiled = AdaBoostClassifier(n_rounds=6).fit(X, y)
-        node = AdaBoostClassifier(n_rounds=6, backend="node").fit(X, y)
+        model = AdaBoostClassifier(n_rounds=6).fit(X, y)
+        margin = node_adaboost_decision_function(model, Xt)
+        assert np.array_equal(model.decision_function(Xt), margin)
         assert np.array_equal(
-            compiled.decision_function(Xt), node.decision_function(Xt)
+            model.predict(Xt),
+            np.where(margin >= 0, model.classes_[1], model.classes_[0]),
         )
-        assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
 
     def test_forest_stacking_matches_members(self):
         """CompiledForest.predict_matrix row t == member t's predictions."""
@@ -201,7 +213,7 @@ class TestPruningAndSerialization:
         Xt = make_matrix(300, seed=21)
         assert np.array_equal(loaded.predict_proba(Xt), tree.predict_proba(Xt))
         assert np.array_equal(loaded.apply(Xt), tree.apply(Xt))
-        for field in CompiledTree._ARRAY_FIELDS:
+        for field in ARRAY_FIELDS:
             before = getattr(tree.compiled_, field)
             after = getattr(loaded.compiled_, field)
             if before.dtype.kind == "f":
@@ -210,17 +222,59 @@ class TestPruningAndSerialization:
                 assert np.array_equal(before, after), field
 
     def test_legacy_payload_without_compiled_section(self):
-        """Pre-backend payloads recompile from the node graph."""
+        """Payloads hold only the node graph; loading recompiles from it."""
         X = make_matrix(300, seed=22)
         y = make_labels(X)
         tree = ClassificationTree(minsplit=8, cp=0.001).fit(X, y)
         payload = classification_tree_to_dict(tree)
-        del payload["compiled"]
-        del payload["params"]["backend"]
+        assert "compiled" not in payload
+        assert not {"backend", "presort"} & set(payload["params"])
         loaded = classification_tree_from_dict(payload)
         assert loaded.compiled_ is not None
         Xt = make_matrix(100, seed=23)
         assert np.array_equal(loaded.predict(Xt), tree.predict(Xt))
+
+    @staticmethod
+    def _with_compiled_section(payload, tree):
+        """``payload`` as older builds wrote it: flat arrays next to the graph."""
+        payload["compiled"] = {
+            field: getattr(tree.compiled_, field).tolist() for field in ARRAY_FIELDS
+        }
+        return payload
+
+    def test_disagreeing_compiled_section_scores_like_the_graph(self):
+        """A stale or edited ``compiled`` copy never overrides the graph."""
+        X = make_matrix(500, seed=30)
+        y = make_labels(X, seed=31)
+        tree = ClassificationTree(minsplit=8, minbucket=3, cp=0.001, n_surrogates=2)
+        tree.fit(X, y)
+        payload = self._with_compiled_section(classification_tree_to_dict(tree), tree)
+        thresholds = payload["compiled"]["threshold"]
+        payload["compiled"]["threshold"] = [t + 1.0 for t in thresholds]
+        loaded = classification_tree_from_dict(payload)
+        Xt = make_matrix(400, seed=32)
+        assert np.array_equal(loaded.predict(Xt), tree.predict(Xt))
+        assert np.array_equal(loaded.predict_proba(Xt), tree.predict_proba(Xt))
+        assert loaded.decision_paths(Xt) == node_decision_paths(loaded, Xt)
+        assert loaded.decision_paths(Xt) == tree.decision_paths(Xt)
+        assert np.array_equal(
+            loaded.compiled_.threshold, tree.compiled_.threshold, equal_nan=True
+        )
+
+    def test_parent_format_payload_round_trips(self):
+        """Payloads carrying the retired ``backend``/``presort`` keys still load."""
+        X = make_matrix(400, seed=33)
+        y = make_labels(X, seed=34)
+        tree = ClassificationTree(minsplit=8, minbucket=3, cp=0.001, n_surrogates=2)
+        tree.fit(X, y)
+        payload = self._with_compiled_section(classification_tree_to_dict(tree), tree)
+        payload["params"].update(backend="node", presort=False)
+        loaded = classification_tree_from_dict(payload)
+        assert not hasattr(loaded, "backend") and not hasattr(loaded, "presort")
+        Xt = make_matrix(300, seed=35)
+        assert np.array_equal(loaded.predict(Xt), tree.predict(Xt))
+        assert loaded.decision_paths(Xt) == tree.decision_paths(Xt)
+        assert classification_tree_to_dict(loaded) == classification_tree_to_dict(tree)
 
 
 class TestCompiledStructure:
@@ -282,7 +336,7 @@ class TestPipelineBatching:
 
 
 class TestScoreTimeFaultInjection:
-    """Golden check: fault-injected fleets route identically per backend.
+    """Golden check: fault-injected fleets route like the oracle walk.
 
     Trees are fitted on the *clean* fleet; the corruption arrives only at
     score time (the degraded-serving scenario), so every injected NaN/inf
@@ -290,7 +344,7 @@ class TestScoreTimeFaultInjection:
     fallback the same way in the compiled arrays and the node walk.
     """
 
-    @pytest.mark.parametrize("profile", ["sensor-noise", "dropout", "everything"])
+    @pytest.mark.parametrize("profile", sorted(BUILTIN_PROFILES))
     def test_corrupted_fleet_scores_identically(self, tiny_split, profile):
         from repro.robustness import corrupted_cell_fraction, inject_dataset
         from repro.smart.dataset import SmartDataset
@@ -311,7 +365,10 @@ class TestScoreTimeFaultInjection:
             list(tiny_split.test_good[:12]) + list(tiny_split.test_failed)
         )
         dirty = inject_dataset(clean, profile, seed=13)
-        assert corrupted_cell_fraction(clean, dirty) > 0.0
+        if profile not in ("clean", "dirty-feed"):
+            # The control and the stream-only reordering leave cells intact;
+            # every other profile must corrupt some.
+            assert corrupted_cell_fraction(clean, dirty) > 0.0
         rows = np.vstack([extractor.extract(drive) for drive in dirty.drives])
         usable = rows[np.any(np.isfinite(rows), axis=1)]
         assert usable.size > 0
@@ -379,13 +436,12 @@ class TestPropertyEquivalence:
     @given(matrix_with_missing(), st.integers(0, 3), st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
     def test_decision_paths_agree_node_for_node(self, X, n_surrogates, label_seed):
-        """Alert provenance depends on both backends walking the same path.
+        """Alert provenance must read like the Figure-1 tree.
 
-        `alert_raised` events record the decision path of whatever
-        backend the monitor's tree happens to use, so the node walk
-        (`Node.route`, surrogate + majority fallback) and the compiled
-        walk (`decision_path_ids` over flat arrays) must agree
-        node-for-node — including rows with NaN/inf that exercise
+        `alert_raised` events record the compiled walk
+        (`decision_path_ids` over flat arrays), so it must agree
+        node-for-node with the oracle walk (`Node.route`, surrogate +
+        majority fallback) — including rows with NaN/inf that exercise
         surrogate routing.
         """
         y = make_labels(X, seed=label_seed)
@@ -397,10 +453,8 @@ class TestPropertyEquivalence:
         Xt = make_matrix(
             40, X.shape[1], nan_frac=0.35, inf_frac=0.05, seed=label_seed + 3
         )
-        backend = compiled._use_compiled()
-        assert backend is not None
         for row in Xt:
-            ids_compiled = backend.decision_path_ids(row)
+            ids_compiled = compiled.compiled_.decision_path_ids(row)
             path_node = node.decision_path(row)
             assert ids_compiled == [n.node_id for n in path_node]
             # Same leaf, same stats: provenance payloads match exactly.

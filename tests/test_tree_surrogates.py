@@ -13,6 +13,7 @@ from repro.tree.surrogates import (
     find_surrogate_splits,
     route_left_with_surrogates,
 )
+from tests.tree_oracle import node_decision_path, node_leaf_predictions
 
 
 @pytest.fixture
@@ -168,8 +169,8 @@ class TestTreesWithSurrogates:
             ClassificationTree(n_surrogates=-1)
 
     def test_vectorised_routing_matches_per_sample_route(self, correlated_data):
-        # The batched _partition_rows path and Node.route must agree on
-        # every row, finite or masked.
+        # The compiled router, the oracle's batched partition_rows walk and
+        # Node.route must agree on every row, finite or masked.
         X, y = correlated_data
         tree = ClassificationTree(
             minsplit=4, minbucket=2, cp=0.0, n_surrogates=2
@@ -179,9 +180,10 @@ class TestTreesWithSurrogates:
         masked[::7, 1] = np.nan
         batched = tree.predict(masked)
         manual = np.array(
-            [tree.decision_path(row)[-1].prediction for row in masked]
+            [node_decision_path(tree, row)[-1].prediction for row in masked]
         )
         np.testing.assert_array_equal(batched, manual.astype(batched.dtype))
+        np.testing.assert_array_equal(node_leaf_predictions(tree, masked), manual)
 
     def test_pruned_nodes_drop_surrogates(self, correlated_data):
         X, y = correlated_data
