@@ -4,11 +4,15 @@ A single :class:`~repro.detection.streaming.FleetMonitor` is one
 process, so fleet throughput stops at one core.  This module scales the
 same serving semantics *out*: :class:`ShardedFleetMonitor` partitions
 drives across N shard monitors by a stable serial hash
-(:func:`shard_for`), fans every collection tick out to the shards —
-in-process (``mode="serial"``) or on long-lived worker processes
-(``mode="process"``, one :class:`~repro.utils.parallel.WorkerHost` per
-shard) — and merges the per-shard results back into one
-coordinator-level truth:
+(:func:`shard_for`), fans every collection tick out to the shards and
+merges the per-shard results back into one coordinator-level truth.
+Each shard lives on one host behind a single interface: a
+:class:`~repro.utils.parallel.LocalHost` in this process
+(``mode="serial"``) or a :class:`~repro.utils.parallel.WorkerHost`
+worker process (``mode="process"``).  The mode only picks the host
+type; every dispatch, kill, snapshot and restore goes through the same
+host calls.
+
 
 * **Alerts** come home per shard with shard-local ids, are re-ordered
   into the tick's global record order and re-assigned dense coordinator
@@ -57,6 +61,7 @@ ingested, serials first seen after it unregistered).  Use a single
 
 from __future__ import annotations
 
+import math
 import pickle
 import warnings
 import zlib
@@ -81,11 +86,9 @@ from repro.features.vectorize import Feature
 from repro.observability import (
     RemoteObservation,
     absorb_remote,
-    capture_remote,
     get_event_log,
     get_registry,
     get_tracer,
-    worker_config,
 )
 from repro.smart.attributes import N_CHANNELS
 from repro.utils.checkpoint import (
@@ -99,12 +102,14 @@ from repro.utils.errors import (
     UnpicklableTaskWarning,
     WorkerDiedError,
 )
-from repro.utils.parallel import WorkerHost, resolve_shards
+from repro.utils.parallel import LocalHost, WorkerHost, resolve_shards
+from repro.utils.validation import check_count
 
-#: Execution modes: ``"serial"`` ticks shards in-process (deterministic
-#: reference, zero processes), ``"process"`` hosts each shard on its own
-#: long-lived worker (the scale-out path).  Both produce identical
-#: output — the merge path is shared.
+#: Execution modes, each naming a shard host type: ``"serial"`` hosts
+#: every shard on a :class:`~repro.utils.parallel.LocalHost` (zero
+#: processes; the only mode for unpicklable scorers), ``"process"`` on
+#: its own :class:`~repro.utils.parallel.WorkerHost` (the scale-out
+#: path).  Both produce identical output — dispatch and merge are shared.
 SHARD_MODES = ("serial", "process")
 
 # Counter/histogram help strings (shared so snapshots merge cleanly).
@@ -129,6 +134,32 @@ def shard_for(serial: str, n_shards: int) -> int:
     return zlib.crc32(serial.encode("utf-8")) % n_shards
 
 
+def _partition_roster(
+    roster: Sequence[str], n_shards: int
+) -> tuple[list[np.ndarray], list[tuple[str, ...]]]:
+    """Each shard's row indices into ``roster`` and its sub-roster."""
+    buckets: list[list[int]] = [[] for _ in range(n_shards)]
+    for at, serial in enumerate(roster):
+        buckets[shard_for(serial, n_shards)].append(at)
+    return (
+        [np.asarray(ix, dtype=np.intp) for ix in buckets],
+        [tuple(roster[i] for i in ix) for ix in buckets],
+    )
+
+
+def _split_tick(
+    items: Iterable[tuple], duplicates: Iterable[str], n_shards: int
+) -> tuple[list[list[tuple]], list[list[str]]]:
+    """Each shard's slice of a normalized tick: its records and duplicates."""
+    per_items: list[list[tuple]] = [[] for _ in range(n_shards)]
+    per_dups: list[list[str]] = [[] for _ in range(n_shards)]
+    for serial, values in items:
+        per_items[shard_for(serial, n_shards)].append((serial, values))
+    for serial in duplicates:
+        per_dups[shard_for(serial, n_shards)].append(serial)
+    return per_items, per_dups
+
+
 @dataclass(frozen=True)
 class CanaryPolicy:
     """When does a canary generation win the fleet?
@@ -148,8 +179,12 @@ class CanaryPolicy:
     max_alert_rate_delta: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.soak_ticks < 1:
-            raise ValueError(f"soak_ticks must be >= 1, got {self.soak_ticks}")
+        check_count("soak_ticks", self.soak_ticks)
+        delta = self.max_alert_rate_delta
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(
+                f"max_alert_rate_delta must be a finite number >= 0, got {delta!r}"
+            )
 
 
 @dataclass
@@ -231,10 +266,10 @@ class _Deployment:
 
 # -- shard-side entry points ---------------------------------------------------
 #
-# Module-level ``func(state, payload)`` callables, executed either
-# in-process (serial mode, under capture_remote) or inside a WorkerHost
-# (process mode).  ``state`` is the shard cell dict built by
-# _ShardBuilder; everything they emit ships home in the envelope.
+# Module-level ``func(state, payload)`` callables submitted to a shard's
+# host (LocalHost or WorkerHost).  ``state`` is the shard cell dict built
+# by _ShardBuilder or _PickledShard; everything they emit ships home in
+# the envelope.
 
 
 def _shard_tick(state: dict, payload: dict) -> dict:
@@ -348,8 +383,9 @@ class ShardedFleetMonitor:
             :func:`~repro.utils.parallel.resolve_shards` (which also
             caps env-derived counts so shards x ``REPRO_N_JOBS`` never
             oversubscribes the machine).
-        mode: ``"serial"`` (in-process shards, the deterministic
-            reference) or ``"process"`` (one
+        mode: The shard host type: ``"serial"`` (one
+            :class:`~repro.utils.parallel.LocalHost` per shard, the
+            zero-process reference) or ``"process"`` (one
             :class:`~repro.utils.parallel.WorkerHost` per shard).  An
             unpicklable spec degrades ``"process"`` to ``"serial"``
             under an :class:`~repro.utils.errors.UnpicklableTaskWarning`
@@ -439,15 +475,9 @@ class ShardedFleetMonitor:
                 )
                 mode = "serial"
         self.mode = mode
+        self._host_type = WorkerHost if mode == "process" else LocalHost
         builder = _ShardBuilder(self._spec)
-        if mode == "process":
-            self._shards: Optional[list[dict]] = None
-            self._hosts: Optional[list[WorkerHost]] = [
-                WorkerHost(builder) for _ in range(self.n_shards)
-            ]
-        else:
-            self._shards = [builder() for _ in range(self.n_shards)]
-            self._hosts = None
+        self._hosts = [self._host_type(builder) for _ in range(self.n_shards)]
 
     @classmethod
     def from_predictor(
@@ -477,11 +507,9 @@ class ShardedFleetMonitor:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down shard workers (no-op in serial mode)."""
-        if self._hosts is not None:
-            for host in self._hosts:
-                if host.alive:
-                    host.close()
+        """Close every shard host (worker processes exit, state is released)."""
+        for host in self._hosts:
+            host.close()
 
     def __enter__(self) -> "ShardedFleetMonitor":
         return self
@@ -496,10 +524,10 @@ class ShardedFleetMonitor:
     ) -> list[tuple[int, object]]:
         """Run ``func(state, payload)`` per shard; results in call order.
 
-        Process mode submits every call before collecting any result,
-        so shard slices execute concurrently; serial mode runs them
-        in-process under :func:`~repro.observability.capture_remote`
-        so both modes hand back the same envelope shape.
+        Every call is submitted before any result is collected, so
+        worker-hosted shard slices execute concurrently (a local host
+        runs each at submit time), and a hosted exception surfaces only
+        once every shard has its slice.
 
         A shard that dies mid-call (or was already dead at submit time)
         surfaces as a :class:`~repro.utils.errors.WorkerDiedError`
@@ -508,42 +536,26 @@ class ShardedFleetMonitor:
         return ``None`` to mean "this shard has no result this call"
         (quarantine); every merge path tolerates the gap.
         """
-        if self._hosts is not None:
-            submitted: list[tuple[int, Callable, object, object]] = []
-            for sid, func, payload in calls:
-                try:
-                    outcome: object = self._hosts[sid].submit(func, payload)
-                except WorkerDiedError as error:
-                    outcome = error
-                submitted.append((sid, func, payload, outcome))
-            responses: list[tuple[int, object]] = []
-            for sid, func, payload, outcome in submitted:
-                if isinstance(outcome, WorkerDiedError):
-                    responses.append(
-                        (sid, self._handle_shard_death(sid, func, payload, outcome))
-                    )
-                    continue
-                try:
-                    responses.append((sid, outcome.result()))
-                except WorkerDiedError as error:
-                    responses.append(
-                        (sid, self._handle_shard_death(sid, func, payload, error))
-                    )
-            return responses
-        config = worker_config()
-        responses = []
+        submitted: list[tuple[int, Callable, object, object]] = []
         for sid, func, payload in calls:
-            shard = self._shards[sid]
-            if shard is None:
-                error = WorkerDiedError(
-                    f"shard {sid} is dead (killed in serial mode); restore "
-                    f"it from a snapshot before dispatching more calls"
+            try:
+                outcome: object = self._hosts[sid].submit(func, payload)
+            except WorkerDiedError as error:
+                outcome = error
+            submitted.append((sid, func, payload, outcome))
+        responses: list[tuple[int, object]] = []
+        for sid, func, payload, outcome in submitted:
+            if isinstance(outcome, WorkerDiedError):
+                responses.append(
+                    (sid, self._handle_shard_death(sid, func, payload, outcome))
                 )
+                continue
+            try:
+                responses.append((sid, outcome.result()))
+            except WorkerDiedError as error:
                 responses.append(
                     (sid, self._handle_shard_death(sid, func, payload, error))
                 )
-                continue
-            responses.append((sid, capture_remote(config, func, shard, payload)))
         return responses
 
     def _handle_shard_death(
@@ -559,6 +571,11 @@ class ShardedFleetMonitor:
         """
         raise error
 
+    def _replace_host(self, shard: int, build: Callable) -> None:
+        """Kill shard ``shard``'s host and host ``build()`` in its place."""
+        self._hosts[shard].kill()
+        self._hosts[shard] = self._host_type(build)
+
     def _active_shards(self) -> list[int]:
         """Shard ids still serving (quarantined shards are excluded)."""
         return [
@@ -566,17 +583,14 @@ class ShardedFleetMonitor:
         ]
 
     def kill_shard(self, shard: int) -> None:
-        """Kill one shard's worker without warning (chaos/testing hook).
+        """Kill one shard's host without warning (chaos/testing hook).
 
-        Process mode terminates the host's worker process; serial mode
-        drops the in-process shard cell.  Either way the next dispatch
-        to that shard raises :class:`~repro.utils.errors.WorkerDiedError`
-        (or triggers supervised recovery).
+        The hosted state is dropped (a worker host's process is
+        terminated), so the next dispatch to that shard raises
+        :class:`~repro.utils.errors.WorkerDiedError` (or triggers
+        supervised recovery).
         """
-        if self._hosts is not None:
-            self._hosts[shard].kill()
-        else:
-            self._shards[shard] = None
+        self._hosts[shard].kill()
 
     def quarantine_shard(self, shard: int) -> None:
         """Permanently stop dispatching to one shard (degraded mode).
@@ -591,11 +605,7 @@ class ShardedFleetMonitor:
         if shard in self._quarantined:
             return
         self._quarantined.add(shard)
-        if self._hosts is not None:
-            if self._hosts[shard].alive:
-                self._hosts[shard].kill()
-        else:
-            self._shards[shard] = None
+        self._hosts[shard].kill()
         get_event_log().emit(
             "shard_quarantined",
             hour=self._last_hour,
@@ -672,13 +682,9 @@ class ShardedFleetMonitor:
             self._partition = None
             self._sub_rosters = None
             return roster
-        buckets: list[list[int]] = [[] for _ in range(self.n_shards)]
-        for at, serial in enumerate(roster):
-            buckets[shard_for(serial, self.n_shards)].append(at)
-        self._partition = [np.asarray(ix, dtype=np.intp) for ix in buckets]
-        self._sub_rosters = [
-            tuple(roster[i] for i in ix) for ix in buckets
-        ]
+        self._partition, self._sub_rosters = _partition_roster(
+            roster, self.n_shards
+        )
         calls = [
             (sid, _shard_pin, {"roster": self._sub_rosters[sid]})
             for sid in self._active_shards()
@@ -795,15 +801,8 @@ class ShardedFleetMonitor:
         duplicates: list[str],
         single: bool = False,
     ) -> list[Alert]:
-        n = self.n_shards
-        per_items: list[list[tuple]] = [[] for _ in range(n)]
-        per_dups: list[list[str]] = [[] for _ in range(n)]
-        pos: dict[str, int] = {}
-        for at, (serial, values) in enumerate(items):
-            pos[serial] = at
-            per_items[shard_for(serial, n)].append((serial, values))
-        for serial in duplicates:
-            per_dups[shard_for(serial, n)].append(serial)
+        per_items, per_dups = _split_tick(items, duplicates, self.n_shards)
+        pos = {serial: at for at, (serial, _) in enumerate(items)}
         # First-seen bookkeeping mirrors a single monitor's row
         # allocation: duplicate occurrences register before the items.
         for serial in duplicates:
@@ -1072,7 +1071,10 @@ class ShardedFleetMonitor:
         """
         if self._deployment is not None:
             raise RuntimeError("a canary deployment is already in flight")
-        canaries = frozenset(int(sid) for sid in canary_shards)
+        canaries = frozenset(
+            int(check_count("canary_shards entry", sid, strict=False))
+            for sid in canary_shards
+        )
         if not canaries:
             raise ValueError("canary_shards must name at least one shard")
         if not canaries.issubset(range(self.n_shards)):
@@ -1180,15 +1182,7 @@ class ShardedFleetMonitor:
             raise WorkerDiedError(
                 f"shard {shard} is quarantined; it has no state to export"
             )
-        if self._hosts is not None:
-            return self._absorb(self._hosts[shard].call(_shard_export))
-        cell = self._shards[shard]
-        if cell is None:
-            raise WorkerDiedError(
-                f"shard {shard} is dead (killed in serial mode); restore it "
-                f"before snapshotting"
-            )
-        return _shard_export(cell, None)
+        return self._absorb(self._hosts[shard].call(_shard_export))
 
     def _coordinator_state(self) -> dict:
         return {
@@ -1253,30 +1247,20 @@ class ShardedFleetMonitor:
     ) -> None:
         """Replace one shard's state from a snapshot (kill-and-resume).
 
-        In process mode a dead host (see
-        :meth:`~repro.utils.parallel.WorkerHost.kill`) is replaced by a
-        fresh worker whose state is rebuilt from the snapshot blob —
-        the resumed shard continues the stream bit-identically from
-        the snapshot point.
+        The shard's host (dead or not) is killed and replaced by a
+        fresh host of the same type whose state is rebuilt from the
+        snapshot blob — the resumed shard continues the stream
+        bit-identically from the snapshot point.
         """
         store = self._open_store(store)
         cell = store.get(f"shard-{shard}")
         if cell is None:
             raise KeyError(f"snapshot has no cell for shard {shard}")
         state = decode_object(cell)
-        if self._hosts is not None:
-            old = self._hosts[shard]
-            if old.alive:
-                old.kill()
-            self._hosts[shard] = WorkerHost(
-                _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-            )
-        else:
-            self._shards[shard] = {
-                "monitor": state["monitor"],
-                "roster": state.get("roster"),
-                "feed": None,
-            }
+        self._replace_host(
+            shard,
+            _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)),
+        )
         self._quarantined.discard(shard)
         # The snapshot's roster may predate the coordinator's current
         # registration; re-pin the live sub-roster so the matrix path
@@ -1348,10 +1332,7 @@ class ShardedFleetMonitor:
             if shard in quarantined:
                 # The shard was cut loose before the snapshot; there is
                 # no cell to restore and it stays out of the rotation.
-                if self._hosts is not None:
-                    self._hosts[shard].kill()
-                else:
-                    self._shards[shard] = None
+                self._hosts[shard].kill()
                 self._quarantined.add(shard)
                 continue
             self.restore_shard(shard, store)
@@ -1455,21 +1436,13 @@ class ShardedFleetMonitor:
     def drive_status(self, serial: str) -> DriveStatus:
         """Serving status of one drive (resolved on its owning shard)."""
         sid = shard_for(serial, self.n_shards)
-        if sid in self._quarantined or (
-            self._shards is not None and self._shards[sid] is None
-        ):
+        if sid in self._quarantined:
             raise WorkerDiedError(
-                f"drive {serial!r} lives on shard {sid}, which is "
-                f"{'quarantined' if sid in self._quarantined else 'dead'}"
+                f"drive {serial!r} lives on shard {sid}, which is quarantined"
             )
-        if self._hosts is not None:
-            value = self._absorb(self._hosts[sid].call(_shard_drive_status, serial))
-        else:
-            value = capture_remote(
-                worker_config(), _shard_drive_status, self._shards[sid], serial
-            )
-            value = self._absorb(value)
-        return DriveStatus(value)
+        return DriveStatus(
+            self._absorb(self._hosts[sid].call(_shard_drive_status, serial))
+        )
 
     def health_report(self) -> dict[str, object]:
         """One-call fleet summary, shaped exactly like a single monitor's.

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from numbers import Integral
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,6 +45,7 @@ from repro.observability import get_event_log, get_registry, get_tracer
 from repro.observability.events import decision_path_payload
 from repro.smart.attributes import N_CHANNELS, channel_index
 from repro.utils.errors import FaultKind, SampleFault
+from repro.utils.validation import check_count
 
 #: Schema tag on :meth:`FleetMonitor.health_report` (bump on breaking change).
 HEALTH_REPORT_SCHEMA = "repro.health-report/v1"
@@ -155,8 +155,7 @@ class QuarantinePolicy:
     fault_limit: int = 10
 
     def __post_init__(self) -> None:
-        if self.fault_limit < 0:
-            raise ValueError(f"fault_limit must be >= 0, got {self.fault_limit}")
+        check_count("fault_limit", self.fault_limit, strict=False)
 
     def degrades(self, fault_count: int) -> bool:
         """True when ``fault_count`` malformed ticks exceed the budget."""
@@ -186,15 +185,7 @@ class VoterSpec:
             raise ValueError(
                 f"kind must be 'majority' or 'mean', got {self.kind!r}"
             )
-        n_voters = self.n_voters
-        if (
-            isinstance(n_voters, bool)
-            or not isinstance(n_voters, Integral)
-            or n_voters <= 0
-        ):
-            raise ValueError(
-                f"n_voters must be a positive integer, got {n_voters!r}"
-            )
+        check_count("n_voters", self.n_voters)
 
     def build(self, n_rows: int = 0) -> Union[MajorityVoteMatrix, MeanThresholdMatrix]:
         """The voting matrix applying this rule to ``n_rows`` drives."""

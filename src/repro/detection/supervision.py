@@ -65,21 +65,16 @@ import numpy as np
 
 from repro.detection.sharded import (
     ShardedFleetMonitor,
+    _partition_roster,
     _ShardBuilder,
     _shard_pin,
     _shard_tick,
-    shard_for,
+    _split_tick,
 )
-from repro.detection.streaming import _normalize_tick
-from repro.observability import (
-    capture_remote,
-    get_event_log,
-    get_registry,
-    worker_config,
-)
+from repro.observability import get_event_log, get_registry
 from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND, JsonCheckpoint
 from repro.utils.errors import TornEventLogWarning, WorkerDiedError
-from repro.utils.parallel import WorkerHost
+from repro.utils.validation import check_count
 
 #: Schema tag on the journal's JSONL header line.
 TICK_JOURNAL_SCHEMA = "repro.tick-journal/v1"
@@ -104,14 +99,8 @@ class RestartPolicy:
     window_ticks: int = 24
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 1:
-            raise ValueError(
-                f"max_restarts must be >= 1, got {self.max_restarts}"
-            )
-        if self.window_ticks < 1:
-            raise ValueError(
-                f"window_ticks must be >= 1, got {self.window_ticks}"
-            )
+        check_count("max_restarts", self.max_restarts)
+        check_count("window_ticks", self.window_ticks)
 
 
 class TickJournal:
@@ -517,45 +506,36 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     def probe_shards(self) -> None:
         """Detect (and recover) dead shards before dispatching a tick.
 
-        Process mode polls each host's worker for an exit code — O(1)
-        per shard, no round trip; serial mode checks for killed cells.
-        Any death found here is recovered *outside* a tick, so there is
-        no in-flight payload to exclude from replay.
+        Polls each shard's host — O(1) per shard, no round trip: a
+        worker host checks its process for an exit code, a local host
+        only whether it was killed.  Any death found here is recovered
+        *outside* a tick, so there is no in-flight payload to exclude
+        from replay.
         """
         for sid in self._active_shards():
-            if self._hosts is not None:
-                host = self._hosts[sid]
-                exit_code = host.poll()
-                if host.alive:
-                    continue
-                error = WorkerDiedError(
-                    f"shard {sid} worker found dead by the pre-tick probe",
-                    exit_code=exit_code,
-                )
-            else:
-                if self._shards[sid] is not None:
-                    continue
-                error = WorkerDiedError(
-                    f"shard {sid} cell found dead by the pre-tick probe"
-                )
+            host = self._hosts[sid]
+            exit_code = host.poll()
+            if host.alive:
+                continue
+            error = WorkerDiedError(
+                f"shard {sid} worker found dead by the pre-tick probe",
+                exit_code=exit_code,
+            )
             self._supervise_death(sid, error, in_flight_tick=False)
 
     def ping_shards(self, timeout: float = 5.0) -> dict[int, bool]:
         """Request/response health of every active shard (operator tool).
 
-        Unlike :meth:`probe_shards` this proves the worker *responds* —
+        Unlike :meth:`probe_shards` this proves the host *responds* —
         a wedged worker polls alive but fails its ping.  Returns
         ``{shard_id: healthy}``; never raises and never recovers (the
-        verdict is the operator's to act on).  Serial shards are healthy
-        exactly when their cell exists.
+        verdict is the operator's to act on).  A local host is healthy
+        exactly while it is alive.
         """
-        health: dict[int, bool] = {}
-        for sid in self._active_shards():
-            if self._hosts is not None:
-                health[sid] = self._hosts[sid].ping(timeout=timeout)
-            else:
-                health[sid] = self._shards[sid] is not None
-        return health
+        return {
+            sid: self._hosts[sid].ping(timeout=timeout)
+            for sid in self._active_shards()
+        }
 
     # -- recovery --------------------------------------------------------------
 
@@ -565,15 +545,13 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         )
         if not recovered:
             return None
-        # Re-run the in-flight call on the fresh worker through the
+        # Re-run the in-flight call on the fresh host through the
         # normal observed path, so its alerts/faults/events merge
         # exactly as the original dispatch would have.
-        if self._hosts is not None:
-            try:
-                return self._hosts[sid].submit(func, payload).result()
-            except WorkerDiedError as again:
-                return self._handle_shard_death(sid, func, payload, again)
-        return capture_remote(worker_config(), func, self._shards[sid], payload)
+        try:
+            return self._hosts[sid].submit(func, payload).result()
+        except WorkerDiedError as again:
+            return self._handle_shard_death(sid, func, payload, again)
 
     def _supervise_death(
         self, sid: int, error: WorkerDiedError, *, in_flight_tick: bool
@@ -611,14 +589,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             # No snapshot yet: the journal covers the whole run, so a
             # fresh shard built from the spec replays to parity.
             source = "fresh"
-            builder = _ShardBuilder(self._spec)
-            if self._hosts is not None:
-                old = self._hosts[sid]
-                if old.alive:
-                    old.kill()
-                self._hosts[sid] = WorkerHost(builder)
-            else:
-                self._shards[sid] = builder()
+            self._replace_host(sid, _ShardBuilder(self._spec))
         replayed = self._replay_shard(sid, exclude_in_flight=exclude_in_flight)
         # Recovery re-established the shard's roster and feed from the
         # journal; the fleet-wide pin is intact again.
@@ -655,21 +626,13 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             entries = entries[:-1]
         n = self.n_shards
         partition: Optional[np.ndarray] = None
-        roster: Optional[tuple[str, ...]] = None
         replayed = 0
         for entry in entries:
             kind = entry["kind"]
             if kind == "register":
-                roster = tuple(entry["roster"])
-                bucket = [
-                    at for at, serial in enumerate(roster)
-                    if shard_for(serial, n) == sid
-                ]
-                partition = np.asarray(bucket, dtype=np.intp)
-                self._replay_call(
-                    sid, _shard_pin,
-                    {"roster": tuple(roster[at] for at in bucket)},
-                )
+                partitions, sub_rosters = _partition_roster(entry["roster"], n)
+                partition = partitions[sid]
+                self._replay_call(sid, _shard_pin, {"roster": sub_rosters[sid]})
             elif kind == "pin":
                 if partition is None:
                     raise ValueError(
@@ -681,15 +644,10 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
                 )
             elif kind == "tick":
                 if entry["mode"] == "fleet":
-                    items = [
-                        (serial, values)
-                        for serial, values in entry["items"]
-                        if shard_for(serial, n) == sid
-                    ]
-                    duplicates = [
-                        serial for serial in entry["duplicates"]
-                        if shard_for(serial, n) == sid
-                    ]
+                    per_items, per_dups = _split_tick(
+                        entry["items"], entry["duplicates"], n
+                    )
+                    items, duplicates = per_items[sid], per_dups[sid]
                     if not items and not duplicates:
                         continue
                     payload = {
@@ -712,14 +670,9 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         return replayed
 
     def _replay_call(self, sid: int, func, payload) -> None:
-        if self._hosts is not None:
-            # observed=False ships no config: the worker runs under its
-            # own no-op instruments and returns the bare result.
-            self._hosts[sid].submit(func, payload, observed=False).result()
-            return
-        # Serial: run under throwaway captured instruments and discard
-        # the envelope, so the parent's counters/events see nothing.
-        capture_remote(worker_config(), func, self._shards[sid], payload)
+        # observed=False: the call runs under throwaway instruments and
+        # resolves to the bare result, so the parent sees nothing.
+        self._hosts[sid].submit(func, payload, observed=False).result()
 
     # -- reporting -------------------------------------------------------------
 

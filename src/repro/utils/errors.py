@@ -106,9 +106,10 @@ class SampleFault:
 
 
 class WorkerDiedError(ReproError, RuntimeError):
-    """A long-lived worker process died (killed, crashed or OOM-reaped).
+    """A long-lived shard host died (killed, crashed or OOM-reaped).
 
-    Raised by :class:`~repro.utils.parallel.WorkerHost` instead of the
+    Raised by :class:`~repro.utils.parallel.WorkerHost` (and by a killed
+    :class:`~repro.utils.parallel.LocalHost`) instead of the
     raw ``BrokenProcessPool``/``EOFError``/``BrokenPipeError`` zoo, so a
     supervisor can catch *one* typed error and decide between respawn,
     replay and quarantine.  ``exit_code`` carries the dead worker's exit

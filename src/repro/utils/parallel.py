@@ -37,6 +37,12 @@ one dedicated worker process hosting *stateful* computations (a shard
 monitor) across many calls, speaking the same
 :class:`~repro.observability.RemoteObservation` envelope protocol so
 per-call metrics/spans/events ship home exactly like pool tasks.
+:class:`LocalHost` is its in-process twin: the same surface (``submit``
+returning a future, ``call``, ``kill``, ``close``, ``alive``, ``poll``,
+``ping``, ``pids``, ``exit_code``) and the same envelopes, with the
+state living in the caller's process.  It is the host for state that
+cannot be pickled and the zero-process reference, so code written
+against one host type runs unchanged on the other.
 
 Fault tolerance is layered on top of the determinism protocol:
 
@@ -67,11 +73,12 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FuturesTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence
 
 from repro.observability import (
+    RemoteObservation,
     absorb_remote,
     capture_remote,
     get_registry,
@@ -456,6 +463,13 @@ _WORKER_DEATH_ERRORS = (
 )
 
 
+#: What submitting to a killed or closed host raises, for either host type.
+_DEAD_HOST = (
+    "worker host is dead (killed or closed); restore it from a snapshot "
+    "before submitting more calls"
+)
+
+
 class _HostFuture:
     """A host call's future with worker death translated to a typed error.
 
@@ -627,11 +641,7 @@ class WorkerHost:
         never a raw ``BrokenProcessPool``/``EOFError``.
         """
         if self._pool is None:
-            raise WorkerDiedError(
-                "worker host is dead (killed or closed); restore it from a "
-                "snapshot before submitting more calls",
-                exit_code=self._exit_code,
-            )
+            raise WorkerDiedError(_DEAD_HOST, exit_code=self._exit_code)
         config = worker_config() if observed else None
         try:
             return _HostFuture(
@@ -671,3 +681,84 @@ class WorkerHost:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+
+
+class LocalHost:
+    """:class:`WorkerHost`'s surface with the hosted state in this process.
+
+    ``build`` runs here, once, and :meth:`submit` runs
+    ``func(state, payload)`` at once under
+    :func:`~repro.observability.capture_remote` — so a call hands back
+    the same envelope (or bare result) a worker would, and a coordinator
+    written against ``WorkerHost`` runs unchanged.  The returned future
+    is already finished: an exception raised by the hosted call surfaces
+    from ``result()``, never from ``submit``, just as it would from a
+    worker.  ``build`` and ``func`` need not be picklable, which is why
+    serial sharded serving runs on this host.
+
+    There is no process: :meth:`pids` is empty, :meth:`poll` and
+    :attr:`exit_code` are ``None``, and a host is alive (and answers
+    :meth:`ping`) until :meth:`kill` or :meth:`close` drops its state.
+    """
+
+    def __init__(self, build: Callable):
+        self._state = build()
+        self._alive = True
+
+    @property
+    def alive(self) -> bool:
+        """Whether the host still holds its state."""
+        return self._alive
+
+    @property
+    def exit_code(self) -> Optional[int]:
+        """Always ``None``: an in-process host has no worker to exit."""
+        return None
+
+    def pids(self) -> list[int]:
+        """Always empty: the state lives in the calling process."""
+        return []
+
+    def poll(self) -> Optional[int]:
+        """Always ``None``; a killed host reports through :attr:`alive`."""
+        return None
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        """True exactly while the host is alive (it cannot wedge)."""
+        return self._alive
+
+    def submit(
+        self, func: Callable, payload: object = None, *, observed: bool = True
+    ) -> Future:
+        """Run ``func(state, payload)`` now; returns its finished future.
+
+        ``observed=False`` runs the call under throwaway instruments and
+        resolves to the bare result, so the caller's counters, spans and
+        events see nothing (journal replay relies on this).
+        """
+        if not self._alive:
+            raise WorkerDiedError(_DEAD_HOST)
+        future: Future = Future()
+        try:
+            value = capture_remote(worker_config(), func, self._state, payload)
+        except Exception as error:
+            future.set_exception(error)
+            return future
+        if not observed and isinstance(value, RemoteObservation):
+            value = value.result
+        future.set_result(value)
+        return future
+
+    def call(self, func: Callable, payload: object = None, *,
+             timeout: Optional[float] = None) -> object:
+        """``submit`` and wait: the hosted ``func(state, payload)`` result."""
+        return self.submit(func, payload).result(timeout=timeout)
+
+    def kill(self) -> None:
+        """Drop the hosted state; the host is dead afterwards (idempotent)."""
+        self._state = None
+        self._alive = False
+
+    def close(self) -> None:
+        """Release the hosted state (same as :meth:`kill`: nothing to drain)."""
+        self.kill()

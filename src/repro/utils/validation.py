@@ -8,6 +8,7 @@ numpy broadcasting.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence, Sized
 
 import numpy as np
@@ -19,6 +20,18 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_count(name: str, value: int, *, strict: bool = True) -> int:
+    """Validate a positive (or non-negative if not strict) integer, not a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or value < (1 if strict else 0)
+    ):
+        kind = "positive" if strict else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return value
 
 

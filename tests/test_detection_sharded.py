@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection import (
+    SHARD_MODES,
     FleetMonitor,
     CanaryPolicy,
     QuarantinePolicy,
@@ -53,6 +54,16 @@ def _score_paging(row):
 
 def _score_paging_batch(X):
     return np.full(len(X), -1.0)
+
+
+#: A reading no healthy drive reports; ``_score_batch_poisoned`` rejects it.
+_POISON = 1e9
+
+
+def _score_batch_poisoned(X):
+    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
+        raise RuntimeError("scorer rejected a poisoned drive")
+    return _score_batch(X)
 
 
 def _build_single(**kwargs):
@@ -264,6 +275,12 @@ class TestPicklableSpecs:
         with pytest.raises(ValueError):
             CanaryPolicy(soak_ticks=0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), -0.01])
+    def test_canary_policy_requires_a_finite_nonnegative_delta(self, delta):
+        # A NaN delta fails every parity check, even an identical candidate.
+        with pytest.raises(ValueError, match="max_alert_rate_delta"):
+            CanaryPolicy(max_alert_rate_delta=delta)
+
     def _fit_predictor(self, split):
         from repro.core.config import CTConfig
         from repro.core.predictor import DriveFailurePredictor
@@ -366,6 +383,28 @@ class TestGoldenParity:
             return monitor
 
         assert_states_equal(golden, _run_instrumented(build, drive))
+
+    def test_modes_converge_after_a_hosted_error(self):
+        # Every shard receives its slice before a hosted error surfaces,
+        # so both modes are left in the same state after the raise.
+        serials = [f"d{d:03d}" for d in range(40)]
+        poisoned = next(s for s in serials if shard_for(s, 2) == 0)
+        tick = {s: np.ones(N_CHANNELS) for s in serials}
+        tick[poisoned] = np.full(N_CHANNELS, _POISON)
+        outcomes = {}
+        for mode in SHARD_MODES:
+            with _build_sharded(
+                2, score_batch=_score_batch_poisoned, mode=mode
+            ) as monitor:
+                assert monitor.mode == mode
+                with pytest.raises(RuntimeError) as err:
+                    monitor.observe_fleet(0.0, tick)
+                report = monitor.health_report()
+                assert report["sharding"].pop("mode") == mode
+                outcomes[mode] = (type(err.value), str(err.value), report)
+        assert outcomes["serial"] == outcomes["process"]
+        assert outcomes["serial"][1] == "scorer rejected a poisoned drive"
+        assert outcomes["serial"][2]["watched_drives"] == len(serials)
 
     def test_pinned_feed_matches_per_tick_matrix(self):
         serials = tuple(f"p{d:02d}" for d in range(20))
@@ -628,6 +667,18 @@ class TestCanaryDeployment:
                 monitor.begin_deployment(_score_sample, canary_shards=(1,))
             with pytest.raises(RuntimeError, match="deployment"):
                 monitor.set_model(_score_sample)
+        finally:
+            monitor.close()
+
+    @pytest.mark.parametrize("canary_shards", [(0.7,), (True,), ("1",)])
+    def test_canary_shards_must_be_shard_ids(self, canary_shards):
+        monitor = self._quiet_fleet(n_shards=3)
+        try:
+            with pytest.raises(ValueError, match="canary_shards"):
+                monitor.begin_deployment(
+                    _score_sample, canary_shards=canary_shards
+                )
+            assert not monitor.deployment_active
         finally:
             monitor.close()
 

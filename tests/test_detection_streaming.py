@@ -341,6 +341,12 @@ class TestFleetMonitor:
 
 
 class TestQuarantine:
+    @pytest.mark.parametrize("fault_limit", [float("nan")])
+    def test_policy_rejects_a_limit_that_is_not_a_count(self, fault_limit):
+        # A NaN limit never compares greater, so it would never degrade.
+        with pytest.raises(ValueError, match="fault_limit"):
+            QuarantinePolicy(fault_limit=fault_limit)
+
     def _monitor(self, **kwargs):
         return FleetMonitor(
             [Feature("POH")],

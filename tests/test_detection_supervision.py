@@ -316,6 +316,20 @@ class TestPolicies:
         policy = RestartPolicy(max_restarts=2, window_ticks=8)
         assert (policy.max_restarts, policy.window_ticks) == (2, 8)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_restarts": float("nan")},
+            {"window_ticks": float("nan")},
+            {"max_restarts": 1.5},
+        ],
+    )
+    def test_restart_policy_rejects_counts_that_are_not_integers(self, kwargs):
+        # max_restarts=nan would never quarantine a flapping shard.
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            RestartPolicy(**kwargs)
+
     def test_snapshot_cadence_validates(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_every"):
             _build_supervised(2, tmp_path / "run", snapshot_every=-1)

@@ -19,7 +19,10 @@ from repro.utils.errors import (
     UnpicklableTaskWarning,
     WorkerDiedError,
 )
+from repro import observability as obs
+from repro.observability import get_event_log, get_registry
 from repro.utils.parallel import (
+    LocalHost,
     WorkerHost,
     _backoff_delay,
     resolve_n_jobs,
@@ -382,11 +385,23 @@ def _nested_knobs(state, payload):
     return (resolve_n_jobs(8), resolve_shards(8))
 
 
-class TestWorkerHost:
-    """One long-lived worker owning mutable state across calls."""
+def _raise_value_error(state, payload):
+    raise ValueError(payload)
+
+
+def _count_emit_and_add(state, payload):
+    get_registry().counter("shard.ticks", help="shard tick slices dispatched").inc()
+    get_event_log().emit("shard_snapshot", shard=0, n_drives=payload)
+    return _add_to_state(state, payload)
+
+
+class _HostCallContract:
+    """Call semantics both host types share; ``host_type`` picks the host."""
+
+    host_type = WorkerHost
 
     def test_state_persists_across_calls_in_order(self):
-        host = WorkerHost(_counter_state)
+        host = self.host_type(_counter_state)
         try:
             assert host.call(_add_to_state, 2) == 2
             assert host.call(_add_to_state, 3) == 5  # same hosted dict
@@ -398,15 +413,8 @@ class TestWorkerHost:
         with pytest.raises(RuntimeError, match="dead"):
             host.submit(_add_to_state, 1)
 
-    def test_hosted_code_cannot_fan_out_again(self):
-        host = WorkerHost(_counter_state)
-        try:
-            assert host.call(_nested_knobs) == (1, 1)
-        finally:
-            host.close()
-
     def test_kill_discards_state_and_pending_calls(self):
-        host = WorkerHost(_counter_state)
+        host = self.host_type(_counter_state)
         try:
             assert host.call(_add_to_state, 7) == 7
             host.kill()
@@ -417,8 +425,75 @@ class TestWorkerHost:
             if host.alive:
                 host.close()
 
+    def test_hosted_exception_surfaces_from_result(self):
+        host = self.host_type(_counter_state)
+        try:
+            future = host.submit(_raise_value_error, "hosted bug")
+            with pytest.raises(ValueError, match="hosted bug"):
+                future.result()
+            assert host.alive is True  # a failed call is not a dead host
+            assert host.call(_add_to_state, 1) == 1
+        finally:
+            host.close()
 
-class TestWorkerHostDeathSemantics:
+    def test_unobserved_call_leaves_parent_instruments_untouched(self):
+        registry, _, log = obs.enable()
+        host = self.host_type(_counter_state)
+        try:
+            assert host.submit(_count_emit_and_add, 4, observed=False).result() == 4
+            assert registry.snapshot()["metrics"] == {}
+            assert log.events == []
+            observed = host.submit(_count_emit_and_add, 1).result()
+            assert obs.absorb_remote(observed) == 5  # state kept the unobserved call
+            assert [e.type for e in log.events] == ["shard_snapshot"]
+        finally:
+            host.close()
+            obs.disable()
+
+
+class _HostDeathContract:
+    """Death semantics both host types share; ``host_type`` picks the host."""
+
+    host_type = WorkerHost
+
+    def test_ping_answers_health_without_raising(self):
+        host = self.host_type(_counter_state)
+        try:
+            assert host.ping(timeout=30.0) is True
+            host.kill()
+            assert host.ping() is False  # dead host: False, not an exception
+        finally:
+            if host.alive:
+                host.close()
+
+    def test_double_kill_is_idempotent(self):
+        host = self.host_type(_counter_state)
+        host.call(_add_to_state, 1)
+        host.kill()
+        host.kill()  # second kill on a dead host must be a no-op
+        assert host.alive is False
+        with pytest.raises(WorkerDiedError, match="dead"):
+            host.submit(_add_to_state, 1)
+
+    def test_submit_on_dead_host_names_the_remedy(self):
+        host = self.host_type(_counter_state)
+        host.kill()
+        with pytest.raises(WorkerDiedError, match="snapshot"):
+            host.submit(_add_to_state, 1)
+
+
+class TestWorkerHost(_HostCallContract):
+    """One long-lived worker owning mutable state across calls."""
+
+    def test_hosted_code_cannot_fan_out_again(self):
+        host = WorkerHost(_counter_state)
+        try:
+            assert host.call(_nested_knobs) == (1, 1)
+        finally:
+            host.close()
+
+
+class TestWorkerHostDeathSemantics(_HostDeathContract):
     """Satellite: SIGKILL surfaces as a typed error, never a raw pipe error."""
 
     def test_sigkill_mid_request_raises_worker_died_error(self):
@@ -456,27 +531,15 @@ class TestWorkerHostDeathSemantics:
             if host.alive:
                 host.close()
 
-    def test_ping_answers_health_without_raising(self):
-        host = WorkerHost(_counter_state)
-        try:
-            assert host.ping(timeout=30.0) is True
-            host.kill()
-            assert host.ping() is False  # dead host: False, not an exception
-        finally:
-            if host.alive:
-                host.close()
 
-    def test_double_kill_is_idempotent(self):
-        host = WorkerHost(_counter_state)
+class TestLocalHost(_HostCallContract, _HostDeathContract):
+    """The in-process host honours the same contract, with no process."""
+
+    host_type = LocalHost
+
+    def test_has_no_process_to_report(self):
+        host = LocalHost(_counter_state)
         host.call(_add_to_state, 1)
+        assert (host.pids(), host.poll(), host.exit_code) == ([], None, None)
         host.kill()
-        host.kill()  # second kill on a dead host must be a no-op
-        assert host.alive is False
-        with pytest.raises(WorkerDiedError, match="dead"):
-            host.submit(_add_to_state, 1)
-
-    def test_submit_on_dead_host_names_the_remedy(self):
-        host = WorkerHost(_counter_state)
-        host.kill()
-        with pytest.raises(WorkerDiedError, match="snapshot"):
-            host.submit(_add_to_state, 1)
+        assert (host.poll(), host.exit_code) == (None, None)

@@ -6,6 +6,7 @@ import pytest
 from repro.utils.validation import (
     check_1d,
     check_2d,
+    check_count,
     check_fraction,
     check_in_choices,
     check_matching_length,
@@ -29,6 +30,22 @@ class TestCheckPositive:
     def test_rejects_negative_always(self):
         with pytest.raises(ValueError):
             check_positive("x", -1, strict=False)
+
+
+class TestCheckCount:
+    def test_accepts_integers(self):
+        assert check_count("n", 3) == 3
+        assert check_count("n", np.int64(2)) == 2
+        assert check_count("n", 0, strict=False) == 0
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, float("nan"), True, "1"])
+    def test_rejects_non_counts(self, value):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            check_count("n", value)
+
+    def test_non_strict_names_the_bound(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            check_count("n", -1, strict=False)
 
 
 class TestCheckFraction:
