@@ -616,8 +616,9 @@ def _journal_bench_features():
 def test_micro_supervised_journal_overhead(shard_bench_results, tmp_path):
     """The write-ahead tick journal costs at most 2x sustained throughput.
 
-    Self-healing is paid for per tick: every collection tick writes a
-    matrix sidecar plus a JSONL line before dispatch.  This measures a
+    Self-healing is paid for per tick: every collection tick writes its
+    pickled per-shard call list as a sidecar plus a JSONL line before
+    dispatch.  This measures a
     journaled ``SupervisedShardedMonitor`` against an unjournaled
     ``ShardedFleetMonitor`` on the same serial-mode stream (same shard
     compute, the delta is the journal), with the snapshot cadence pushed

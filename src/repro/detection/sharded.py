@@ -558,6 +558,18 @@ class ShardedFleetMonitor:
                 )
         return responses
 
+    def _dispatch_input(
+        self, calls: list[tuple[int, Callable, object]], *, tick: bool
+    ) -> list[tuple[int, object]]:
+        """Dispatch calls that change what a shard serves: pins and ticks.
+
+        Every roster/feed pin and every tick slice goes through here,
+        so a subclass sees exactly the ``(shard, func, payload)`` calls
+        the shards were sent; ``tick`` says which of the two it is.
+        ``SupervisedShardedMonitor`` journals them here before they run.
+        """
+        return self._raw_dispatch(calls)
+
     def _handle_shard_death(
         self, sid: int, func: Callable, payload: object, error: WorkerDiedError
     ) -> object:
@@ -582,6 +594,15 @@ class ShardedFleetMonitor:
             sid for sid in range(self.n_shards) if sid not in self._quarantined
         ]
 
+    def _check_shard(self, shard: int, name: str = "shard") -> int:
+        """Validate a shard id: an integer (not a bool) in ``range(n_shards)``."""
+        check_count(name, shard, strict=False)
+        if shard >= self.n_shards:
+            raise ValueError(
+                f"{name} {shard!r} is outside 0..{self.n_shards - 1}"
+            )
+        return int(shard)
+
     def kill_shard(self, shard: int) -> None:
         """Kill one shard's host without warning (chaos/testing hook).
 
@@ -590,7 +611,7 @@ class ShardedFleetMonitor:
         :class:`~repro.utils.errors.WorkerDiedError` (or triggers
         supervised recovery).
         """
-        self._hosts[shard].kill()
+        self._hosts[self._check_shard(shard)].kill()
 
     def quarantine_shard(self, shard: int) -> None:
         """Permanently stop dispatching to one shard (degraded mode).
@@ -601,7 +622,7 @@ class ShardedFleetMonitor:
         last resort when a shard keeps flapping; the base class exposes
         it for operators who want to cut a shard loose by hand.
         """
-        shard = int(shard)
+        shard = self._check_shard(shard)
         if shard in self._quarantined:
             return
         self._quarantined.add(shard)
@@ -689,7 +710,7 @@ class ShardedFleetMonitor:
             (sid, _shard_pin, {"roster": self._sub_rosters[sid]})
             for sid in self._active_shards()
         ]
-        for _, envelope in self._raw_dispatch(calls):
+        for _, envelope in self._dispatch_input(calls, tick=False):
             self._absorb(envelope)
         return roster
 
@@ -719,7 +740,7 @@ class ShardedFleetMonitor:
             )
             for sid in self._active_shards()
         ]
-        for _, envelope in self._raw_dispatch(calls):
+        for _, envelope in self._dispatch_input(calls, tick=False):
             self._absorb(envelope)
         self._feed_pinned = True
 
@@ -831,7 +852,7 @@ class ShardedFleetMonitor:
                 )
             )
         if single:
-            responses = self._raw_dispatch(calls)
+            responses = self._dispatch_input(calls, tick=True)
             self._last_hour = float(hour) if np.isfinite(hour) else self._last_hour
             return self._merge_tick(responses, pos, duplicates, items, dup_counts)
         return self._instrumented_tick(
@@ -859,7 +880,7 @@ class ShardedFleetMonitor:
         registry = get_registry()
         start = perf_counter() if registry.enabled else 0.0
         with get_tracer().span("serve.tick", category="serve", n_drives=n_drives):
-            responses = self._raw_dispatch(calls)
+            responses = self._dispatch_input(calls, tick=True)
             alerts = self._merge_tick(
                 responses, pos, duplicates, items, dup_counts or {},
                 shard_sizes=shard_sizes,
@@ -1072,15 +1093,10 @@ class ShardedFleetMonitor:
         if self._deployment is not None:
             raise RuntimeError("a canary deployment is already in flight")
         canaries = frozenset(
-            int(check_count("canary_shards entry", sid, strict=False))
-            for sid in canary_shards
+            self._check_shard(sid, "canary_shards entry") for sid in canary_shards
         )
         if not canaries:
             raise ValueError("canary_shards must name at least one shard")
-        if not canaries.issubset(range(self.n_shards)):
-            raise ValueError(
-                f"canary_shards {sorted(canaries)} outside 0..{self.n_shards - 1}"
-            )
         if len(canaries) == self.n_shards:
             raise ValueError(
                 "canary_shards covers every shard; a deployment needs a "
@@ -1213,6 +1229,7 @@ class ShardedFleetMonitor:
         self, shard: int, store: Union[str, Path, JsonCheckpoint]
     ) -> JsonCheckpoint:
         """Persist one shard's full state into a ``shard-snapshot`` checkpoint."""
+        shard = self._check_shard(shard)
         store = self._open_store(store)
         state = self._export_shard(shard)
         store.set(f"shard-{shard}", encode_object(state))
@@ -1252,6 +1269,7 @@ class ShardedFleetMonitor:
         snapshot blob — the resumed shard continues the stream
         bit-identically from the snapshot point.
         """
+        shard = self._check_shard(shard)
         store = self._open_store(store)
         cell = store.get(f"shard-{shard}")
         if cell is None:

@@ -18,16 +18,17 @@ hand, and every tick since the last snapshot is silently gone.
   :class:`~repro.utils.errors.WorkerDiedError` and are handled at the
   same place.
 * **Write-ahead tick journal** — :class:`TickJournal` records every
-  tick payload (and the roster/feed context it depends on) *before* it
-  is dispatched: schema-tagged JSONL (``repro.tick-journal/v1``) with
-  ``.npy`` sidecars for matrices, fsync'd per append, torn-tail
-  tolerant on read.  Periodic snapshots through
-  :class:`~repro.utils.checkpoint.JsonCheckpoint` truncate it, so the
-  journal only ever holds the ticks since the last snapshot.
+  tick and pin dispatch *before* it runs, as the ``(shard, func,
+  payload)`` calls the shards are sent: schema-tagged JSONL
+  (``repro.tick-journal/v2``) naming one pickled ``.pkl`` sidecar per
+  dispatch, fsync'd per append, torn-tail tolerant on read.  Periodic
+  snapshots through :class:`~repro.utils.checkpoint.JsonCheckpoint`
+  truncate it, so the journal only ever holds the ticks since the last
+  snapshot.
 * **Recovery** — on a dead shard the supervisor respawns a fresh
   worker from the latest snapshot (or from the shard spec when none
-  exists yet) and deterministically replays the journaled ticks for
-  that shard, with observability suppressed so nothing is
+  exists yet) and re-submits that shard's journaled calls verbatim, in
+  order, with observability suppressed so nothing is
   double-counted.  Because the coordinator itself never died, its
   merged alerts/faults/events already include every completed tick;
   replay only rebuilds *shard-side* state — and the result is
@@ -51,7 +52,6 @@ section in :meth:`SupervisedShardedMonitor.health_report`.  See
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import pickle
@@ -59,25 +59,16 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-import numpy as np
-
-from repro.detection.sharded import (
-    ShardedFleetMonitor,
-    _partition_roster,
-    _ShardBuilder,
-    _shard_pin,
-    _shard_tick,
-    _split_tick,
-)
+from repro.detection.sharded import ShardedFleetMonitor, _ShardBuilder, _shard_tick
 from repro.observability import get_event_log, get_registry
 from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND, JsonCheckpoint
 from repro.utils.errors import TornEventLogWarning, WorkerDiedError
 from repro.utils.validation import check_count
 
 #: Schema tag on the journal's JSONL header line.
-TICK_JOURNAL_SCHEMA = "repro.tick-journal/v1"
+TICK_JOURNAL_SCHEMA = "repro.tick-journal/v2"
 
 SHARD_RECOVERIES_HELP = "shard workers respawned after an unexpected death"
 SHARD_REPLAYED_HELP = "journaled tick slices replayed into recovered shards"
@@ -104,18 +95,16 @@ class RestartPolicy:
 
 
 class TickJournal:
-    """Append-only write-ahead log of everything a shard needs to replay.
+    """Append-only write-ahead log of the calls every shard was sent.
 
-    One JSONL file (header line ``{"schema": "repro.tick-journal/v1"}``)
-    plus a ``<path>.d/`` sidecar directory holding matrices as ``.npy``
-    files.  Entry kinds:
-
-    * ``register`` — a tick roster was fixed (the serial list, inline);
-    * ``pin`` — a fleet feed matrix was pinned (sidecar);
-    * ``tick`` — one collection tick: ``mode="matrix"`` carries the full
-      fleet matrix as a sidecar (or ``pinned: true`` for pinned-feed
-      ticks), ``mode="fleet"`` carries the normalized
-      ``(items, duplicates)`` payload as a base64 pickle inline.
+    One JSONL file (header line ``{"schema": "repro.tick-journal/v2"}``)
+    plus a ``<path>.d/`` sidecar directory.  Each entry is one dispatch:
+    the ``(shard, func, payload)`` call list the coordinator handed to
+    its shards, pickled into a ``NNNNNN.pkl`` sidecar, and a line
+    ``{"sidecar": "NNNNNN.pkl", "tick": true}`` naming it.  ``tick`` is
+    false for roster/feed pins and true for collection ticks.  Recovery
+    re-submits one shard's calls in order, so only
+    :mod:`repro.detection.sharded` knows what a payload looks like.
 
     Durability contract (``fsync=True``, the default): a sidecar is
     written and fsync'd *before* the line referencing it, and each line
@@ -126,110 +115,41 @@ class TickJournal:
     the final line raises.
 
     The journal is per-run: construction truncates ``path``.  After a
-    snapshot, :meth:`reset` truncates again and re-seeds the roster/pin
-    context entries the post-snapshot ticks depend on.
+    snapshot, :meth:`reset` truncates again and re-seeds the last pin
+    dispatch, which post-snapshot ticks depend on.
     """
 
     def __init__(self, path: Union[str, Path], *, fsync: bool = True):
         self.path = Path(path)
         self.sidecar_dir = Path(str(self.path) + ".d")
         self._fsync = bool(fsync)
-        self._seq = 0
-        self.tick_count = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.sidecar_dir.mkdir(parents=True, exist_ok=True)
-        for stale in self.sidecar_dir.glob("*.npy"):
-            stale.unlink()
-        self._handle = self.path.open("w")
-        self._write_line({"schema": TICK_JOURNAL_SCHEMA})
+        self._handle = None
+        self.reset()
+
+    def _sync(self, handle) -> None:
+        handle.flush()
+        if self._fsync:
+            os.fsync(handle.fileno())
 
     def _write_line(self, line: dict) -> None:
-        self._handle.write(json.dumps(line, separators=(", ", ": ")) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        self._handle.write(json.dumps(line) + "\n")
+        self._sync(self._handle)
 
-    def _write_sidecar(self, matrix: np.ndarray) -> str:
-        name = f"{self._seq:06d}.npy"
+    def append(self, calls: list, *, tick: bool) -> None:
+        """Record one dispatch's call list, sidecar first (write-ahead order)."""
+        name = f"{self._seq:06d}.pkl"
         self._seq += 1
-        target = self.sidecar_dir / name
-        with target.open("wb") as handle:
-            np.save(handle, np.ascontiguousarray(matrix))
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        return name
-
-    # -- appends ---------------------------------------------------------------
-
-    def append_register(
-        self, roster_id: int, roster: Sequence[str]
-    ) -> None:
-        """Record a roster registration (context for later matrix ticks)."""
-        self._write_line({
-            "kind": "register",
-            "roster_id": int(roster_id),
-            "roster": list(roster),
-        })
-
-    def append_pin(self, roster_id: int, matrix: np.ndarray) -> None:
-        """Record a pinned fleet feed (context for ``pinned`` ticks)."""
-        sidecar = self._write_sidecar(matrix)
-        self._write_line({
-            "kind": "pin", "roster_id": int(roster_id), "sidecar": sidecar,
-        })
-
-    def append_tick_matrix(
-        self,
-        hour: float,
-        roster_id: int,
-        *,
-        matrix: Optional[np.ndarray] = None,
-        pinned: bool = False,
-    ) -> None:
-        """Record one matrix-path tick, sidecar first (write-ahead order)."""
-        line: dict = {
-            "kind": "tick", "mode": "matrix",
-            "hour": float(hour), "roster_id": int(roster_id),
-        }
-        if pinned:
-            line["pinned"] = True
-        else:
-            line["sidecar"] = self._write_sidecar(matrix)
-        self._write_line(line)
-        self.tick_count += 1
-
-    def append_tick_fleet(
-        self, hour: float, items: list, duplicates: list, single: bool = False
-    ) -> None:
-        """Record one normalized fleet tick (items inline, pickled)."""
-        blob = base64.b64encode(
-            pickle.dumps(
-                (items, duplicates), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        ).decode("ascii")
-        line: dict = {
-            "kind": "tick", "mode": "fleet", "hour": float(hour), "blob": blob,
-        }
-        if single:
-            line["single"] = True
-        self._write_line(line)
-        self.tick_count += 1
-
-    # -- reads -----------------------------------------------------------------
-
-    def _load_entry(self, line: dict) -> dict:
-        entry = dict(line)
-        if "sidecar" in entry:
-            entry["matrix"] = np.load(self.sidecar_dir / entry["sidecar"])
-        if "blob" in entry:
-            items, duplicates = pickle.loads(base64.b64decode(entry["blob"]))
-            entry["items"] = items
-            entry["duplicates"] = duplicates
-        return entry
+        with (self.sidecar_dir / name).open("wb") as handle:
+            pickle.dump(calls, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            self._sync(handle)
+        self._write_line({"sidecar": name, "tick": bool(tick)})
+        if tick:
+            self.tick_count += 1
 
     def entries(self, *, tolerant: bool = True) -> list[dict]:
-        """Every journal entry with payloads loaded, in append order.
+        """Every journal line with its ``calls`` loaded, in append order.
 
         ``tolerant=True`` (the default — this *is* the crash-recovery
         read) drops a torn final line with a
@@ -262,7 +182,8 @@ class TickJournal:
                         f"{self.path}:{number}: missing "
                         f"{TICK_JOURNAL_SCHEMA!r} header line"
                     )
-                entry = self._load_entry(line)
+                with (self.sidecar_dir / line["sidecar"]).open("rb") as handle:
+                    line["calls"] = pickle.load(handle)
             except (json.JSONDecodeError, FileNotFoundError) as error:
                 if tolerant and last:
                     warnings.warn(
@@ -277,39 +198,29 @@ class TickJournal:
                 raise ValueError(
                     f"{self.path}:{number}: corrupt journal entry: {error}"
                 ) from error
-            loaded.append(entry)
+            loaded.append(line)
         return loaded
 
-    # -- rotation --------------------------------------------------------------
-
-    def reset(
-        self,
-        *,
-        roster_id: int = 0,
-        roster: Optional[Sequence[str]] = None,
-        pin: Optional[np.ndarray] = None,
-    ) -> None:
-        """Truncate after a snapshot, re-seeding the live context.
+    def reset(self, calls: Optional[list] = None) -> None:
+        """Truncate after a snapshot, re-seeding the last pin dispatch.
 
         The snapshot owns everything up to now; the fresh journal only
-        needs the roster registration and pinned feed (when any) that
-        post-snapshot ticks will replay against.
+        needs the roster/feed pin calls (when any) that post-snapshot
+        ticks will replay against.
         """
-        self._handle.close()
-        for stale in self.sidecar_dir.glob("*.npy"):
+        self.close()
+        for stale in self.sidecar_dir.iterdir():
             stale.unlink()
         self._seq = 0
         self.tick_count = 0
         self._handle = self.path.open("w")
         self._write_line({"schema": TICK_JOURNAL_SCHEMA})
-        if roster is not None:
-            self.append_register(roster_id, roster)
-        if pin is not None:
-            self.append_pin(roster_id, pin)
+        if calls is not None:
+            self.append(calls, tick=False)
 
     def close(self) -> None:
         """Close the journal file handle (entries stay readable)."""
-        if not self._handle.closed:
+        if self._handle is not None and not self._handle.closed:
             self._handle.close()
 
 
@@ -336,8 +247,6 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         journal_fsync: fsync journal appends (default True — the
             durability mode the crash story assumes; turn off only for
             throughput experiments).
-        durable_snapshots: fsync snapshot checkpoint writes (default
-            True).
         **kwargs: Everything :class:`ShardedFleetMonitor` accepts.
     """
 
@@ -348,29 +257,23 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         snapshot_every: int = 256,
         restart_policy: RestartPolicy = RestartPolicy(),
         journal_fsync: bool = True,
-        durable_snapshots: bool = True,
         **kwargs,
     ):
+        self.snapshot_every = check_count(
+            "snapshot_every", snapshot_every, strict=False
+        )
         super().__init__(*args, **kwargs)
-        if snapshot_every < 0:
-            raise ValueError(
-                f"snapshot_every must be >= 0, got {snapshot_every}"
-            )
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.snapshot_every = int(snapshot_every)
         self.restart_policy = restart_policy
         self._journal = TickJournal(
             self.run_dir / "journal.jsonl", fsync=journal_fsync
         )
         self._snapshot_store = JsonCheckpoint(
-            self.run_dir / "snapshot.json",
-            kind=SHARD_SNAPSHOT_KIND,
-            durable=durable_snapshots,
+            self.run_dir / "snapshot.json", kind=SHARD_SNAPSHOT_KIND, durable=True
         )
         self._tick_index = 0
-        self._roster_id = 0
-        self._context_pin: Optional[np.ndarray] = None
+        self._pin_calls: Optional[list] = None
         self._restarts: dict[int, deque] = {}
         self.recoveries = 0
         self.replayed_ticks = 0
@@ -389,25 +292,16 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
 
     # -- journaled ingestion ---------------------------------------------------
 
-    def register_fleet(self, serials) -> tuple[str, ...]:
-        roster = tuple(serials)
-        self._roster_id += 1
-        self._context_pin = None
-        self._journal.append_register(self._roster_id, roster)
-        return super().register_fleet(roster)
-
-    def pin_feed(self, values: np.ndarray) -> None:
-        matrix = self._check_matrix(values)
-        self._journal.append_pin(self._roster_id, matrix)
-        self._context_pin = matrix
-        super().pin_feed(matrix)
+    def _dispatch_input(self, calls, *, tick):
+        # Write-ahead: the calls are on disk before any shard runs them.
+        self._journal.append(calls, tick=tick)
+        if not tick:
+            self._pin_calls = calls
+        return super()._dispatch_input(calls, tick=tick)
 
     def _tick(self, hour, items, duplicates, single=False):
-        # Every normalizing ingestion path (observe, observe_fleet, the
-        # observe_tick fallbacks) funnels through here: probe, journal
-        # the write-ahead entry, then dispatch.
+        # Probe first: a shard quarantined by the probe gets no call.
         self.probe_shards()
-        self._journal.append_tick_fleet(hour, items, duplicates, single)
         alerts = super()._tick(hour, items, duplicates, single)
         if single:
             self._after_tick()
@@ -419,21 +313,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         return alerts
 
     def observe_tick(self, hour, values=None, serials=None):
-        if serials is None and self._roster is not None and self._partition is not None:
-            # The partitioned matrix fast path dispatches without going
-            # through _tick, so it gets its own write-ahead entry.
-            self.probe_shards()
-            if values is None and not self._feed_pinned:
-                raise ValueError(
-                    "no pinned feed: pass values= or call pin_feed() first"
-                )
-            matrix = self._check_matrix(values) if values is not None else None
-            self._journal.append_tick_matrix(
-                hour, self._roster_id, matrix=matrix, pinned=matrix is None,
-            )
-            return super().observe_tick(hour, matrix, None)
-        # Explicit-roster and duplicate-roster paths normalize into
-        # _tick, which journals them as fleet entries.
+        self.probe_shards()
         return super().observe_tick(hour, values, serials)
 
     def finalize(self):
@@ -476,11 +356,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
                 # A shard burned its restart budget mid-snapshot and was
                 # quarantined; retry covers the remaining live shards.
                 continue
-        self._journal.reset(
-            roster_id=self._roster_id,
-            roster=self._roster,
-            pin=self._context_pin if self._feed_pinned else None,
-        )
+        self._journal.reset(self._pin_calls)
         return self._snapshot_store
 
     def set_model(self, *args, **kwargs) -> int:
@@ -611,7 +487,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         )
 
     def _replay_shard(self, sid: int, *, exclude_in_flight: bool) -> int:
-        """Deterministically re-run the journal's slice for one shard.
+        """Re-submit every journaled call for one shard, in order.
 
         Observability is suppressed for every replayed call (the
         original run already counted these ticks); only shard-side
@@ -619,60 +495,21 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         executed on the shard.
         """
         entries = self._journal.entries()
-        if exclude_in_flight and entries and entries[-1]["kind"] == "tick":
+        if exclude_in_flight and entries and entries[-1]["tick"]:
             # The dying dispatch's tick was journaled (write-ahead) but
             # never merged; _handle_shard_death re-submits it through
             # the observed path instead.
             entries = entries[:-1]
-        n = self.n_shards
-        partition: Optional[np.ndarray] = None
         replayed = 0
         for entry in entries:
-            kind = entry["kind"]
-            if kind == "register":
-                partitions, sub_rosters = _partition_roster(entry["roster"], n)
-                partition = partitions[sid]
-                self._replay_call(sid, _shard_pin, {"roster": sub_rosters[sid]})
-            elif kind == "pin":
-                if partition is None:
-                    raise ValueError(
-                        f"{self._journal.path}: pin entry without a "
-                        f"preceding register entry"
-                    )
-                self._replay_call(
-                    sid, _shard_pin, {"feed": entry["matrix"][partition]}
-                )
-            elif kind == "tick":
-                if entry["mode"] == "fleet":
-                    per_items, per_dups = _split_tick(
-                        entry["items"], entry["duplicates"], n
-                    )
-                    items, duplicates = per_items[sid], per_dups[sid]
-                    if not items and not duplicates:
-                        continue
-                    payload = {
-                        "hour": entry["hour"],
-                        "shard": sid,
-                        "items": items,
-                        "duplicates": duplicates,
-                        "single": bool(entry.get("single")),
-                    }
-                else:
-                    if partition is None or len(partition) == 0:
-                        continue
-                    payload = {"hour": entry["hour"], "shard": sid}
-                    if entry.get("pinned"):
-                        payload["pinned"] = True
-                    else:
-                        payload["matrix"] = entry["matrix"][partition]
-                self._replay_call(sid, _shard_tick, payload)
+            calls = [call for call in entry["calls"] if call[0] == sid]
+            for _, func, payload in calls:
+                # observed=False: the call runs under throwaway instruments
+                # and resolves to the bare result, so the parent sees nothing.
+                self._hosts[sid].submit(func, payload, observed=False).result()
+            if calls and entry["tick"]:
                 replayed += 1
         return replayed
-
-    def _replay_call(self, sid: int, func, payload) -> None:
-        # observed=False: the call runs under throwaway instruments and
-        # resolves to the bare result, so the parent sees nothing.
-        self._hosts[sid].submit(func, payload, observed=False).result()
 
     # -- reporting -------------------------------------------------------------
 

@@ -575,6 +575,27 @@ class TestKillAndResume:
         assert resumed_shard0 == golden_shard0
         monitor.close()
 
+    @pytest.mark.parametrize("shard", [-1, True, 3])
+    @pytest.mark.parametrize(
+        "method", ["kill_shard", "quarantine_shard", "snapshot_shard", "restore_shard"]
+    )
+    def test_shard_ids_are_validated(self, tmp_path, method, shard):
+        monitor = _build_sharded(3)
+        try:
+            records = {f"d{d}": np.ones(N_CHANNELS) for d in range(9)}
+            monitor.observe_fleet(0.0, records)
+            store = monitor.snapshot(tmp_path / "snap.json")
+            args = (store,) if method in ("snapshot_shard", "restore_shard") else ()
+            with pytest.raises(ValueError, match="shard"):
+                getattr(monitor, method)(shard, *args)
+            # The rejected id touched no shard: serving goes on.
+            assert monitor.quarantined_shards == []
+            monitor.observe_fleet(1.0, records)
+            assert monitor.health_report()["watched_drives"] == len(records)
+            assert f"shard-{shard}" not in store
+        finally:
+            monitor.close()
+
     def test_restore_missing_cells_raise(self, tmp_path):
         monitor = _build_sharded(2)
         monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS)})

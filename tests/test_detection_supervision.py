@@ -33,6 +33,7 @@ from repro.detection import (
     VoterSpec,
     shard_for,
 )
+from repro.detection.sharded import _shard_pin, _shard_tick
 from repro.detection.supervision import TICK_JOURNAL_SCHEMA
 from repro.features.vectorize import Feature
 from repro.observability import disable_metrics, enable_metrics, get_registry
@@ -200,33 +201,54 @@ def _finish(monitor, stream):
     monitor.resolve_outcome("d001", failed=False)
 
 
+def _calls_equal(left, right):
+    """Deep equality of call lists, with array equality for payloads."""
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.array_equal(left, right, equal_nan=True)
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _calls_equal(left[k], right[k]) for k in left
+        )
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        return len(left) == len(right) and all(
+            _calls_equal(a, b) for a, b in zip(left, right)
+        )
+    return left == right
+
+
 class TestTickJournal:
     def _matrix(self, rows=4, seed=0):
         return np.random.default_rng(seed).normal(size=(rows, N_CHANNELS))
 
+    def _pin(self, roster=("a", "b", "c", "d"), feed=None):
+        payload = {"roster": roster}
+        if feed is not None:
+            payload["feed"] = feed
+        return [(0, _shard_pin, payload)]
+
+    def _tick(self, hour, **payload):
+        return [(0, _shard_tick, {"hour": hour, "shard": 0, **payload})]
+
     def test_entries_round_trip_every_kind(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
         feed = self._matrix()
-        journal.append_register(1, ("a", "b", "c", "d"))
-        journal.append_pin(1, feed)
-        journal.append_tick_matrix(0.0, 1, matrix=feed)
-        journal.append_tick_matrix(1.0, 1, pinned=True)
         items = [("a", np.ones(N_CHANNELS))]
-        journal.append_tick_fleet(2.0, items, ["a"], single=True)
+        appended = [
+            (self._pin(), False),
+            (self._pin(feed=feed), False),
+            (self._tick(0.0, matrix=feed), True),
+            (self._tick(1.0, pinned=True), True),
+            (self._tick(2.0, items=items, duplicates=["a"], single=True), True),
+        ]
+        for calls, tick in appended:
+            journal.append(calls, tick=tick)
         journal.close()
 
         entries = journal.entries()
-        assert [e["kind"] for e in entries] == [
-            "register", "pin", "tick", "tick", "tick",
-        ]
-        assert entries[0]["roster"] == ["a", "b", "c", "d"]
-        assert np.array_equal(entries[1]["matrix"], feed)
-        assert np.array_equal(entries[2]["matrix"], feed)
-        assert entries[3]["pinned"] is True
-        assert entries[4]["items"][0][0] == "a"
-        assert np.array_equal(entries[4]["items"][0][1], np.ones(N_CHANNELS))
-        assert entries[4]["duplicates"] == ["a"]
-        assert entries[4]["single"] is True
+        assert [e["tick"] for e in entries] == [tick for _, tick in appended]
+        for entry, (calls, _) in zip(entries, appended):
+            assert _calls_equal(entry["calls"], calls)
+        assert entries[2]["calls"][0][1] is _shard_tick
         assert journal.tick_count == 3
 
     def test_header_line_is_schema_tagged(self, tmp_path):
@@ -246,37 +268,40 @@ class TestTickJournal:
     def test_torn_final_line_dropped_under_warning(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = TickJournal(path)
-        journal.append_register(1, ("a",))
-        journal.append_tick_fleet(0.0, [("a", np.ones(N_CHANNELS))], [])
+        journal.append(self._pin(("a",)), tick=False)
+        journal.append(
+            self._tick(0.0, items=[("a", np.ones(N_CHANNELS))], duplicates=[]),
+            tick=True,
+        )
         journal.close()
         with path.open("a") as handle:
-            handle.write('{"kind": "tick", "mode": "fl')  # crashed mid-append
+            handle.write('{"sidecar": "000002.p')  # crashed mid-append
         with pytest.warns(TornEventLogWarning, match="torn final"):
             entries = journal.entries()
-        assert [e["kind"] for e in entries] == ["register", "tick"]
+        assert [e["tick"] for e in entries] == [False, True]
         with pytest.raises(ValueError, match="corrupt"):
             journal.entries(tolerant=False)
 
     def test_missing_final_sidecar_treated_as_torn(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
-        journal.append_register(1, ("a", "b", "c", "d"))
-        journal.append_tick_matrix(0.0, 1, matrix=self._matrix())
-        journal.append_tick_matrix(1.0, 1, matrix=self._matrix(seed=1))
+        journal.append(self._pin(), tick=False)
+        journal.append(self._tick(0.0, matrix=self._matrix()), tick=True)
+        journal.append(self._tick(1.0, matrix=self._matrix(seed=1)), tick=True)
         journal.close()
-        sidecars = sorted(journal.sidecar_dir.glob("*.npy"))
+        sidecars = sorted(journal.sidecar_dir.glob("*.pkl"))
         sidecars[-1].unlink()  # the crash window: line landed, bytes did not
         with pytest.warns(TornEventLogWarning):
             entries = journal.entries()
-        assert len([e for e in entries if e["kind"] == "tick"]) == 1
+        assert len([e for e in entries if e["tick"]]) == 1
 
     def test_mid_file_corruption_raises_even_when_tolerant(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = TickJournal(path)
-        journal.append_register(1, ("a",))
+        journal.append(self._pin(("a",)), tick=False)
         journal.close()
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-4]
-        lines.append('{"kind": "register", "roster_id": 2, "roster": []}')
+        lines.append('{"sidecar": "000000.pkl", "tick": false}')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt"):
             journal.entries()
@@ -284,26 +309,26 @@ class TestTickJournal:
     def test_reset_truncates_and_reseeds_context(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
         feed = self._matrix()
-        journal.append_register(1, ("a", "b", "c", "d"))
-        journal.append_tick_matrix(0.0, 1, matrix=feed)
-        journal.reset(roster_id=2, roster=("a", "b", "c", "d"), pin=feed)
+        journal.append(self._pin(), tick=False)
+        journal.append(self._tick(0.0, matrix=feed), tick=True)
+        journal.reset(self._pin(feed=feed))
         assert journal.tick_count == 0
         entries = journal.entries()
-        assert [e["kind"] for e in entries] == ["register", "pin"]
-        assert entries[0]["roster_id"] == 2
+        assert [e["tick"] for e in entries] == [False]
+        assert _calls_equal(entries[0]["calls"], self._pin(feed=feed))
         # Old tick sidecars are gone; only the re-seeded pin remains.
-        assert len(list(journal.sidecar_dir.glob("*.npy"))) == 1
+        assert len(list(journal.sidecar_dir.glob("*.pkl"))) == 1
         journal.close()
 
     def test_construction_truncates_a_previous_run(self, tmp_path):
         path = tmp_path / "j.jsonl"
         first = TickJournal(path)
-        first.append_register(1, ("a", "b", "c", "d"))
-        first.append_tick_matrix(0.0, 1, matrix=self._matrix())
+        first.append(self._pin(), tick=False)
+        first.append(self._tick(0.0, matrix=self._matrix()), tick=True)
         first.close()
         second = TickJournal(path)
         assert second.entries() == []
-        assert list(second.sidecar_dir.glob("*.npy")) == []
+        assert list(second.sidecar_dir.glob("*.pkl")) == []
         second.close()
 
 
@@ -330,9 +355,63 @@ class TestPolicies:
         with pytest.raises(ValueError, match=name):
             RestartPolicy(**kwargs)
 
-    def test_snapshot_cadence_validates(self, tmp_path):
+    @pytest.mark.parametrize("snapshot_every", [-1, 2.5, True, float("nan")])
+    def test_snapshot_cadence_validates(self, tmp_path, snapshot_every):
         with pytest.raises(ValueError, match="snapshot_every"):
-            _build_supervised(2, tmp_path / "run", snapshot_every=-1)
+            _build_supervised(2, tmp_path / "run", snapshot_every=snapshot_every)
+
+
+class TestJournalIsWhatShardsWereSent:
+    """Each shard's journaled calls are exactly the calls it received."""
+
+    def _spy(self, monitor):
+        received = {sid: [] for sid in range(monitor.n_shards)}
+        for sid, host in enumerate(monitor._hosts):
+            def submit(func, payload=None, *, observed=True,
+                       _calls=received[sid], _submit=host.submit):
+                if func in (_shard_pin, _shard_tick):
+                    _calls.append((func, payload))
+                return _submit(func, payload, observed=observed)
+
+            host.submit = submit
+        return received
+
+    def test_journal_equals_the_calls_each_shard_received(self, tmp_path):
+        rng = np.random.default_rng(5)
+        serials = tuple(f"j{d:02d}" for d in range(12))
+        monitor = _build_supervised(3, tmp_path / "run", snapshot_every=0)
+        try:
+            received = self._spy(monitor)
+            monitor.register_fleet(serials)
+            monitor.observe_tick(0.0, rng.normal(size=(12, N_CHANNELS)))
+            monitor.pin_feed(rng.normal(size=(12, N_CHANNELS)))
+            monitor.observe_tick(1.0)
+            monitor.observe_fleet(*_dirty_tick(rng, 2, 12))
+            monitor.observe("j03", 3.0, rng.normal(size=N_CHANNELS))
+            entries = monitor.journal.entries()
+        finally:
+            monitor.close()
+        assert [e["tick"] for e in entries] == [
+            False, True, False, True, True, True,
+        ]
+        journaled = {sid: [] for sid in received}
+        for entry in entries:
+            for sid, func, payload in entry["calls"]:
+                journaled[sid].append((func, payload))
+        for sid, calls in received.items():
+            assert calls, f"shard {sid} received nothing"
+            assert _calls_equal(journaled[sid], calls)
+
+    def test_rejected_pin_feed_leaves_the_journal_unchanged(self, tmp_path):
+        monitor = _build_supervised(2, tmp_path / "run")
+        try:
+            monitor.register_fleet(("a", "b", "a"))
+            before = monitor.journal.entries()
+            with pytest.raises(ValueError, match="duplicate-free"):
+                monitor.pin_feed(np.ones((3, N_CHANNELS)))
+            assert len(monitor.journal.entries()) == len(before)
+        finally:
+            monitor.close()
 
 
 class TestSerialRecoveryParity:
@@ -448,6 +527,40 @@ class TestSerialRecoveryParity:
         )
         # The journal re-pins the recovered shard's feed slice; the other
         # shard keeps its original pin — no caller-side re-pin needed.
+        assert_states_equal(golden, state)
+
+    def test_single_record_observe_recovery_parity(self, tmp_path):
+        rng = np.random.default_rng(13)
+        records = [
+            (f"d{d}", float(hour), rng.normal(size=N_CHANNELS))
+            for hour in range(15)
+            for d in range(6)
+        ]
+        kills = {10: 0, 25: 1, 41: 2}  # record -> shard to kill
+
+        def drive_clean(monitor):
+            for serial, hour, values in records:
+                monitor.observe(serial, hour, values)
+            monitor.finalize()
+
+        def drive_killed(monitor):
+            for at, (serial, hour, values) in enumerate(records):
+                if at in kills:
+                    monitor.kill_shard(kills[at])
+                monitor.observe(serial, hour, values)
+            monitor.finalize()
+            assert monitor.recoveries == len(kills)
+
+        golden = _run_instrumented(
+            lambda: _build_single(slo=SLOMonitor()), drive_clean
+        )
+        assert golden["alerts"]
+        state = _run_instrumented(
+            lambda: _build_supervised(
+                3, tmp_path / "run", slo=SLOMonitor(), snapshot_every=7
+            ),
+            drive_killed,
+        )
         assert_states_equal(golden, state)
 
 
