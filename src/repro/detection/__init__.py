@@ -20,7 +20,7 @@ This package owns that layer end to end:
   drive state, whole-tick ingest, mask gating and quarantine, one
   batched model call per tick, voting rules chosen by a
   :class:`VoterSpec`;
-* :mod:`~repro.detection.columnar` — the ring-buffer lag history and
+* :mod:`~repro.detection.columnar` — the hour-keyed lag history and
   voting matrices the monitor stores its per-drive state in;
 * :mod:`~repro.detection.sharded` — fleet-scale serving:
   :class:`ShardedFleetMonitor` partitions drives across N monitor

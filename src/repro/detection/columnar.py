@@ -7,12 +7,20 @@ tick is a handful of vectorized passes instead of ``n_drives`` python
 round-trips.  This module holds the three structures whose storage
 layout the monitor should not have to know:
 
-* :class:`_LagHistory`, a ring-buffered ``(n_drives, capacity)`` raw
-  channel history holding only the channels that change-rate features
-  look back at;
+* :class:`_LagHistory`, a sparse hour-keyed raw-channel history: one
+  block per pushed hour holding the rows pushed at that hour and only
+  the channels that change-rate features look back at.  A lag lookup
+  finds its hour with a binary search and reads one block, so its cost
+  does not grow with the change-rate interval, and a full-roster tick
+  reads its lagged values as one contiguous slice;
 * :class:`MajorityVoteMatrix` / :class:`MeanThresholdMatrix` —
   shift-left ``(n_drives, n_voters)`` voting windows whose storage order
   *is* window order, so provenance snapshots read straight out of a row.
+
+Every per-row entry point takes ``rows`` as either an index array or a
+unit-step ``slice`` of rows: the monitor passes a slice when a tick
+covers a contiguous run of rows, and the structures then read and shift
+their storage in place instead of gathering and scattering copies.
 
 The voters replicate the offline paper detectors
 (:class:`~repro.detection.voting.MajorityVoteDetector`,
@@ -25,85 +33,231 @@ rows with the exact per-row rule.
 
 from __future__ import annotations
 
-from typing import Sequence
+from bisect import bisect_left
+from typing import Sequence, Union
 
 import numpy as np
 
+#: A tick's rows: an index array, or a unit-step slice of a contiguous run.
+Rows = Union[np.ndarray, slice]
 
-class _LagHistory:
-    """Ring-buffered raw-channel history for change-rate lookback.
 
-    ``hours`` is ``(n_rows, capacity)`` with NaN marking empty slots;
-    ``values`` keeps only the channels change-rate features actually
-    read.  A slot is *live* while its hour is within ``max_lag`` of the
-    drive's newest push, so validity is decided at lookup time instead
-    of by eviction, and a push that would overwrite a live slot doubles
-    the capacity first.
+def _n_rows(rows: Rows) -> int:
+    return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+
+
+def _row_array(rows: Rows) -> np.ndarray:
+    if isinstance(rows, slice):
+        return np.arange(rows.start, rows.stop, dtype=np.intp)
+    return rows
+
+
+class _HourBlock:
+    """The rows pushed at one hour and their lag-channel values.
+
+    ``values`` is channel-major, ``(n_channels, n_rows)``.  ``rows`` is
+    a unit-step slice when the rows form a contiguous run (a row's
+    position is then ``row - first``) and a sorted index array
+    otherwise.  Pushes that land on an existing hour queue in
+    ``pending`` and are merged, once, the next time the block is read.
     """
 
-    def __init__(self, n_rows: int, channels: Sequence[int], max_lag: float):
+    __slots__ = ("hour", "rows", "values", "pending")
+
+    def __init__(self, hour: float, rows: Rows, values: np.ndarray):
+        self.hour = hour
+        self.pending: list = []
+        self._store(rows, values)
+
+    def _store(self, rows: Rows, values: np.ndarray) -> None:
+        if not isinstance(rows, slice) and rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        self.rows = rows
+        self.values = values
+
+    def settle(self) -> "_HourBlock":
+        """Merge queued same-hour pushes into the sorted rows."""
+        if self.pending:
+            parts = [(self.rows, self.values)] + self.pending
+            rows = np.concatenate([_row_array(part_rows) for part_rows, _ in parts])
+            values = np.concatenate(
+                [part_values for _, part_values in parts], axis=1
+            )
+            order = np.argsort(rows, kind="stable")
+            self.pending = []
+            self._store(rows[order], values[:, order])
+        return self
+
+    def keep(self, live: np.ndarray) -> None:
+        """Compact a settled block to the rows marked ``live``."""
+        self._store(_row_array(self.rows)[live], self.values[:, live])
+
+    def __len__(self) -> int:
+        return _n_rows(self.rows) + sum(_n_rows(rows) for rows, _ in self.pending)
+
+    def locate(self, rows: Rows):
+        """``(query positions, block positions)`` of the query rows held here.
+
+        Both are slices when a contiguous query meets a contiguous
+        block, so the lagged values come back as a view.
+        """
+        held = self.rows
+        if isinstance(held, slice):
+            if isinstance(rows, slice):
+                lo, hi = max(rows.start, held.start), min(rows.stop, held.stop)
+                hi = max(lo, hi)
+                return slice(lo - rows.start, hi - rows.start), slice(
+                    lo - held.start, hi - held.start
+                )
+            at = rows - held.start
+            hit = (at >= 0) & (at < held.stop - held.start)
+        else:
+            rows = _row_array(rows)
+            at = np.minimum(np.searchsorted(held, rows), len(held) - 1)
+            hit = held[at] == rows
+        query = np.flatnonzero(hit)
+        return query, at[query]
+
+
+class _LagHistory:
+    """Hour-keyed raw-channel history for change-rate lookback.
+
+    One :class:`_HourBlock` per pushed hour, kept in a list parallel to
+    the sorted ``hours``.  A lookup of lag hour ``L`` follows the offline
+    rule of :func:`repro.features.change_rates.change_rate`: each row
+    reads its first pushed hour at or after ``L``, and only when that
+    hour ``np.isclose``-matches ``L`` — so the candidate blocks are the
+    isclose band starting at ``bisect_left(hours, L)``, earliest first.
+
+    The history holds no per-row storage.  Eviction reads the monitor's
+    per-row newest hour: an entry ``(row, hour)`` is dead once
+    ``hour < last_hour[row] - max_lag``, since every later lag hour of
+    that row lies past it.  After each push the dead blocks at the
+    front are dropped, and whenever the block count doubles a sweep
+    drops every dead block and compacts partly-dead ones to their live
+    rows (drives that stop reporting pin the front otherwise).
+    """
+
+    def __init__(self, channels: Sequence[int], max_lag: float):
         self.channels = tuple(channels)
         self.max_lag = float(max_lag)
-        self.capacity = 8
-        self.hours = np.full((n_rows, self.capacity), np.nan)
-        self.values = np.full((n_rows, self.capacity, len(self.channels)), np.nan)
-        self.pushes = np.zeros(n_rows, dtype=np.int64)
+        self.hours: list[float] = []
+        self.blocks: list[_HourBlock] = []
+        self._sweep_at = 8
 
-    def grow_rows(self, n_rows: int) -> None:
-        extra = n_rows - self.hours.shape[0]
-        self.hours = np.concatenate(
-            [self.hours, np.full((extra, self.capacity), np.nan)]
-        )
-        self.values = np.concatenate(
-            [self.values, np.full((extra, self.capacity, len(self.channels)), np.nan)]
-        )
-        self.pushes = np.concatenate([self.pushes, np.zeros(extra, dtype=np.int64)])
+    @property
+    def n_entries(self) -> int:
+        """Retained ``(row, hour)`` entries."""
+        return sum(len(block) for block in self.blocks)
 
-    def _grow_capacity(self) -> None:
-        old = self.capacity
-        n_rows = self.hours.shape[0]
-        self.hours = np.concatenate(
-            [self.hours, np.full((n_rows, old), np.nan)], axis=1
-        )
-        self.values = np.concatenate(
-            [self.values, np.full((n_rows, old, len(self.channels)), np.nan)], axis=1
-        )
-        self.capacity = old * 2
-        # Uniform write cursor: the next push of every row lands in the
-        # first fresh slot.  Lookups rank by stored hour, never by slot
-        # position, so re-aligning cursors is safe.
-        self.pushes[:] = old
+    def push(
+        self, rows: Rows, hour: float, lag_values: np.ndarray, last_hour: np.ndarray
+    ) -> None:
+        """Record one tick's ``(n_channels, n_rows)`` lag channels.
 
-    def push(self, rows: np.ndarray, hour: float, lag_values: np.ndarray) -> None:
-        slots = self.pushes[rows] % self.capacity
-        stale = self.hours[rows, slots]
-        if np.any(np.isfinite(stale) & (stale >= hour - self.max_lag)):
-            self._grow_capacity()
-            slots = self.pushes[rows] % self.capacity
-        self.hours[rows, slots] = hour
-        self.values[rows, slots, :] = lag_values
-        self.pushes[rows] += 1
-
-    def lookup(self, rows: np.ndarray, lag_hour: float, now: float) -> np.ndarray:
-        """Lagged channel values per row; NaN where the lag hour is absent.
-
-        Only slots still within ``max_lag`` of ``now`` count,
-        ``np.isclose`` matches the lag hour, and among multiple matches
-        the oldest wins (per-drive hours are strictly increasing, so
-        oldest = smallest).
+        ``last_hour`` is the monitor's per-row newest hour, already
+        holding ``hour`` for ``rows``.
         """
-        stored = self.hours[rows]
-        live = np.isfinite(stored) & (stored >= now - self.max_lag)
-        with np.errstate(invalid="ignore"):
-            match = live & np.isclose(stored, lag_hour)
-        found = match.any(axis=1)
-        pick = np.argmin(np.where(match, stored, np.inf), axis=1)
-        out = self.values[rows, pick, :]
-        out[~found] = np.nan
+        if not isinstance(rows, slice) and len(rows) > 1 and np.any(rows[1:] < rows[:-1]):
+            order = np.argsort(rows)
+            rows, lag_values = rows[order], lag_values[:, order]
+        at = bisect_left(self.hours, hour)
+        if at < len(self.hours) and self.hours[at] == hour:
+            self.blocks[at].pending.append((rows, lag_values))
+        else:
+            self.hours.insert(at, hour)
+            self.blocks.insert(at, _HourBlock(hour, rows, lag_values))
+        self._evict(last_hour)
+
+    def _dead(self, block: _HourBlock, last_hour: np.ndarray) -> np.ndarray:
+        """Per-row death mask of a settled block."""
+        return block.hour < last_hour[block.rows] - self.max_lag
+
+    def _evict(self, last_hour: np.ndarray) -> None:
+        front = 0
+        while front < len(self.blocks) and self._dead(
+            self.blocks[front].settle(), last_hour
+        ).all():
+            front += 1
+        del self.hours[:front], self.blocks[:front]
+        if len(self.blocks) < self._sweep_at:
+            return
+        kept = []
+        for block in self.blocks:
+            dead = self._dead(block.settle(), last_hour)
+            if dead.all():
+                continue
+            if dead.any():
+                block.keep(~dead)
+            kept.append(block)
+        self.blocks = kept
+        self.hours = [block.hour for block in kept]
+        self._sweep_at = max(2 * len(kept), 8)
+
+    def lookup(self, rows: Rows, lag_hour: float) -> np.ndarray:
+        """Lagged ``(n_channels, n_rows)`` values; NaN where the lag hour is absent.
+
+        Returns a view of the block's storage when one contiguous block
+        covers a contiguous query (callers only read it).
+        """
+        tolerance = 1e-08 + 1e-05 * abs(lag_hour)  # np.isclose defaults
+        at = bisect_left(self.hours, lag_hour)
+        band = []
+        while at < len(self.hours) and abs(self.hours[at] - lag_hour) <= tolerance:
+            band.append(self.blocks[at].settle())
+            at += 1
+        n = _n_rows(rows)
+        out = np.full((len(self.channels), n), np.nan) if len(band) != 1 else None
+        # Latest block first, so a row's earliest matching hour wins.
+        for block in reversed(band):
+            query, held = block.locate(rows)
+            if out is None:
+                if isinstance(query, slice) and query.stop - query.start == n:
+                    return block.values[:, held]
+                out = np.full((len(self.channels), n), np.nan)
+            out[:, query] = block.values[:, held]
         return out
 
 
-class MajorityVoteMatrix:
+class _WindowMatrix:
+    """Shift-left ``(n_rows, n_voters)`` windows plus per-row fill lengths.
+
+    Subclasses name the unfilled-slot marker ``_fill`` and its ``_dtype``.
+    """
+
+    _fill: float
+    _dtype: type
+
+    def __init__(self, n_voters: int, n_rows: int):
+        self.n_voters = int(n_voters)
+        self.window = np.full((n_rows, self.n_voters), self._fill, dtype=self._dtype)
+        self.length = np.zeros(n_rows, dtype=np.int64)
+
+    def grow_rows(self, n_rows: int) -> None:
+        extra = n_rows - self.window.shape[0]
+        self.window = np.concatenate([
+            self.window,
+            np.full((extra, self.n_voters), self._fill, dtype=self._dtype),
+        ])
+        self.length = np.concatenate([self.length, np.zeros(extra, dtype=np.int64)])
+
+    def _shift_in(self, rows: Rows, column: np.ndarray) -> tuple:
+        """Append one column to the rows' windows; return them and a full mask.
+
+        A slice shifts the storage in place; an index array gathers,
+        shifts and scatters back.
+        """
+        window = self.window[rows]
+        window[:, :-1] = window[:, 1:]
+        window[:, -1] = column
+        if not isinstance(rows, slice):
+            self.window[rows] = window
+        length = np.minimum(self.length[rows] + 1, self.n_voters)
+        self.length[rows] = length
+        return window, length == self.n_voters
+
+
+class MajorityVoteMatrix(_WindowMatrix):
     """Streaming :class:`~repro.detection.voting.MajorityVoteDetector`, fleet-wide.
 
     ``push`` alarms the first time a row's trailing window holds a
@@ -114,28 +268,17 @@ class MajorityVoteMatrix:
     window order (oldest first), so provenance reads a row verbatim.
     """
 
+    _fill, _dtype = -1, np.int8
+
     def __init__(self, n_voters: int, failed_label: float, n_rows: int):
-        self.n_voters = int(n_voters)
+        super().__init__(n_voters, n_rows)
         self.failed_label = failed_label
-        self.window = np.full((n_rows, self.n_voters), -1, dtype=np.int8)
-        self.length = np.zeros(n_rows, dtype=np.int64)
 
-    def grow_rows(self, n_rows: int) -> None:
-        extra = n_rows - self.window.shape[0]
-        self.window = np.concatenate(
-            [self.window, np.full((extra, self.n_voters), -1, dtype=np.int8)]
-        )
-        self.length = np.concatenate([self.length, np.zeros(extra, dtype=np.int64)])
-
-    def push(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    def push(self, rows: Rows, scores: np.ndarray) -> np.ndarray:
         votes = (np.isfinite(scores) & (scores == self.failed_label)).astype(np.int8)
-        window = self.window[rows]
-        window[:, :-1] = window[:, 1:]
-        window[:, -1] = votes
-        self.window[rows] = window
-        self.length[rows] = np.minimum(self.length[rows] + 1, self.n_voters)
-        fails = (window == 1).sum(axis=1)
-        return (self.length[rows] == self.n_voters) & (fails > self.n_voters / 2.0)
+        window, full = self._shift_in(rows, votes)
+        fails = np.einsum("ij->i", window == 1, dtype=np.int64)
+        return full & (fails > self.n_voters / 2.0)
 
     def flush(self, row: int) -> bool:
         """Judge a row whose whole history is shorter than the window.
@@ -155,7 +298,7 @@ class MajorityVoteMatrix:
         return [bool(vote) for vote in window[window >= 0]]
 
 
-class MeanThresholdMatrix:
+class MeanThresholdMatrix(_WindowMatrix):
     """Streaming :class:`~repro.detection.voting.MeanThresholdDetector`, fleet-wide.
 
     Float64 shift-left windows with NaN both as the unfilled-slot marker
@@ -169,26 +312,14 @@ class MeanThresholdMatrix:
     summation order.
     """
 
+    _fill, _dtype = np.nan, float
+
     def __init__(self, n_voters: int, threshold: float, n_rows: int):
-        self.n_voters = int(n_voters)
+        super().__init__(n_voters, n_rows)
         self.threshold = float(threshold)
-        self.window = np.full((n_rows, self.n_voters), np.nan)
-        self.length = np.zeros(n_rows, dtype=np.int64)
 
-    def grow_rows(self, n_rows: int) -> None:
-        extra = n_rows - self.window.shape[0]
-        self.window = np.concatenate(
-            [self.window, np.full((extra, self.n_voters), np.nan)]
-        )
-        self.length = np.concatenate([self.length, np.zeros(extra, dtype=np.int64)])
-
-    def push(self, rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        window = self.window[rows]
-        window[:, :-1] = window[:, 1:]
-        window[:, -1] = scores
-        self.window[rows] = window
-        self.length[rows] = np.minimum(self.length[rows] + 1, self.n_voters)
-        full = self.length[rows] == self.n_voters
+    def push(self, rows: Rows, scores: np.ndarray) -> np.ndarray:
+        window, full = self._shift_in(rows, scores)
         finite = np.isfinite(window)
         counts = finite.sum(axis=1)
         sums = np.where(finite, window, 0.0).sum(axis=1)

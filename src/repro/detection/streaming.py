@@ -10,7 +10,7 @@ Every piece of per-drive state lives in a preallocated array keyed by a
 stable serial→row index, so a collection tick is a handful of
 vectorized passes instead of ``n_drives`` python round-trips: one 2-D
 ``(n_drives, n_channels)`` ingest, mask-based validation, online
-features from a ring-buffered lag history, ring-buffer voting matrices
+features from an hour-keyed lag history, shift-left voting matrices
 (:mod:`repro.detection.columnar`) and a single batched model call.
 :meth:`FleetMonitor.observe` is the same tick with one row.
 
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix, _LagHistory
+from repro.detection.columnar import MajorityVoteMatrix, MeanThresholdMatrix, Rows, _LagHistory
 from repro.features.vectorize import Feature
 from repro.observability import get_event_log, get_registry, get_tracer
 from repro.observability.events import decision_path_payload
@@ -66,6 +66,10 @@ QUARANTINED_HELP = "drives transitioned to DEGRADED"
 
 # Gate verdict codes (record-order fault emission keys off these).
 _CLEAN, _SHAPE, _NF_TIME, _DUP_TIME, _OOO = 0, 1, 2, 3, 4
+
+#: Rows per chunk when a tick's readings are copied into feature-major
+#: rows: small enough that a chunk of readings stays in cache.
+_CHUNK = 4096
 
 
 def _json_score(score: float) -> Optional[float]:
@@ -200,6 +204,15 @@ class FleetMonitor:
     Per-drive state lives in parallel arrays grown by capacity doubling;
     rows are allocated in first-seen order, so :meth:`finalize` walks
     drives in that order and assigns dense alert ids deterministically.
+    Change-rate lags come from an hour-keyed history (one block per
+    pushed hour, see :class:`~repro.detection.columnar._LagHistory`)
+    that holds no per-row storage.  The last feature row of each drive
+    is kept feature-major, ``(n_features, capacity)``.  A registered
+    roster whose rows form one contiguous run is served by slice: with
+    no faulted row, the tick indexes every per-row array, the history
+    and the voting windows by that slice, builds its feature rows in
+    place in ``_last_rows`` and hands the scorer a transposed view of
+    them.  Every other tick runs the same code with row arrays.
 
     Args:
         features: The feature definitions the model was trained on.
@@ -297,14 +310,14 @@ class FleetMonitor:
             for j, f in enumerate(self.features)
             if f.is_change_rate
         ]
+        self._value_col = {channel: j for j, channel in self._value_cols}
         lag_channels = sorted({channel for _, channel, _ in self._rate_cols})
-        self._lag_channels = np.asarray(lag_channels, dtype=np.intp)
         self._lag_col = {channel: at for at, channel in enumerate(lag_channels)}
         self._intervals = sorted({interval for _, _, interval in self._rate_cols})
         max_lag = max((interval for _, _, interval in self._rate_cols), default=0.0)
         self._voter = detector_factory.build()
         self._history = (
-            _LagHistory(0, lag_channels, max_lag) if self._rate_cols else None
+            _LagHistory(lag_channels, max_lag) if self._rate_cols else None
         )
         self._capacity = 0
         self._row: dict[str, int] = {}
@@ -320,7 +333,9 @@ class FleetMonitor:
         self._last_signal = np.empty(0, dtype=np.int8)
         #: Feature row of each drive's most recent well-formed tick —
         #: the SMART evidence an ``alert_raised`` decision path explains.
-        self._last_rows = np.empty((0, self._n_features))
+        #: Feature-major ``(n_features, capacity)``: a full-roster tick
+        #: builds its feature rows in place, as a view of this array.
+        self._last_rows = np.empty((self._n_features, 0))
         self._has_row = np.empty(0, dtype=bool)
 
     @classmethod
@@ -386,11 +401,9 @@ class FleetMonitor:
             [self._last_signal, np.full(grow, -1, dtype=np.int8)]
         )
         self._last_rows = np.concatenate(
-            [self._last_rows, np.full((grow, self._n_features), np.nan)]
+            [self._last_rows, np.full((self._n_features, grow), np.nan)], axis=1
         )
         self._has_row = np.concatenate([self._has_row, np.zeros(grow, dtype=bool)])
-        if self._history is not None:
-            self._history.grow_rows(capacity)
         self._voter.grow_rows(capacity)
         self._capacity = capacity
 
@@ -591,11 +604,14 @@ class FleetMonitor:
         """One collection tick as an aligned channel matrix (zero-copy).
 
         Row resolution is cached by roster identity: register a fleet
-        once and repeated ticks touch no per-drive python at all.
+        once and repeated ticks touch no per-drive python at all.  The
+        cache also records whether the roster's rows are one contiguous
+        ascending run (true for a registered fleet observed from its
+        first tick), so the tick can index per-row state by a slice.
         """
         cache = self._roster_cache
         if cache is not None and cache[0] is roster:
-            rows = cache[1]
+            _, rows, span = cache
             n_before = len(self._serials)
         else:
             if len(set(roster)) != len(roster):
@@ -606,8 +622,13 @@ class FleetMonitor:
                 (self._row_for(serial) for serial in roster),
                 dtype=np.intp, count=len(roster),
             )
-            self._roster_cache = (roster, rows)
-        return self._process(hour, roster, rows, matrix, {}, n_before, False)
+            span = None
+            if len(rows) and np.array_equal(
+                rows, np.arange(rows[0], rows[0] + len(rows))
+            ):
+                span = slice(int(rows[0]), int(rows[0]) + len(rows))
+            self._roster_cache = (roster, rows, span)
+        return self._process(hour, roster, rows, matrix, {}, n_before, False, span)
 
     # -- the vectorized hot path ----------------------------------------------
 
@@ -620,7 +641,15 @@ class FleetMonitor:
         bad_shape: dict[int, tuple],
         n_before: int,
         single: bool,
+        span: Optional[slice] = None,
     ) -> list[Alert]:
+        """Gate, ingest, score and vote one tick's ``rows``.
+
+        ``span`` is the same rows as a contiguous slice, when they are
+        one; a tick with no faulted row then indexes every per-row
+        array with it (views and in-place updates), any other tick
+        with index arrays, through the same code.
+        """
         registry = get_registry()
         strict = self.quarantine is None
         n = len(rows)
@@ -630,7 +659,9 @@ class FleetMonitor:
         verdict = np.zeros(n, dtype=np.int8)
         for at in bad_shape:
             verdict[at] = _SHAPE
-        last = self._last_hour[rows]
+        # A view under ``span``: ingest later overwrites the clean
+        # positions, but only faulted positions are read after it.
+        last = self._last_hour[rows if span is None else span]
         if not np.isfinite(hour):
             verdict[verdict == _CLEAN] = _NF_TIME
         else:
@@ -677,21 +708,31 @@ class FleetMonitor:
                 )
 
         clean = ~faulted
-        clean_rows = rows[clean]
+        all_clean = not faulted.any()
+        clean_rows = rows if all_clean else rows[clean]
+        index = span if span is not None and all_clean else clean_rows
         k = len(clean_rows)
         alerts: list[Alert] = []
         if k == 0:
             return alerts
         feature_rows = self._ingest(
-            hour, clean_rows, values if k == n else values[clean]
+            hour, index, values if all_clean else values[clean]
         )
 
-        # One scoring pass for the whole tick.
-        usable = np.any(np.isfinite(feature_rows), axis=1)
+        # One scoring pass for the whole tick over the usable rows,
+        # handed to the scorer as a transposed feature-major block (a
+        # view of ``_last_rows`` when every row is usable), so each
+        # feature column it routes on is contiguous.
+        usable = np.any(np.isfinite(feature_rows), axis=0)
         scores = np.full(k, np.nan)
         n_usable = int(np.count_nonzero(usable))
         if n_usable:
-            stacked = feature_rows[usable]
+            stacked = feature_rows
+            if n_usable < k:
+                stacked = np.empty((self._n_features, n_usable))
+                for column, source in zip(stacked, feature_rows):
+                    column[:] = source[usable]
+            stacked = stacked.T
             if single or self.score_batch is None:
                 scores[usable] = [
                     float(self.score_sample(stacked[at]))
@@ -705,20 +746,20 @@ class FleetMonitor:
 
         # Fleet-wide voting and alert latching.  Degraded drives keep
         # their windows current but never alert.
-        alarmed = self._voter.push(clean_rows, scores)
-        previous = self._last_signal[clean_rows]
+        alarmed = self._voter.push(index, scores)
+        previous = self._last_signal[index]
         previous_true = previous == 1
         flips = (previous >= 0) & (alarmed != previous_true)
         n_flips = int(np.count_nonzero(flips))
         if n_flips:
             self.vote_flips += n_flips
             registry.counter("serve.vote_flips", help=FLIPS_HELP).inc(n_flips)
-        healthy = ~self._degraded[clean_rows]
-        latched = self._alerted[clean_rows]
+        healthy = ~self._degraded[index]
+        latched = self._alerted[index]
         new_alert = alarmed & ~latched & healthy
         cleared = (
             ~alarmed & previous_true & latched
-            & ~self._cleared[clean_rows] & healthy
+            & ~self._cleared[index] & healthy
         )
 
         log = get_event_log()
@@ -761,41 +802,59 @@ class FleetMonitor:
                     )
                 )
 
-        self._last_signal[clean_rows] = alarmed.astype(np.int8)
+        self._last_signal[index] = alarmed
         if new_alert.any():
-            self._alerted[clean_rows] |= new_alert
+            self._alerted[index] |= new_alert
         if cleared.any():
-            self._cleared[clean_rows] |= cleared
+            self._cleared[index] |= cleared
         return alerts
 
     def _ingest(
-        self, hour: float, rows: np.ndarray, values: np.ndarray
+        self, hour: float, rows: Rows, values: np.ndarray
     ) -> np.ndarray:
-        """Push one tick of raw channels; return the tick's feature rows.
+        """Push one tick of raw channels; return its feature-major rows.
 
-        A change rate whose lag hour was never observed (or holds a
-        non-finite reading) is NaN, matching
+        ``rows`` is an index array or a contiguous slice; for a slice
+        the ``(n_features, n_rows)`` result is a view of ``_last_rows``,
+        written in place.  A change rate whose lag hour was never
+        observed (or holds a non-finite reading) is NaN, matching
         :func:`repro.features.change_rates.change_rate`.
         """
         now = float(hour)
-        feature_rows = np.empty((len(rows), self._n_features))
-        lagged = {}
+        in_place = isinstance(rows, slice)
+        feature_rows = (
+            self._last_rows[:, rows] if in_place
+            else np.empty((self._n_features, len(rows)))
+        )
+        self._last_hour[rows] = now
+        # Row-major readings to feature-major rows, in cache-sized chunks.
+        for start in range(0, len(values), _CHUNK):
+            chunk = values[start:start + _CHUNK]
+            for column, channel in self._value_cols:
+                feature_rows[column, start:start + _CHUNK] = chunk[:, channel]
         if self._rate_cols:
-            self._history.push(rows, now, values[:, self._lag_channels])
-            for interval in self._intervals:
-                lagged[interval] = self._history.lookup(rows, now - interval, now)
-        for column, channel in self._value_cols:
-            feature_rows[:, column] = values[:, channel]
+            # Channel-major current readings: the lag channels that are
+            # also value features are already contiguous rows above.
+            current = np.stack([
+                feature_rows[self._value_col[channel]]
+                if channel in self._value_col else values[:, channel]
+                for channel in self._lag_col
+            ])
+            self._history.push(rows, now, current, self._last_hour)
+            lagged = {
+                interval: self._history.lookup(rows, now - interval)
+                for interval in self._intervals
+            }
         with np.errstate(invalid="ignore"):
             for column, channel, interval in self._rate_cols:
-                current = values[:, channel]
-                lag = lagged[interval][:, self._lag_col[channel]]
-                rate = (current - lag) / interval
-                feature_rows[:, column] = np.where(
-                    np.isfinite(current) & np.isfinite(lag), rate, np.nan
+                at = self._lag_col[channel]
+                now_value, lag = current[at], lagged[interval][at]
+                rate = (now_value - lag) / interval
+                feature_rows[column] = np.where(
+                    np.isfinite(now_value) & np.isfinite(lag), rate, np.nan
                 )
-        self._last_hour[rows] = now
-        self._last_rows[rows] = feature_rows
+        if not in_place:
+            self._last_rows[:, rows] = feature_rows
         self._has_row[rows] = True
         return feature_rows
 
@@ -896,7 +955,7 @@ class FleetMonitor:
         }
         if self.tree is not None and self._has_row[row]:
             payload["path"] = decision_path_payload(
-                self.tree, self._last_rows[row], self.feature_names
+                self.tree, self._last_rows[:, row], self.feature_names
             )
         return payload
 

@@ -72,15 +72,21 @@ class _RoutingContext:
     """Per-matrix precomputation shared by every tree in a batch call.
 
     Columns are transposed once into contiguous layout (descent gathers
-    one column at a time), and each column's missing mask is computed
-    lazily on first use — ``None`` marks an all-finite column so clean
-    columns never pay a missing pass.  A forest builds one context and
-    routes all members through it.
+    one column at a time) — unless each column of ``X`` is already
+    contiguous, as for a transposed feature-major block, which is used
+    as is.  Each column's missing mask is computed lazily on first use
+    — ``None`` marks an all-finite column so clean columns never pay a
+    missing pass.  A forest builds one context and routes all members
+    through it.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
-        self.columns = np.ascontiguousarray(X.T)
+        columns = X.T
+        self.columns = (
+            columns if columns.strides[1] == columns.itemsize
+            else np.ascontiguousarray(columns)
+        )
         self._missing: dict[int, Optional[np.ndarray]] = {}
 
     def missing_mask(self, feature: int) -> Optional[np.ndarray]:

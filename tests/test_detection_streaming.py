@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils.errors import FaultKind
@@ -32,7 +32,7 @@ def _feature_rows(features, ticks, serial="d"):
     rows = []
     for hour, values in ticks:
         monitor.observe(serial, hour, values)
-        rows.append(monitor._last_rows[monitor._row[serial]].copy())
+        rows.append(monitor._last_rows[:, monitor._row[serial]].copy())
     return rows
 
 
@@ -117,8 +117,123 @@ class TestOnlineFeatureBuffer:
                 [(float(t), drive.values[t]) for t in range(n_ticks)],
                 drive.serial,
             )[-1]
-            got = monitor._last_rows[monitor._row[drive.serial]]
+            got = monitor._last_rows[:, monitor._row[drive.serial]]
             np.testing.assert_array_equal(got, expected)
+
+    def test_lag_match_takes_first_hour_at_or_after_the_lag(self):
+        # Both 5.99999 and 6 are isclose to the 1h lag of hour 7; like
+        # change_rate, the first hour >= 6 (6 itself) supplies the lag.
+        from repro.features.vectorize import FeatureExtractor
+        from repro.smart.drive import DriveRecord
+
+        features = [Feature("RRER", 1.0), Feature("RRER", 6.0)]
+        hours = np.array([0.0, 5.99999, 6.0, 7.0])
+        values = np.zeros((4, N_CHANNELS))
+        values[:, channel_index("RRER")] = [0.0, 100.0, 200.0, 260.0]
+        online = _feature_rows(features, zip(hours, values))
+        assert online[3][0] == pytest.approx(60.0)
+        offline = FeatureExtractor(features).extract(
+            DriveRecord("d", "W", False, hours, values)
+        )
+        np.testing.assert_array_equal(np.array(online), offline)
+
+
+#: Hour increments between a drive's samples: the hourly grid, gaps,
+#: half steps and near-duplicates that ``np.isclose`` cannot tell apart
+#: from a whole-hour step.
+_STEPS = [1.0, 1.0, 1.0, 2.0, 3.0, 0.5, 1e-5, 5.99999, 6.00001, 11.99999]
+
+
+@st.composite
+def _drive_grids(draw):
+    n_drives = draw(st.integers(min_value=1, max_value=4))
+    grids = []
+    for _ in range(n_drives):
+        start = draw(st.sampled_from([0.0, 0.25, 0.5, 1e-6, 2.0 / 3.0]))
+        steps = draw(st.lists(st.sampled_from(_STEPS), min_size=0, max_size=40))
+        grids.append(start + np.concatenate([[0.0], np.cumsum(steps)]))
+    return grids
+
+
+class TestFeatureContract:
+    """Monitor feature rows equal ``FeatureExtractor`` rows, out-of-sync drives."""
+
+    @given(
+        _drive_grids(),
+        st.sampled_from([(1.0,), (6.0,), (1.0, 6.0, 12.0, 24.0)]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    # At hour 7 both 1.0 and 1.000005 match the 6h lag; 1.0 must win.
+    @example([np.array([0.0, 1.0, 1.000005, 7.0])], (6.0,), False, 0)
+    @example([np.array([0.0, 1.0, 1.000005, 7.0])] * 2, (6.0,), True, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_monitor_rows_match_extractor(self, grids, intervals, interleave, seed):
+        from repro.features.vectorize import FeatureExtractor
+        from repro.smart.drive import DriveRecord
+
+        rng = np.random.default_rng(seed)
+        features = [Feature("POH")] + [
+            Feature(short, interval)
+            for short in ("RRER", "HER") for interval in intervals
+        ]
+        drives = []
+        for at, hours in enumerate(grids):
+            values = rng.normal(size=(len(hours), N_CHANNELS)).round(3)
+            values[rng.random(values.shape) < 0.1] = np.nan
+            drives.append(DriveRecord(f"d{at}", "W", False, hours, values))
+        offline = {
+            drive.serial: FeatureExtractor(features).extract(drive)
+            for drive in drives
+        }
+        monitor = _strict_monitor(features)
+
+        def check(serial, index):
+            row = monitor._last_rows[:, monitor._row[serial]]
+            np.testing.assert_array_equal(row, offline[serial][index])
+
+        if interleave:
+            by_hour: dict = {}
+            for drive in drives:
+                for index, hour in enumerate(drive.hours):
+                    by_hour.setdefault(float(hour), []).append((drive, index))
+            for hour in sorted(by_hour):
+                monitor.observe_fleet(hour, [
+                    (drive.serial, drive.values[index])
+                    for drive, index in by_hour[hour]
+                ])
+                for drive, index in by_hour[hour]:
+                    check(drive.serial, index)
+        else:
+            for drive in drives:
+                for index, hour in enumerate(drive.hours):
+                    monitor.observe(drive.serial, float(hour), drive.values[index])
+                    check(drive.serial, index)
+
+    def test_history_stays_bounded_by_its_lookback(self):
+        # 200 drives, each on its own fractional hour grid, replayed
+        # tick by tick through observe.  No two drives share an hour,
+        # so every block holds one entry and the block count is the
+        # entry count.
+        n_drives, n_ticks, step = 200, 500, 1.0
+        features = critical_features()
+        max_lag = max(f.change_interval_hours for f in features)
+        monitor = FleetMonitor(
+            features, score_sample=lambda row: 1.0,
+            detector_factory=VoterSpec("majority", 3),
+        )
+        offsets = np.random.default_rng(7).permutation(n_drives) / n_drives
+        serials = [f"d{at}" for at in range(n_drives)]
+        values = np.ones(N_CHANNELS)
+        bound = n_drives * (max_lag / step + 2)
+        history = monitor._history
+        peak = 0
+        for tick in range(n_ticks):
+            for serial, offset in zip(serials, offsets):
+                monitor.observe(serial, tick * step + offset, values)
+                peak = max(peak, len(history.blocks))
+            assert history.n_entries == len(history.blocks)
+        assert peak <= bound
 
 
 def _first_alarm(voter, series):
