@@ -13,14 +13,24 @@ worker process (``mode="process"``).  The mode only picks the host
 type; every dispatch, kill, snapshot and restore goes through the same
 host calls.
 
+Every ingest — ``observe``, ``observe_fleet`` and each form of
+``observe_tick`` — is one coordinator tick,
+:meth:`ShardedFleetMonitor._serve`: it builds one :func:`_shard_tick`
+call per shard, carrying either records (``items``/``duplicates``) or
+a roster tick (this shard's ``matrix`` slice, or none for the pinned
+feed), and merges the results through one ``_merge``, which
+:meth:`ShardedFleetMonitor.finalize` uses too.  The merge orders
+everything by position — a tick's record order, or first-seen order
+for ``finalize``:
 
 * **Alerts** come home per shard with shard-local ids, are re-ordered
-  into the tick's global record order and re-assigned dense coordinator
-  ids, so ``alerts``/``alert_id`` are bit-identical to a single
-  monitor over the same stream.
+  by position and re-assigned dense coordinator ids, so
+  ``alerts``/``alert_id`` are bit-identical to a single monitor over
+  the same stream.
 * **Faults** merge deterministically: duplicate-serial faults in global
-  discovery order, then record faults in global record order — the
-  exact list a single monitor would have appended.
+  discovery order, then record faults by position (a tick has one
+  record per serial) — the exact list a single monitor would have
+  appended.
 * **Observability** ships home in
   :class:`~repro.observability.RemoteObservation` envelopes (the same
   protocol as :func:`~repro.utils.parallel.run_tasks`): shard counters
@@ -66,7 +76,8 @@ import pickle
 import warnings
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -74,13 +85,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.detection.streaming import (
-    HEALTH_REPORT_SCHEMA,
     Alert,
     DriveStatus,
     FleetMonitor,
     QuarantinePolicy,
     VoterSpec,
+    _DEFAULT_QUARANTINE,
     _normalize_tick,
+    _ServingFacade,
 )
 from repro.features.vectorize import Feature
 from repro.observability import (
@@ -90,7 +102,6 @@ from repro.observability import (
     get_registry,
     get_tracer,
 )
-from repro.smart.attributes import N_CHANNELS
 from repro.utils.checkpoint import (
     SHARD_SNAPSHOT_KIND,
     JsonCheckpoint,
@@ -160,6 +171,21 @@ def _split_tick(
     return per_items, per_dups
 
 
+def _model(
+    score_sample: Callable,
+    score_batch: Optional[Callable],
+    tree: Optional[object],
+    feature_names: Optional[Sequence[str]],
+) -> dict:
+    """A serving model as the dict :func:`_shard_apply_model` reads."""
+    return {
+        "score_sample": score_sample,
+        "score_batch": score_batch,
+        "tree": tree,
+        "feature_names": tuple(feature_names) if feature_names is not None else None,
+    }
+
+
 @dataclass(frozen=True)
 class CanaryPolicy:
     """When does a canary generation win the fleet?
@@ -210,17 +236,7 @@ class ShardSpec:
 
     def build(self) -> FleetMonitor:
         """A fresh shard monitor (SLO state stays coordinator-side)."""
-        return FleetMonitor(
-            self.features,
-            score_sample=self.score_sample,
-            detector_factory=self.detector_factory,
-            score_batch=self.score_batch,
-            quarantine=self.quarantine,
-            tree=self.tree,
-            feature_names=self.feature_names,
-            model_generation=self.model_generation,
-            slo=None,
-        )
+        return FleetMonitor(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -273,35 +289,31 @@ class _Deployment:
 
 
 def _shard_tick(state: dict, payload: dict) -> dict:
+    """One shard's slice of a tick, in one of two payload forms.
+
+    Records carry ``items`` and ``duplicates`` (a normalized tick); a
+    roster tick carries this shard's ``matrix`` slice of the registered
+    roster, or no matrix to tick the pinned feed.
+    """
     monitor: FleetMonitor = state["monitor"]
     hour = payload["hour"]
     shard = payload["shard"]
     registry = get_registry()
     n_faults = len(monitor.faults)
     start = perf_counter() if registry.enabled else 0.0
-    if "matrix" in payload or payload.get("pinned"):
-        roster = payload.get("roster")
-        if roster is None:
-            roster = state["roster"]
-        matrix = payload.get("matrix")
-        if matrix is None:
-            matrix = state["feed"]
-        with get_tracer().span(
-            "shard.tick", category="shard", shard=shard, n_drives=len(roster)
-        ):
-            alerts = monitor.shard_tick(hour, None, None, roster=roster, matrix=matrix)
-    else:
-        items = payload["items"]
-        duplicates = payload["duplicates"]
-        with get_tracer().span(
-            "shard.tick", category="shard", shard=shard, n_drives=len(items)
-        ):
-            if payload.get("single"):
-                serial, values = items[0]
-                alert = monitor.observe(serial, hour, values)
-                alerts = [alert] if alert is not None else []
-            else:
-                alerts = monitor.shard_tick(hour, items, duplicates)
+    items = payload.get("items")
+    roster = state["roster"]
+    with get_tracer().span(
+        "shard.tick", category="shard", shard=shard,
+        n_drives=len(items if items is not None else roster),
+    ):
+        if items is not None:
+            alerts = monitor._tick(hour, items, payload["duplicates"])
+        else:
+            matrix = payload.get("matrix")
+            alerts = monitor._tick_matrix(
+                hour, roster, matrix if matrix is not None else state["feed"]
+            )
     registry.counter(
         "shard.ticks", help=SHARD_TICKS_HELP, shard=str(shard)
     ).inc()
@@ -363,7 +375,7 @@ def _shard_export(state: dict, payload: object) -> dict:
     return {"monitor": state["monitor"], "roster": state["roster"]}
 
 
-class ShardedFleetMonitor:
+class ShardedFleetMonitor(_ServingFacade):
     """N shard monitors behind one ``FleetMonitor``-shaped facade.
 
     Args:
@@ -404,8 +416,6 @@ class ShardedFleetMonitor:
         []
     """
 
-    _DEFAULT_QUARANTINE = QuarantinePolicy()
-
     def __init__(
         self,
         features: Sequence[Feature],
@@ -445,19 +455,14 @@ class ShardedFleetMonitor:
         self.slo = slo
         self.alerts: list[Alert] = []
         self.faults: list[SampleFault] = []
-        self._alerted_serials: set[str] = set()
         self._first_seen: list[str] = []
         self._seen: set[str] = set()
         self._last_hour: Optional[float] = None
         self._deployment: Optional[_Deployment] = None
         self.last_verdict: Optional[dict] = None
-        self._current_model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": self._spec.feature_names,
-        }
+        self._current_model = _model(score_sample, score_batch, tree, feature_names)
         self._roster: Optional[tuple[str, ...]] = None
+        self._positions: Optional[dict[str, int]] = None
         self._partition: Optional[list[np.ndarray]] = None
         self._sub_rosters: Optional[list[tuple[str, ...]]] = None
         self._roster_noted = False
@@ -478,31 +483,6 @@ class ShardedFleetMonitor:
         self._host_type = WorkerHost if mode == "process" else LocalHost
         builder = _ShardBuilder(self._spec)
         self._hosts = [self._host_type(builder) for _ in range(self.n_shards)]
-
-    @classmethod
-    def from_predictor(
-        cls,
-        predictor,
-        detector_factory: VoterSpec,
-        **kwargs,
-    ) -> "ShardedFleetMonitor":
-        """Shard-serve a fitted pipeline's tree.
-
-        The sharded counterpart of :meth:`FleetMonitor.from_predictor`:
-        the tree's ``sample_scorer()``/``batch_scorer()`` ship to shard
-        workers whenever the tree itself pickles.
-        """
-        tree = predictor.tree_
-        if tree is None:
-            raise RuntimeError("predictor is not fitted; call fit() first")
-        return cls(
-            predictor.extractor.features,
-            score_sample=tree.sample_scorer(),
-            detector_factory=detector_factory,
-            score_batch=tree.batch_scorer(),
-            tree=tree,
-            **kwargs,
-        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -669,7 +649,7 @@ class ShardedFleetMonitor:
         self, serial: str, hour: float, channel_values: Sequence[float]
     ) -> Optional[Alert]:
         """Ingest one record via its owning shard (see ``FleetMonitor.observe``)."""
-        alerts = self._tick(hour, [(serial, channel_values)], [], single=True)
+        alerts = self._serve(hour, [(serial, channel_values)], [], collection=False)
         return alerts[0] if alerts else None
 
     def observe_fleet(
@@ -684,25 +664,27 @@ class ShardedFleetMonitor:
         single monitor — sharding is invisible in the result.
         """
         items, duplicates = _normalize_tick(records)
-        return self._tick(hour, items, duplicates)
+        return self._serve(hour, items, duplicates)
 
     def register_fleet(self, serials: Iterable[str]) -> tuple[str, ...]:
         """Fix the tick roster; partitions it and pins sub-rosters shard-side.
 
         Pinning resolves each shard's serial→row keying once (worker-
         resident in process mode), so repeated :meth:`observe_tick`
-        calls ship only the matrix slices.  A roster with duplicate
-        serials cannot be partitioned statically and falls back to the
-        normalizing path per tick.
+        calls ship only the matrix slices; the roster's serial→position
+        map, which orders the merge, is built here once too.  A roster
+        with duplicate serials cannot be partitioned statically and
+        falls back to the normalizing path per tick.
         """
         roster = tuple(serials)
+        positions = {serial: at for at, serial in enumerate(roster)}
         self._roster = roster
         self._roster_noted = False
         self._feed_pinned = False
-        if len(set(roster)) != len(roster):
-            self._partition = None
-            self._sub_rosters = None
+        if len(positions) != len(roster):
+            self._positions = self._partition = self._sub_rosters = None
             return roster
+        self._positions = positions
         self._partition, self._sub_rosters = _partition_roster(
             roster, self.n_shards
         )
@@ -723,7 +705,7 @@ class ShardedFleetMonitor:
         resident slice — the coordinator sends one float per shard per
         tick instead of re-serializing gigabytes of telemetry.
         """
-        matrix = self._check_matrix(values)
+        _, matrix = self._tick_values(values, None, self._roster)
         if self._partition is None:
             raise ValueError(
                 "pin_feed needs a duplicate-free roster: call "
@@ -744,19 +726,6 @@ class ShardedFleetMonitor:
             self._absorb(envelope)
         self._feed_pinned = True
 
-    def _check_matrix(self, values: np.ndarray) -> np.ndarray:
-        if self._roster is None:
-            raise ValueError(
-                "no tick roster: pass serials= or call register_fleet() first"
-            )
-        matrix = np.ascontiguousarray(values, dtype=float)
-        if matrix.shape != (len(self._roster), N_CHANNELS):
-            raise ValueError(
-                f"values must have shape ({len(self._roster)}, {N_CHANNELS}), "
-                f"got {matrix.shape}"
-            )
-        return matrix
-
     def observe_tick(
         self,
         hour: float,
@@ -768,143 +737,109 @@ class ShardedFleetMonitor:
         With ``values=None`` the shards tick their pinned feed (see
         :meth:`pin_feed`).  An explicit ``serials`` roster (or a
         registered roster with duplicates) takes the normalizing
-        fallback path — correct, but re-partitioned per tick.
+        records path — correct, but re-partitioned per tick.
         """
-        if serials is not None:
-            roster = tuple(serials)
-            if values is None:
-                raise ValueError("values is required with an explicit roster")
-            matrix = np.ascontiguousarray(values, dtype=float)
-            if matrix.shape != (len(roster), N_CHANNELS):
-                raise ValueError(
-                    f"values must have shape ({len(roster)}, {N_CHANNELS}), "
-                    f"got {matrix.shape}"
-                )
+        roster, matrix = self._tick_values(
+            values, serials, self._roster, pinned=self._feed_pinned
+        )
+        if serials is not None or self._partition is None:
             items, duplicates = _normalize_tick(zip(roster, matrix))
-            return self._tick(hour, items, duplicates)
-        if self._roster is None:
-            raise ValueError(
-                "no tick roster: pass serials= or call register_fleet() first"
-            )
-        if values is None and not self._feed_pinned:
-            raise ValueError("no pinned feed: pass values= or call pin_feed() first")
-        if self._partition is None:
-            matrix = self._check_matrix(values)
-            items, duplicates = _normalize_tick(zip(self._roster, matrix))
-            return self._tick(hour, items, duplicates)
-        matrix = self._check_matrix(values) if values is not None else None
-        if not self._roster_noted:
-            for serial in self._roster:
-                self._note_seen(serial)
-            self._roster_noted = True
-        calls = []
-        shard_sizes: dict[int, int] = {}
-        for sid in self._active_shards():
-            indices = self._partition[sid]
-            if len(indices) == 0:
-                continue
-            payload: dict = {"hour": hour, "shard": sid}
-            if matrix is not None:
-                payload["matrix"] = matrix[indices]
-            else:
-                payload["pinned"] = True
-            shard_sizes[sid] = len(indices)
-            calls.append((sid, _shard_tick, payload))
-        pos = {serial: at for at, serial in enumerate(self._roster)}
-        return self._instrumented_tick(
-            hour, len(self._roster), calls, pos, [], [], shard_sizes
-        )
+            return self._serve(hour, items, duplicates)
+        return self._serve(hour, None, None, matrix=matrix)
 
-    def _tick(
+    def _serve(
         self,
         hour: float,
-        items: list[tuple],
-        duplicates: list[str],
-        single: bool = False,
+        items: Optional[list[tuple]],
+        duplicates: Optional[list[str]],
+        *,
+        matrix: Optional[np.ndarray] = None,
+        collection: bool = True,
     ) -> list[Alert]:
-        per_items, per_dups = _split_tick(items, duplicates, self.n_shards)
-        pos = {serial: at for at, (serial, _) in enumerate(items)}
-        # First-seen bookkeeping mirrors a single monitor's row
-        # allocation: duplicate occurrences register before the items.
-        for serial in duplicates:
-            self._note_seen(serial)
-        for serial, _ in items:
-            self._note_seen(serial)
-        calls = []
-        shard_sizes: dict[int, int] = {}
-        dup_counts: dict[int, int] = {}
-        for sid in self._active_shards():
-            if not per_items[sid] and not per_dups[sid]:
-                continue
-            shard_sizes[sid] = len(per_items[sid])
-            dup_counts[sid] = len(per_dups[sid])
-            calls.append(
-                (
-                    sid,
-                    _shard_tick,
-                    {
-                        "hour": hour,
-                        "shard": sid,
-                        "items": per_items[sid],
-                        "duplicates": per_dups[sid],
-                        "single": single,
-                    },
-                )
-            )
-        if single:
-            responses = self._dispatch_input(calls, tick=True)
-            self._last_hour = float(hour) if np.isfinite(hour) else self._last_hour
-            return self._merge_tick(responses, pos, duplicates, items, dup_counts)
-        return self._instrumented_tick(
-            hour, len(items), calls, pos, duplicates, items, shard_sizes, dup_counts
-        )
+        """Dispatch one tick to its shards and merge what they return.
 
-    def _instrumented_tick(
-        self,
-        hour: float,
-        n_drives: int,
-        calls: list,
-        pos: dict[str, int],
-        duplicates: list[str],
-        items: list[tuple],
-        shard_sizes: dict[int, int],
-        dup_counts: Optional[dict[int, int]] = None,
-    ) -> list[Alert]:
-        """Coordinator-level tick instrumentation (the single-monitor shape).
-
-        ``serve.fleet_ticks``, the ``serve.tick`` span and
-        ``serve.tick_seconds`` are emitted here exactly once per
-        logical tick — never per shard — so the merged registry equals
-        a single monitor's.
+        Every ingest comes through here.  ``items``/``duplicates`` are a
+        normalized records tick (:func:`_normalize_tick`);
+        ``items=None`` ticks the registered roster with ``matrix``, or
+        with the pinned feed when ``matrix`` is ``None``.
+        ``collection=False`` is :meth:`observe`: no tick-level
+        instrumentation and no canary soak count.
         """
-        registry = get_registry()
-        start = perf_counter() if registry.enabled else 0.0
-        with get_tracer().span("serve.tick", category="serve", n_drives=n_drives):
+        calls: list[tuple[int, Callable, dict]] = []
+        sizes: dict[int, int] = {}
+        dup_counts: dict[int, int] = {}
+        if items is None:
+            positions, duplicates = self._positions, []
+            if not self._roster_noted:
+                for serial in self._roster:
+                    self._note_seen(serial)
+                self._roster_noted = True
+            for sid in self._active_shards():
+                indices = self._partition[sid]
+                if len(indices) == 0:
+                    continue
+                payload: dict = {"hour": hour, "shard": sid}
+                if matrix is not None:
+                    payload["matrix"] = matrix[indices]
+                sizes[sid] = len(indices)
+                calls.append((sid, _shard_tick, payload))
+        else:
+            positions = {serial: at for at, (serial, _) in enumerate(items)}
+            # First-seen bookkeeping mirrors a single monitor's row
+            # allocation: duplicate occurrences register before the items.
+            for serial in duplicates:
+                self._note_seen(serial)
+            for serial, _ in items:
+                self._note_seen(serial)
+            per_items, per_dups = _split_tick(items, duplicates, self.n_shards)
+            for sid in self._active_shards():
+                if not per_items[sid] and not per_dups[sid]:
+                    continue
+                sizes[sid] = len(per_items[sid])
+                dup_counts[sid] = len(per_dups[sid])
+                calls.append((sid, _shard_tick, {
+                    "hour": hour, "shard": sid,
+                    "items": per_items[sid], "duplicates": per_dups[sid],
+                }))
+        with self._collection_tick(len(positions)) if collection else nullcontext():
             responses = self._dispatch_input(calls, tick=True)
-            alerts = self._merge_tick(
-                responses, pos, duplicates, items, dup_counts or {},
-                shard_sizes=shard_sizes,
-            )
-        registry.counter("serve.fleet_ticks", help="collection ticks").inc()
-        if registry.enabled:
-            registry.histogram(
-                "serve.tick_seconds", unit="seconds",
-                help="collection tick wall time",
-            ).observe(perf_counter() - start)
+            alerts = self._merge(responses, positions, duplicates, dup_counts)
         self._last_hour = float(hour) if np.isfinite(hour) else self._last_hour
-        self._maybe_resolve_deployment()
+        deployment = self._deployment
+        if collection and deployment is not None:
+            # Canary soak accounting: drives served and alerts raised
+            # per group, over collection ticks only.
+            for sid, size in sizes.items():
+                if sid in deployment.canaries:
+                    deployment.canary_drives += size
+                else:
+                    deployment.control_drives += size
+            for alert in alerts:
+                if shard_for(alert.serial, self.n_shards) in deployment.canaries:
+                    deployment.canary_alerts += 1
+                else:
+                    deployment.control_alerts += 1
+            deployment.ticks += 1
+            self._maybe_resolve_deployment()
         return alerts
 
-    def _merge_tick(
+    def _merge(
         self,
         responses: list[tuple[int, object]],
-        pos: dict[str, int],
+        positions: dict[str, int],
         duplicates: list[str],
-        items: list[tuple],
         dup_counts: dict[int, int],
-        *,
-        shard_sizes: Optional[dict[int, int]] = None,
     ) -> list[Alert]:
+        """Fold shard results into the coordinator's alerts, faults and logs.
+
+        ``positions`` orders the merge: a tick's record order, or
+        first-seen order for :meth:`finalize`.  Alerts take dense
+        coordinator ids in that order, so ``alerts``/``alert_id`` are
+        bit-identical to one monitor.  Faults append as one monitor
+        appends them: duplicate-serial faults (each shard's first
+        ``dup_counts[sid]``) in discovery order, then record faults in
+        position order, since a tick has one record per serial.
+        """
         results: dict[int, dict] = {}
         envelopes: list[tuple[int, RemoteObservation]] = []
         for sid, envelope in responses:
@@ -918,51 +853,34 @@ class ShardedFleetMonitor:
             else:
                 results[sid] = envelope
 
-        # Alerts: shard-local ids -> dense coordinator ids, in the
-        # tick's global record order (bit-identical to one monitor).
-        tick_alerts: list[tuple[int, int, Alert]] = []
-        for sid in sorted(results):
-            for alert in results[sid]["alerts"]:
-                tick_alerts.append((pos[alert.serial], sid, alert))
-        tick_alerts.sort(key=lambda entry: entry[0])
+        found = sorted(
+            (
+                (positions[alert.serial], sid, alert)
+                for sid, result in results.items()
+                for alert in result["alerts"]
+            ),
+            key=lambda entry: entry[0],
+        )
         id_maps: dict[int, dict] = {sid: {} for sid in results}
         merged: list[Alert] = []
-        for _, sid, alert in tick_alerts:
-            renamed = replace(alert, alert_id=f"alert-{len(self.alerts):04d}")
+        for _, sid, alert in found:
+            renamed = replace(alert, alert_id=self._new_alert_id())
             id_maps[sid][alert.alert_id] = renamed.alert_id
             self.alerts.append(renamed)
-            self._alerted_serials.add(renamed.serial)
             merged.append(renamed)
 
-        # Faults: duplicate-serial faults in global discovery order,
-        # then record faults in global record order.
         dup_queues: dict[int, deque] = {}
-        record_faults: dict[int, dict[str, SampleFault]] = {}
+        record_faults: list[SampleFault] = []
         for sid, result in results.items():
             k = dup_counts.get(sid, 0)
             dup_queues[sid] = deque(result["faults"][:k])
-            record_faults[sid] = {fault.serial: fault for fault in result["faults"][k:]}
+            record_faults.extend(result["faults"][k:])
         for serial in duplicates:
             queue = dup_queues.get(shard_for(serial, self.n_shards))
             if queue:
                 self.faults.append(queue.popleft())
-        for serial, _ in items:
-            fault = record_faults.get(shard_for(serial, self.n_shards), {}).pop(
-                serial, None
-            )
-            if fault is not None:
-                self.faults.append(fault)
-        if not items and shard_sizes:
-            # Matrix path: records cannot fault by serial lookup order
-            # ambiguity (roster is duplicate-free), so any shard faults
-            # merge in roster order via the pos map.
-            leftovers = [
-                (pos[fault.serial], fault)
-                for sid in sorted(record_faults)
-                for fault in record_faults[sid].values()
-            ]
-            for _, fault in sorted(leftovers, key=lambda entry: entry[0]):
-                self.faults.append(fault)
+        record_faults.sort(key=lambda fault: positions[fault.serial])
+        self.faults.extend(record_faults)
 
         # Observability: absorb envelopes in shard-id order with the
         # alert ids rewritten, so the merged event stream is ordered by
@@ -970,54 +888,13 @@ class ShardedFleetMonitor:
         # coordinator's alerts.
         for sid, envelope in envelopes:
             self._absorb(envelope, id_maps.get(sid))
-
-        # Canary soak accounting.
-        deployment = self._deployment
-        if deployment is not None and shard_sizes is not None:
-            for sid, size in shard_sizes.items():
-                if sid in deployment.canaries:
-                    deployment.canary_drives += size
-                else:
-                    deployment.control_drives += size
-            for _, sid, _alert in tick_alerts:
-                if sid in deployment.canaries:
-                    deployment.canary_alerts += 1
-                else:
-                    deployment.control_alerts += 1
-            deployment.ticks += 1
         return merged
 
     def finalize(self) -> list[Alert]:
         """Short-history flush, merged in global first-seen order."""
         calls = [(sid, _shard_finalize, None) for sid in self._active_shards()]
-        responses = self._raw_dispatch(calls)
-        found: dict[str, tuple[int, Alert]] = {}
-        envelopes: list[tuple[int, RemoteObservation]] = []
-        for sid, envelope in responses:
-            if envelope is None:
-                continue
-            if isinstance(envelope, RemoteObservation):
-                result = envelope.result
-                envelopes.append((sid, envelope))
-            else:
-                result = envelope
-            for alert in result["alerts"]:
-                found[alert.serial] = (sid, alert)
-        id_maps: dict[int, dict] = {sid: {} for sid in range(self.n_shards)}
-        merged: list[Alert] = []
-        for serial in self._first_seen:
-            entry = found.get(serial)
-            if entry is None:
-                continue
-            sid, alert = entry
-            renamed = replace(alert, alert_id=f"alert-{len(self.alerts):04d}")
-            id_maps[sid][alert.alert_id] = renamed.alert_id
-            self.alerts.append(renamed)
-            self._alerted_serials.add(serial)
-            merged.append(renamed)
-        for sid, envelope in envelopes:
-            self._absorb(envelope, id_maps.get(sid))
-        return merged
+        positions = {serial: at for at, serial in enumerate(self._first_seen)}
+        return self._merge(self._raw_dispatch(calls), positions, [], {})
 
     # -- model lifecycle and rolling deployment --------------------------------
 
@@ -1039,12 +916,7 @@ class ShardedFleetMonitor:
                 "a canary deployment is in flight; let it resolve (or "
                 "restore from a snapshot) before swapping models directly"
             )
-        model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": tuple(feature_names) if feature_names is not None else None,
-        }
+        model = _model(score_sample, score_batch, tree, feature_names)
         generation = self.model_generation + 1
         self._apply_model(range(self.n_shards), model, generation)
         previous = self.model_generation
@@ -1102,12 +974,7 @@ class ShardedFleetMonitor:
                 "canary_shards covers every shard; a deployment needs a "
                 "control group to compare against"
             )
-        new_model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": tuple(feature_names) if feature_names is not None else None,
-        }
+        new_model = _model(score_sample, score_batch, tree, feature_names)
         generation = self.model_generation + 1
         self._apply_model(canaries, new_model, generation)
         self._deployment = _Deployment(
@@ -1208,7 +1075,6 @@ class ShardedFleetMonitor:
             "alerts": self.alerts,
             "faults": self.faults,
             "first_seen": self._first_seen,
-            "alerted_serials": self._alerted_serials,
             "model_generation": self.model_generation,
             "current_model": self._current_model,
             "slo": self.slo,
@@ -1323,14 +1189,7 @@ class ShardedFleetMonitor:
         coord = decode_object(cell)
         spec: ShardSpec = coord["spec"]
         self = cls(
-            spec.features,
-            spec.score_sample,
-            spec.detector_factory,
-            score_batch=spec.score_batch,
-            quarantine=spec.quarantine,
-            tree=spec.tree,
-            feature_names=spec.feature_names,
-            model_generation=spec.model_generation,
+            **vars(spec),
             slo=coord["slo"],
             n_shards=coord["n_shards"],
             mode=mode if mode is not None else coord["mode"],
@@ -1339,7 +1198,6 @@ class ShardedFleetMonitor:
         self.faults = coord["faults"]
         self._first_seen = coord["first_seen"]
         self._seen = set(self._first_seen)
-        self._alerted_serials = coord["alerted_serials"]
         self.model_generation = coord["model_generation"]
         self._current_model = coord["current_model"]
         self._last_hour = coord["last_hour"]
@@ -1355,52 +1213,6 @@ class ShardedFleetMonitor:
                 continue
             self.restore_shard(shard, store)
         return self
-
-    # -- ground truth and SLO --------------------------------------------------
-
-    def resolve_outcome(
-        self,
-        serial: str,
-        failed: bool,
-        *,
-        hour: Optional[float] = None,
-        failure_hour: Optional[float] = None,
-    ) -> str:
-        """Record ground truth for a drive (see ``FleetMonitor.resolve_outcome``).
-
-        Outcomes resolve against the coordinator's merged alert list
-        and feed the coordinator-side SLO monitor — shards never see
-        ground truth.
-        """
-        alerted = serial in self._alerted_serials
-        if failed:
-            outcome = "detected" if alerted else "missed"
-        else:
-            outcome = "false_alarm" if alerted else "good"
-        alert = next((a for a in self.alerts if a.serial == serial), None)
-        lead_hours: Optional[float] = None
-        if (
-            outcome == "detected" and alert is not None
-            and failure_hour is not None and np.isfinite(alert.hour)
-        ):
-            lead_hours = float(failure_hour) - float(alert.hour)
-        if hour is None:
-            if failure_hour is not None:
-                hour = failure_hour
-            elif alert is not None and np.isfinite(alert.hour):
-                hour = alert.hour
-            else:
-                hour = 0.0
-        get_event_log().emit(
-            "outcome_resolved", drive=serial, hour=hour,
-            outcome=outcome,
-            **({"alert_id": alert.alert_id}
-               if alert is not None and alert.alert_id else {}),
-            **({"lead_hours": lead_hours} if lead_hours is not None else {}),
-        )
-        if self.slo is not None:
-            self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
-        return outcome
 
     # -- reporting -------------------------------------------------------------
 
@@ -1471,30 +1283,11 @@ class ShardedFleetMonitor:
         extra ``"sharding"`` section describes the deployment topology.
         """
         statuses = self._statuses()
-        kinds: dict[str, int] = {}
-        for fault in self.faults:
-            kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
-        degraded: list[str] = []
-        for status in statuses:
-            degraded.extend(status["degraded"])
-        snapshot = get_registry().snapshot()
-        report: dict[str, object] = {
-            "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": sum(status["n_watched"] for status in statuses),
-            "alerts": len(self.alerts),
-            "faults_total": len(self.faults),
-            "faults_by_kind": kinds,
-            "degraded_drives": sorted(degraded),
-            "vote_flips": sum(status["vote_flips"] for status in statuses),
-            "model_generation": self.model_generation,
-            "metrics": {
-                name: entry
-                for name, entry in snapshot["metrics"].items()
-                if name.startswith("serve.")
-            },
-        }
-        if self.slo is not None:
-            report["slo"] = self.slo.status()
+        report = self._health_report(
+            sum(status["n_watched"] for status in statuses),
+            sorted(serial for status in statuses for serial in status["degraded"]),
+            sum(status["vote_flips"] for status in statuses),
+        )
         report["sharding"] = {
             "n_shards": self.n_shards,
             "mode": self.mode,

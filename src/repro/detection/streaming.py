@@ -33,9 +33,10 @@ resetting its window.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -166,6 +167,10 @@ class QuarantinePolicy:
         return fault_count > self.fault_limit
 
 
+#: The quarantine policy both monitors install when none is passed.
+_DEFAULT_QUARANTINE = QuarantinePolicy()
+
+
 @dataclass(frozen=True)
 class VoterSpec:
     """The voting rule a monitor applies to each drive's score series.
@@ -198,7 +203,185 @@ class VoterSpec:
         return MeanThresholdMatrix(self.n_voters, self.threshold, n_rows)
 
 
-class FleetMonitor:
+class _ServingFacade:
+    """The monitor surface that does not depend on where drive state lives.
+
+    :class:`FleetMonitor` and
+    :class:`~repro.detection.sharded.ShardedFleetMonitor` share it:
+    building from a fitted pipeline, the ``observe_tick`` argument
+    contract, the tick-level instrumentation, the alert-id format,
+    ground-truth resolution against the monitor's alert list, and the
+    body of the health report.  A subclass keeps ``alerts``,
+    ``faults``, ``slo`` and ``model_generation``.
+    """
+
+    alerts: list[Alert]
+    faults: list[SampleFault]
+    slo: Optional[object]
+    model_generation: int
+
+    @classmethod
+    def from_predictor(cls, predictor, detector_factory: VoterSpec, **kwargs):
+        """Build a monitor serving a fitted pipeline's tree.
+
+        ``predictor`` is any fitted pipeline exposing ``extractor`` and
+        ``tree_`` (e.g. :class:`~repro.core.predictor.DriveFailurePredictor`
+        or :class:`~repro.core.predictor.HealthDegreePredictor`): the
+        monitor scores through the tree's compiled batch entry point
+        (:meth:`~repro.tree.base.BaseDecisionTree.batch_scorer`) and
+        attaches the tree for decision-path provenance.  The tree's
+        scorers pickle whenever the tree does, so they also ship to
+        shard workers.  Extra keyword arguments pass through to the
+        constructor.
+        """
+        tree = predictor.tree_
+        if tree is None:
+            raise RuntimeError("predictor is not fitted; call fit() first")
+        return cls(
+            predictor.extractor.features,
+            score_sample=tree.sample_scorer(),
+            detector_factory=detector_factory,
+            score_batch=tree.batch_scorer(),
+            tree=tree,
+            **kwargs,
+        )
+
+    def _tick_values(
+        self,
+        values: Optional[np.ndarray],
+        serials: Optional[Sequence[str]],
+        registered: Optional[tuple[str, ...]],
+        *,
+        pinned: bool = False,
+    ) -> tuple[tuple[str, ...], Optional[np.ndarray]]:
+        """Check :meth:`observe_tick` arguments; return its roster and matrix.
+
+        ``serials`` overrides the ``registered`` roster.  The matrix is
+        ``None`` only for a registered roster whose feed is ``pinned``
+        (a sharded monitor's :meth:`pin_feed`); every other call must
+        pass a ``(len(roster), N_CHANNELS)`` matrix.
+        """
+        roster = tuple(serials) if serials is not None else registered
+        if roster is None:
+            raise ValueError(
+                "no tick roster: pass serials= or call register_fleet() first"
+            )
+        if values is None:
+            if pinned and serials is None:
+                return roster, None
+            raise ValueError("values is required: no feed is pinned for this roster")
+        matrix = np.ascontiguousarray(values, dtype=float)
+        if matrix.shape != (len(roster), N_CHANNELS):
+            raise ValueError(
+                f"values must have shape ({len(roster)}, {N_CHANNELS}), "
+                f"got {matrix.shape}"
+            )
+        return roster, matrix
+
+    @contextmanager
+    def _collection_tick(self, n_drives: int) -> Iterator[None]:
+        """Tick-level instrumentation around one collection tick.
+
+        The ``serve.tick`` span, ``serve.fleet_ticks`` and
+        ``serve.tick_seconds``, emitted once per logical tick (a sharded
+        coordinator's shards do not emit them), and not at all when the
+        tick raises.
+        """
+        registry = get_registry()
+        start = perf_counter() if registry.enabled else 0.0
+        with get_tracer().span("serve.tick", category="serve", n_drives=n_drives):
+            yield
+        registry.counter("serve.fleet_ticks", help="collection ticks").inc()
+        if registry.enabled:
+            registry.histogram(
+                "serve.tick_seconds", unit="seconds",
+                help="collection tick wall time",
+            ).observe(perf_counter() - start)
+
+    def _new_alert_id(self) -> str:
+        """The id of the next alert: dense per monitor, in raise order."""
+        return f"alert-{len(self.alerts):04d}"
+
+    def resolve_outcome(
+        self,
+        serial: str,
+        failed: bool,
+        *,
+        hour: Optional[float] = None,
+        failure_hour: Optional[float] = None,
+    ) -> str:
+        """Record ground truth for a drive; returns its outcome label.
+
+        Once an operator learns a drive's fate the alert latch resolves
+        to one of ``detected`` / ``missed`` / ``false_alarm`` / ``good``.
+        The outcome feeds the attached SLO monitor (when one was passed
+        at construction) with the detection's lead time, and an
+        ``outcome_resolved`` event lands in the log — the bridge from
+        the alert lifecycle to the FDR/FAR/lead-time budgets.  When the
+        drive had alerted, the event carries the resolving alert's id,
+        so explain reports can attribute precision to the exact
+        subtree that paged (:mod:`repro.explain.report`).  A sharded
+        monitor resolves against its merged alert list; shards never
+        see ground truth.
+        """
+        alert = next((a for a in self.alerts if a.serial == serial), None)
+        if failed:
+            outcome = "detected" if alert is not None else "missed"
+        else:
+            outcome = "false_alarm" if alert is not None else "good"
+        lead_hours: Optional[float] = None
+        if (
+            outcome == "detected"
+            and failure_hour is not None and np.isfinite(alert.hour)
+        ):
+            lead_hours = float(failure_hour) - float(alert.hour)
+        if hour is None:
+            if failure_hour is not None:
+                hour = failure_hour
+            elif alert is not None and np.isfinite(alert.hour):
+                hour = alert.hour
+            else:
+                hour = 0.0
+        get_event_log().emit(
+            "outcome_resolved", drive=serial, hour=hour,
+            outcome=outcome,
+            **({"alert_id": alert.alert_id}
+               if alert is not None and alert.alert_id else {}),
+            **({"lead_hours": lead_hours} if lead_hours is not None else {}),
+        )
+        if self.slo is not None:
+            self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
+        return outcome
+
+    def _health_report(
+        self, n_watched: int, degraded: list[str], vote_flips: int
+    ) -> dict[str, object]:
+        """The ``health_report`` body, from the monitor's drive counts."""
+        kinds: dict[str, int] = {}
+        for fault in self.faults:
+            kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
+        snapshot = get_registry().snapshot()
+        report: dict[str, object] = {
+            "schema": HEALTH_REPORT_SCHEMA,
+            "watched_drives": n_watched,
+            "alerts": len(self.alerts),
+            "faults_total": len(self.faults),
+            "faults_by_kind": kinds,
+            "degraded_drives": degraded,
+            "vote_flips": vote_flips,
+            "model_generation": self.model_generation,
+            "metrics": {
+                name: entry
+                for name, entry in snapshot["metrics"].items()
+                if name.startswith("serve.")
+            },
+        }
+        if self.slo is not None:
+            report["slo"] = self.slo.status()
+        return report
+
+
+class FleetMonitor(_ServingFacade):
     """Routes streaming SMART records through a fitted model.
 
     Per-drive state lives in parallel arrays grown by capacity doubling;
@@ -217,17 +400,17 @@ class FleetMonitor:
     Args:
         features: The feature definitions the model was trained on.
         score_sample: Callable scoring one feature row (e.g.
-            ``tree.sample_scorer()``); used by :meth:`observe` and when
-            no ``score_batch`` is installed.  Rows with no finite
-            feature are scored NaN without calling the model.
+            ``tree.sample_scorer()``); used only when no
+            ``score_batch`` is installed.  Rows with no finite feature
+            are scored NaN without calling the model.
         detector_factory: The :class:`VoterSpec` (majority vote or mean
             threshold) every drive's score series is judged by.
         score_batch: Optional callable scoring a stacked matrix in one
-            call (e.g. ``tree.batch_scorer()``).  When set, a
-            collection tick's usable rows are scored through it — one
-            compiled routing pass for the fleet — instead of
-            one ``score_sample`` call per drive.  Read at every tick,
-            so it may be reassigned between ticks.
+            call (e.g. ``tree.batch_scorer()``).  When set, every
+            tick's usable rows are scored through it — one compiled
+            routing pass for the fleet — instead of one
+            ``score_sample`` call per drive.  Read at every tick, so it
+            may be reassigned between ticks.
         quarantine: The degraded-mode policy (see
             :class:`QuarantinePolicy`; a default policy is installed when
             omitted).  Pass ``quarantine=None`` for strict mode, where a
@@ -260,8 +443,6 @@ class FleetMonitor:
         >>> monitor.observe("d1", 0.0, np.ones(12)) is None
         True
     """
-
-    _DEFAULT_QUARANTINE = QuarantinePolicy()
 
     def __init__(
         self,
@@ -338,35 +519,6 @@ class FleetMonitor:
         self._last_rows = np.empty((self._n_features, 0))
         self._has_row = np.empty(0, dtype=bool)
 
-    @classmethod
-    def from_predictor(
-        cls,
-        predictor,
-        detector_factory: VoterSpec,
-        **kwargs,
-    ) -> "FleetMonitor":
-        """Build a monitor serving a fitted pipeline's tree.
-
-        ``predictor`` is any fitted pipeline exposing ``extractor`` and
-        ``tree_`` (e.g. :class:`~repro.core.predictor.DriveFailurePredictor`
-        or :class:`~repro.core.predictor.HealthDegreePredictor`): the
-        monitor scores through the tree's compiled batch entry point
-        (:meth:`~repro.tree.base.BaseDecisionTree.batch_scorer`) and
-        attaches the tree for decision-path provenance.  Extra keyword
-        arguments pass through to the constructor.
-        """
-        tree = predictor.tree_
-        if tree is None:
-            raise RuntimeError("predictor is not fitted; call fit() first")
-        return cls(
-            predictor.extractor.features,
-            score_sample=tree.sample_scorer(),
-            detector_factory=detector_factory,
-            score_batch=tree.batch_scorer(),
-            tree=tree,
-            **kwargs,
-        )
-
     def __getstate__(self) -> dict:
         """Pickle support for shard snapshot/restore.
 
@@ -423,7 +575,7 @@ class FleetMonitor:
     ) -> Optional[Alert]:
         """Ingest one record; return an :class:`Alert` if the drive trips.
 
-        A one-row collection tick, scored through ``score_sample``.  A
+        A one-row tick, without the tick-level instrumentation.  A
         drive raises at most one alert (further records are ignored for
         alerting but still tracked, so health queries stay current).
         Malformed ticks are quarantined — counted, excluded from scoring
@@ -431,7 +583,7 @@ class FleetMonitor:
         values inside a well-formed tick flow through to the model's
         surrogate routing unchanged.
         """
-        alerts = self._tick(hour, [(serial, channel_values)], [], single=True)
+        alerts = self._tick(hour, [(serial, channel_values)], [])
         return alerts[0] if alerts else None
 
     def observe_fleet(
@@ -481,47 +633,8 @@ class FleetMonitor:
         Semantically identical to
         ``observe_fleet(hour, zip(serials, values))``.
         """
-        roster = tuple(serials) if serials is not None else self._tick_serials
-        if roster is None:
-            raise ValueError(
-                "no tick roster: pass serials= or call register_fleet() first"
-            )
-        matrix = np.ascontiguousarray(values, dtype=float)
-        if matrix.shape != (len(roster), N_CHANNELS):
-            raise ValueError(
-                f"values must have shape ({len(roster)}, {N_CHANNELS}), "
-                f"got {matrix.shape}"
-            )
+        roster, matrix = self._tick_values(values, serials, self._tick_serials)
         return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
-
-    def shard_tick(
-        self,
-        hour: float,
-        items: Optional[list[tuple]],
-        duplicates: Optional[list[str]],
-        *,
-        roster: Optional[tuple[str, ...]] = None,
-        matrix: Optional[np.ndarray] = None,
-    ) -> list[Alert]:
-        """One shard's slice of a coordinator tick (no tick instrumentation).
-
-        The entry point :class:`~repro.detection.sharded.ShardedFleetMonitor`
-        drives: identical to a collection tick except that the
-        tick-level instrumentation (``serve.fleet_ticks``, the
-        ``serve.tick`` span, ``serve.tick_seconds``) is *not* emitted —
-        the coordinator emits it once per logical tick, so the merged
-        registry matches a single monitor's bit-for-bit instead of
-        multiplying per-tick counters by the shard count.  Record-level
-        instrumentation (``serve.ticks``/``serve.faults``/... and the
-        lifecycle events) is emitted normally.
-
-        Pass either normalized ``items``/``duplicates`` (from
-        :func:`_normalize_tick`) or an aligned ``roster``/``matrix``
-        pair (the zero-copy path).
-        """
-        if roster is not None:
-            return self._tick_matrix(hour, roster, matrix)
-        return self._tick(hour, items, duplicates)
 
     def _run_tick(
         self,
@@ -532,37 +645,26 @@ class FleetMonitor:
         roster: Optional[tuple[str, ...]] = None,
         matrix: Optional[np.ndarray] = None,
     ) -> list[Alert]:
-        """A collection tick wrapped in its tick-level instrumentation."""
-        registry = get_registry()
-        start = perf_counter() if registry.enabled else 0.0
-        n_drives = len(roster) if roster is not None else len(items)
-        with get_tracer().span(
-            "serve.tick", category="serve", n_drives=n_drives
-        ):
-            alerts = self.shard_tick(
-                hour, items, duplicates, roster=roster, matrix=matrix
-            )
-        registry.counter("serve.fleet_ticks", help="collection ticks").inc()
-        if registry.enabled:
-            registry.histogram(
-                "serve.tick_seconds", unit="seconds",
-                help="collection tick wall time",
-            ).observe(perf_counter() - start)
-        return alerts
+        """A collection tick wrapped in its tick-level instrumentation.
+
+        Pass either normalized ``items``/``duplicates`` (from
+        :func:`_normalize_tick`) or an aligned ``roster``/``matrix``
+        pair.  A sharded coordinator's shards call :meth:`_tick` and
+        :meth:`_tick_matrix` directly: the coordinator emits the
+        tick-level instrumentation once per logical tick, so the merged
+        registry matches a single monitor's instead of multiplying
+        per-tick counters by the shard count.  Record-level counters
+        and lifecycle events still come from the shards.
+        """
+        with self._collection_tick(len(roster) if roster is not None else len(items)):
+            if roster is not None:
+                return self._tick_matrix(hour, roster, matrix)
+            return self._tick(hour, items, duplicates)
 
     def _tick(
-        self,
-        hour: float,
-        items: list[tuple],
-        duplicates: list[str],
-        *,
-        single: bool = False,
+        self, hour: float, items: list[tuple], duplicates: list[str]
     ) -> list[Alert]:
-        """One collection tick from ``(serial, values)`` pairs.
-
-        ``single=True`` marks the one-record tick of :meth:`observe`,
-        scored through ``score_sample``.
-        """
+        """One collection tick from ``(serial, values)`` pairs."""
         registry = get_registry()
         strict = self.quarantine is None
         if duplicates:
@@ -596,7 +698,7 @@ class FleetMonitor:
                 values[at] = np.nan
             else:
                 values[at] = array
-        return self._process(hour, serials, rows, values, bad_shape, n_before, single)
+        return self._process(hour, serials, rows, values, bad_shape, n_before)
 
     def _tick_matrix(
         self, hour: float, roster: tuple, matrix: np.ndarray
@@ -628,7 +730,7 @@ class FleetMonitor:
             ):
                 span = slice(int(rows[0]), int(rows[0]) + len(rows))
             self._roster_cache = (roster, rows, span)
-        return self._process(hour, roster, rows, matrix, {}, n_before, False, span)
+        return self._process(hour, roster, rows, matrix, {}, n_before, span)
 
     # -- the vectorized hot path ----------------------------------------------
 
@@ -640,7 +742,6 @@ class FleetMonitor:
         values: np.ndarray,
         bad_shape: dict[int, tuple],
         n_before: int,
-        single: bool,
         span: Optional[slice] = None,
     ) -> list[Alert]:
         """Gate, ingest, score and vote one tick's ``rows``.
@@ -733,7 +834,7 @@ class FleetMonitor:
                 for column, source in zip(stacked, feature_rows):
                     column[:] = source[usable]
             stacked = stacked.T
-            if single or self.score_batch is None:
+            if self.score_batch is None:
                 scores[usable] = [
                     float(self.score_sample(stacked[at]))
                     for at in range(n_usable)
@@ -926,7 +1027,7 @@ class FleetMonitor:
         self._alerted[row] = True
         alert = Alert(
             serial=serial, hour=float(hour), score=score,
-            alert_id=f"alert-{len(self.alerts):04d}",
+            alert_id=self._new_alert_id(),
         )
         self.alerts.append(alert)
         get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
@@ -976,7 +1077,7 @@ class FleetMonitor:
             self._alerted[row] = True
             alert = Alert(
                 serial=serial, hour=np.nan, score=np.nan,
-                alert_id=f"alert-{len(self.alerts):04d}",
+                alert_id=self._new_alert_id(),
             )
             self.alerts.append(alert)
             get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
@@ -1020,61 +1121,6 @@ class FleetMonitor:
         )
         return self.model_generation
 
-    def resolve_outcome(
-        self,
-        serial: str,
-        failed: bool,
-        *,
-        hour: Optional[float] = None,
-        failure_hour: Optional[float] = None,
-    ) -> str:
-        """Record ground truth for a drive; returns its outcome label.
-
-        Once an operator learns a drive's fate the alert latch resolves
-        to one of ``detected`` / ``missed`` / ``false_alarm`` / ``good``.
-        The outcome feeds the attached SLO monitor (when one was passed
-        at construction) with the detection's lead time, and an
-        ``outcome_resolved`` event lands in the log — the bridge from
-        the alert lifecycle to the FDR/FAR/lead-time budgets.  When the
-        drive had alerted, the event carries the resolving alert's id,
-        so explain reports can attribute precision to the exact
-        subtree that paged (:mod:`repro.explain.report`).
-        """
-        alerted = self._is_alerted(serial)
-        if failed:
-            outcome = "detected" if alerted else "missed"
-        else:
-            outcome = "false_alarm" if alerted else "good"
-        alert = next((a for a in self.alerts if a.serial == serial), None)
-        lead_hours: Optional[float] = None
-        if (
-            outcome == "detected" and alert is not None
-            and failure_hour is not None and np.isfinite(alert.hour)
-        ):
-            lead_hours = float(failure_hour) - float(alert.hour)
-        if hour is None:
-            if failure_hour is not None:
-                hour = failure_hour
-            elif alert is not None and np.isfinite(alert.hour):
-                hour = alert.hour
-            else:
-                hour = 0.0
-        get_event_log().emit(
-            "outcome_resolved", drive=serial, hour=hour,
-            outcome=outcome,
-            **({"alert_id": alert.alert_id}
-               if alert is not None and alert.alert_id else {}),
-            **({"lead_hours": lead_hours} if lead_hours is not None else {}),
-        )
-        if self.slo is not None:
-            self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
-        return outcome
-
-    def _is_alerted(self, serial: str) -> bool:
-        """Whether the drive's alert latch has fired."""
-        row = self._row.get(serial)
-        return bool(self._alerted[row]) if row is not None else False
-
     def watched_drives(self) -> list[str]:
         """Serials currently tracked."""
         return sorted(self._row)
@@ -1112,25 +1158,6 @@ class FleetMonitor:
         (``serve.*``) series from the live snapshot; with the default
         no-op registry it is empty.
         """
-        kinds: dict[str, int] = {}
-        for fault in self.faults:
-            kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
-        snapshot = get_registry().snapshot()
-        report: dict[str, object] = {
-            "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": len(self._serials),
-            "alerts": len(self.alerts),
-            "faults_total": len(self.faults),
-            "faults_by_kind": kinds,
-            "degraded_drives": self.degraded_drives(),
-            "vote_flips": self.vote_flips,
-            "model_generation": self.model_generation,
-            "metrics": {
-                name: entry
-                for name, entry in snapshot["metrics"].items()
-                if name.startswith("serve.")
-            },
-        }
-        if self.slo is not None:
-            report["slo"] = self.slo.status()
-        return report
+        return self._health_report(
+            len(self._serials), self.degraded_drives(), self.vote_flips
+        )

@@ -10,7 +10,7 @@ hand, and every tick since the last snapshot is silently gone.
 
 :class:`SupervisedShardedMonitor` closes that gap with three pieces:
 
-* **Liveness** — before every collection tick the coordinator polls
+* **Liveness** — before every tick the coordinator polls
   each shard host's worker process
   (:meth:`~repro.utils.parallel.WorkerHost.poll`), so a killed shard is
   *detected* at the next tick rather than discovered via a broken pipe
@@ -228,7 +228,10 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     """A :class:`ShardedFleetMonitor` that survives its own workers.
 
     Drop-in: same constructor plus the supervision knobs, same serving
-    API, same bit-identical merge semantics.  The difference is what
+    API, same bit-identical merge semantics.  It hooks the coordinator
+    in three places: ``_serve`` (probe, serve, count the tick, snapshot
+    at the cadence), ``_dispatch_input`` (journal each dispatch before
+    it runs) and ``finalize`` (probe first).  The difference is what
     happens when a shard worker dies — instead of a
     :class:`~repro.utils.errors.WorkerDiedError` unwinding to the
     caller, the supervisor restores the shard from the latest snapshot,
@@ -299,31 +302,18 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             self._pin_calls = calls
         return super()._dispatch_input(calls, tick=tick)
 
-    def _tick(self, hour, items, duplicates, single=False):
+    def _serve(self, hour, items, duplicates, **kwargs):
         # Probe first: a shard quarantined by the probe gets no call.
         self.probe_shards()
-        alerts = super()._tick(hour, items, duplicates, single)
-        if single:
-            self._after_tick()
+        alerts = super()._serve(hour, items, duplicates, **kwargs)
+        self._tick_index += 1
+        if self.snapshot_every and self._tick_index % self.snapshot_every == 0:
+            self.checkpoint()
         return alerts
-
-    def _instrumented_tick(self, *args, **kwargs):
-        alerts = super()._instrumented_tick(*args, **kwargs)
-        self._after_tick()
-        return alerts
-
-    def observe_tick(self, hour, values=None, serials=None):
-        self.probe_shards()
-        return super().observe_tick(hour, values, serials)
 
     def finalize(self):
         self.probe_shards()
         return super().finalize()
-
-    def _after_tick(self) -> None:
-        self._tick_index += 1
-        if self.snapshot_every and self._tick_index % self.snapshot_every == 0:
-            self.checkpoint()
 
     # -- snapshots -------------------------------------------------------------
 

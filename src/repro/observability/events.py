@@ -210,14 +210,6 @@ class EventLog:
         """Distinct event types recorded so far."""
         return {event.type for event in self.events}
 
-    def next_alert_id(self) -> str:
-        """The id the next ``alert_raised`` event should carry.
-
-        Derived from the count of alerts already logged, so ids are
-        deterministic and dense (``alert-0000``, ``alert-0001``, ...).
-        """
-        return f"alert-{len(self.by_type('alert_raised')):04d}"
-
     # -- cross-worker shipping ------------------------------------------------
 
     def drain(self) -> list[Event]:

@@ -32,7 +32,7 @@ from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import disable_events, enable_events
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
-from repro.utils.errors import UnpicklableTaskWarning
+from repro.utils.errors import FaultKind, UnpicklableTaskWarning
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -156,6 +156,33 @@ def _drive_matrix_stream(monitor, ticks=25, n_drives=30, seed=7):
     rng = np.random.default_rng(seed)
     for hour in range(ticks):
         monitor.observe_tick(float(hour), rng.normal(size=(n_drives, N_CHANNELS)))
+    monitor.finalize()
+
+
+def _drive_matrix_faults(monitor, n_drives=30, seed=13):
+    """Roster ticks whose rows fault on several shards, then a re-ordered roster.
+
+    Records push some drives to the next tick's hour (duplicate time)
+    and others past it (out of order) before the roster ticks again;
+    re-registering the roster reversed changes every drive's position.
+    """
+    serials = tuple(f"m{d:03d}" for d in range(n_drives))
+    same, ahead = serials[4::6], serials[1::6]
+    rng = np.random.default_rng(seed)
+
+    def tick(hour):
+        monitor.observe_tick(float(hour), rng.normal(size=(n_drives, N_CHANNELS)))
+
+    monitor.register_fleet(serials)
+    for hour in range(4):
+        tick(hour)
+    monitor.observe_fleet(4.0, [(s, rng.normal(size=N_CHANNELS)) for s in same])
+    monitor.observe_fleet(6.0, [(s, rng.normal(size=N_CHANNELS)) for s in ahead])
+    tick(4)  # same: duplicate time; ahead: out of order
+    tick(5)  # ahead: out of order
+    monitor.register_fleet(serials[::-1])
+    for hour in range(6, 10):
+        tick(hour)  # ahead: duplicate time at hour 6
     monitor.finalize()
 
 
@@ -355,6 +382,22 @@ class TestGoldenParity:
             )
             assert_states_equal(golden, state)
 
+    def test_matrix_path_faults_parity_at_pinned_shard_counts(self):
+        golden = _run_instrumented(
+            lambda: _build_single(slo=SLOMonitor()), _drive_matrix_faults
+        )
+        kinds = {fault.kind for fault in golden["faults"]}
+        assert kinds == {FaultKind.DUPLICATE_TIME, FaultKind.OUT_OF_ORDER}
+        assert golden["alerts"]
+        for n_shards in SHARD_COUNTS:
+            faulted = {fault.serial for fault in golden["faults"]}
+            assert n_shards == 1 or len({shard_for(s, n_shards) for s in faulted}) > 1
+            state = _run_instrumented(
+                lambda: _build_sharded(n_shards, slo=SLOMonitor()),
+                _drive_matrix_faults,
+            )
+            assert_states_equal(golden, state)
+
     def test_single_record_observe_parity(self):
         def drive(monitor):
             rng = np.random.default_rng(7)
@@ -383,6 +426,35 @@ class TestGoldenParity:
             return monitor
 
         assert_states_equal(golden, _run_instrumented(build, drive))
+
+    def test_process_mode_roster_parity(self):
+        # Both roster payload forms cross the process boundary: matrix
+        # slices that fault rows, then the worker-resident pinned feed.
+        def build():
+            monitor = _build_sharded(2, slo=SLOMonitor(), mode="process")
+            assert monitor.mode == "process", "spec must pickle; no silent fallback"
+            return monitor
+
+        golden = _run_instrumented(
+            lambda: _build_single(slo=SLOMonitor()), _drive_matrix_faults
+        )
+        assert_states_equal(golden, _run_instrumented(build, _drive_matrix_faults))
+
+        serials = tuple(f"p{d:02d}" for d in range(20))
+        matrix = np.random.default_rng(3).normal(size=(20, N_CHANNELS))
+        single = _build_single(slo=SLOMonitor())
+        single.register_fleet(serials)
+        with build() as pinned:
+            pinned.register_fleet(serials)
+            pinned.pin_feed(matrix)
+            for hour in range(8):
+                assert_alerts_equal(
+                    single.observe_tick(float(hour), matrix),
+                    pinned.observe_tick(float(hour)),
+                )
+            report = pinned.health_report()
+        report.pop("sharding")
+        assert report == single.health_report()
 
     def test_modes_converge_after_a_hosted_error(self):
         # Every shard receives its slice before a hosted error surfaces,
@@ -449,6 +521,59 @@ class TestGoldenParity:
                 monitor.observe("bad", 0.0, np.ones(N_CHANNELS))  # dup time x3
         assert sharded.drive_status("bad") == single.drive_status("bad")
         assert sharded.degraded_drives() == single.degraded_drives()
+
+
+#: Malformed ``observe_tick`` calls: (registered roster, call kwargs,
+#: the error message every monitor gives).
+MALFORMED_TICKS = {
+    "no-roster": (
+        None, {"values": np.ones((2, N_CHANNELS))},
+        "no tick roster: pass serials= or call register_fleet() first",
+    ),
+    "registered-without-values": (
+        ("a", "b"), {"values": None},
+        "values is required: no feed is pinned for this roster",
+    ),
+    "explicit-serials-without-values": (
+        ("a", "b"), {"values": None, "serials": ("c", "d")},
+        "values is required: no feed is pinned for this roster",
+    ),
+    "duplicate-roster-without-values": (
+        ("a", "a"), {"values": None},
+        "values is required: no feed is pinned for this roster",
+    ),
+    "extra-rows": (
+        ("a", "b"), {"values": np.ones((3, N_CHANNELS))},
+        f"values must have shape (2, {N_CHANNELS}), got (3, {N_CHANNELS})",
+    ),
+    "missing-channels": (
+        ("a", "b"), {"values": np.ones((2, 3))},
+        f"values must have shape (2, {N_CHANNELS}), got (2, 3)",
+    ),
+    "explicit-serials-misaligned": (
+        ("a", "b"), {"values": np.ones((2, N_CHANNELS)), "serials": ("c",)},
+        f"values must have shape (1, {N_CHANNELS}), got (2, {N_CHANNELS})",
+    ),
+}
+
+
+class TestObserveTickContract:
+    """Both monitors reject a malformed ``observe_tick`` the same way."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TICKS))
+    @pytest.mark.parametrize("monitor_type", [FleetMonitor, ShardedFleetMonitor])
+    def test_malformed_call_error(self, monitor_type, case):
+        roster, kwargs, message = MALFORMED_TICKS[case]
+        if monitor_type is FleetMonitor:
+            monitor = _build_single()
+        else:
+            monitor = _build_sharded(2)
+        if roster is not None:
+            monitor.register_fleet(roster)
+        with pytest.raises(ValueError) as err:
+            monitor.observe_tick(0.0, **kwargs)
+        assert str(err.value) == message
+        assert monitor.watched_drives() == []
 
 
 class TestKillAndResume:

@@ -229,16 +229,42 @@ class TestTickJournal:
     def _tick(self, hour, **payload):
         return [(0, _shard_tick, {"hour": hour, "shard": 0, **payload})]
 
+    def _served(self):
+        """Every pin and tick dispatch a one-shard coordinator sends.
+
+        Two pins (roster, feed), then one tick of each payload form the
+        coordinator serves: a matrix slice, the pinned feed, and records
+        carrying a duplicate serial.
+        """
+        sent = []
+
+        class Recording(ShardedFleetMonitor):
+            def _dispatch_input(self, calls, *, tick):
+                sent.append((calls, tick))
+                return super()._dispatch_input(calls, tick=tick)
+
+        feed = self._matrix()
+        with Recording(
+            FEATURES, _score_sample, VoterSpec("majority", 3), n_shards=1
+        ) as monitor:
+            monitor.register_fleet(("a", "b", "c", "d"))
+            monitor.pin_feed(feed)
+            monitor.observe_tick(0.0, feed)
+            monitor.observe_tick(1.0)
+            monitor.observe_fleet(
+                2.0, [("a", np.ones(N_CHANNELS)), ("a", np.zeros(N_CHANNELS))]
+            )
+        return sent
+
     def test_entries_round_trip_every_kind(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
-        feed = self._matrix()
-        items = [("a", np.ones(N_CHANNELS))]
-        appended = [
-            (self._pin(), False),
-            (self._pin(feed=feed), False),
-            (self._tick(0.0, matrix=feed), True),
-            (self._tick(1.0, pinned=True), True),
-            (self._tick(2.0, items=items, duplicates=["a"], single=True), True),
+        appended = self._served()
+        assert [
+            sorted(calls[0][2]) for calls, tick in appended if tick
+        ] == [
+            ["hour", "matrix", "shard"],
+            ["hour", "shard"],
+            ["duplicates", "hour", "items", "shard"],
         ]
         for calls, tick in appended:
             journal.append(calls, tick=tick)

@@ -197,12 +197,6 @@ class TestEventLog:
         # disable closed the file; the header is still on disk.
         assert (tmp_path / "e.jsonl").exists()
 
-    def test_next_alert_id_is_dense(self):
-        log = EventLog()
-        assert log.next_alert_id() == "alert-0000"
-        log.emit("alert_raised", drive="d", hour=0.0, alert_id="alert-0000")
-        assert log.next_alert_id() == "alert-0001"
-
 
 def _write_log_with_torn_tail(tmp_path):
     """Two good events, then a line cut mid-write (crashed appender)."""
