@@ -46,9 +46,10 @@ for ``finalize``:
   :meth:`health_report` embeds its burn status like a single monitor.
 
 On top of the data path sit the operational tools the scale-out story
-needs: :meth:`snapshot`/:meth:`restore_shard` persist per-shard state
-through :class:`~repro.utils.checkpoint.JsonCheckpoint` (kind
-``shard-snapshot``) so a killed shard resumes **bit-identically**
+needs: :meth:`snapshot`/:meth:`restore_shard` persist state as one
+snapshot directory — each shard pickles its own ``shard-<i>.pkl`` in
+its host, the coordinator adds ``coordinator.pkl`` and publishes the
+set together — so a killed shard resumes **bit-identically**
 mid-stream, and :meth:`begin_deployment` rolls a new model out through
 canary shards — the canaries serve generation N+1 while the control
 shards stay on N, alert rates are compared over a soak window, and the
@@ -72,6 +73,7 @@ ingested, serials first seen after it unregistered).  Use a single
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import warnings
 import zlib
@@ -101,12 +103,6 @@ from repro.observability import (
     get_event_log,
     get_registry,
     get_tracer,
-)
-from repro.utils.checkpoint import (
-    SHARD_SNAPSHOT_KIND,
-    JsonCheckpoint,
-    decode_object,
-    encode_object,
 )
 from repro.utils.errors import (
     SampleFault,
@@ -249,21 +245,6 @@ class _ShardBuilder:
         return {"monitor": self.spec.build(), "roster": None, "feed": None}
 
 
-@dataclass(frozen=True)
-class _PickledShard:
-    """Worker-side state constructor for restored shards (snapshot blob in)."""
-
-    blob: bytes
-
-    def __call__(self) -> dict:
-        state = pickle.loads(self.blob)
-        return {
-            "monitor": state["monitor"],
-            "roster": state.get("roster"),
-            "feed": None,
-        }
-
-
 @dataclass
 class _Deployment:
     """In-flight canary rollout bookkeeping."""
@@ -284,8 +265,7 @@ class _Deployment:
 #
 # Module-level ``func(state, payload)`` callables submitted to a shard's
 # host (LocalHost or WorkerHost).  ``state`` is the shard cell dict built
-# by _ShardBuilder or _PickledShard; everything they emit ships home in
-# the envelope.
+# by _ShardBuilder; everything they emit ships home in the envelope.
 
 
 def _shard_tick(state: dict, payload: dict) -> dict:
@@ -370,9 +350,40 @@ def _shard_apply_model(state: dict, payload: dict) -> int:
     return monitor.model_generation
 
 
-def _shard_export(state: dict, payload: object) -> dict:
-    """The picklable snapshot of one shard (pinned feeds are not state)."""
-    return {"monitor": state["monitor"], "roster": state["roster"]}
+def _dump(value: object, path: Union[str, Path]) -> None:
+    """Pickle ``value`` to ``path`` and fsync it (one snapshot file)."""
+    with open(path, "wb") as handle:
+        pickle.dump(value, handle, protocol=5)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _shard_export(state: dict, path: str) -> int:
+    """Write this shard's state to ``path``; returns its drive count.
+
+    Pinned feeds are transient, not state.  A failed write raises
+    ``RuntimeError``: an ``OSError`` would read as a worker death.
+    """
+    try:
+        _dump({"monitor": state["monitor"], "roster": state["roster"]}, path)
+    except OSError as error:
+        raise RuntimeError(f"cannot write shard snapshot {path}: {error}") from error
+    return len(state["monitor"].watched_drives())
+
+
+def _shard_load(state: dict, path: str) -> int:
+    """Swap in the shard state stored at ``path``; returns its drive count.
+
+    An unreadable file raises ``ValueError`` naming it: the ``EOFError``
+    of a truncated pickle would otherwise read as a worker death.
+    """
+    try:
+        with open(path, "rb") as handle:
+            loaded = pickle.load(handle)
+    except (OSError, EOFError, pickle.UnpicklingError) as error:
+        raise ValueError(f"corrupt shard snapshot {path}: {error!r}") from error
+    state["monitor"], state["roster"] = loaded["monitor"], loaded["roster"]
+    return len(state["monitor"].watched_drives())
 
 
 class ShardedFleetMonitor(_ServingFacade):
@@ -1060,13 +1071,6 @@ class ShardedFleetMonitor(_ServingFacade):
 
     # -- snapshot / restore ----------------------------------------------------
 
-    def _export_shard(self, shard: int) -> dict:
-        if shard in self._quarantined:
-            raise WorkerDiedError(
-                f"shard {shard} is quarantined; it has no state to export"
-            )
-        return self._absorb(self._hosts[shard].call(_shard_export))
-
     def _coordinator_state(self) -> dict:
         return {
             "spec": self._spec,
@@ -1084,67 +1088,90 @@ class ShardedFleetMonitor(_ServingFacade):
             "quarantined": sorted(self._quarantined),
         }
 
-    def _open_store(
-        self, store: Union[str, Path, JsonCheckpoint]
-    ) -> JsonCheckpoint:
-        if isinstance(store, JsonCheckpoint):
-            return store
-        return JsonCheckpoint(store, kind=SHARD_SNAPSHOT_KIND)
+    def _snapshot(
+        self, shards: list[int], directory: Union[str, Path], *, coordinator: bool
+    ) -> Path:
+        """Export ``shards`` into ``directory``, then publish them together.
 
-    def snapshot_shard(
-        self, shard: int, store: Union[str, Path, JsonCheckpoint]
-    ) -> JsonCheckpoint:
-        """Persist one shard's full state into a ``shard-snapshot`` checkpoint."""
+        Every shard pickles itself to ``shard-<i>.pkl.tmp`` through one
+        dispatch; a shard that dies mid-export goes through
+        :meth:`_handle_shard_death` like any call, and one quarantined
+        mid-export answers ``None`` and is skipped.  Only once every
+        shard has answered are the files (plus ``coordinator.pkl``)
+        renamed into place and the directory fsync'd, so a failed
+        snapshot publishes nothing.  A crash *during* the renames leaves
+        a per-file mix of old and new.
+        """
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        calls = [
+            (sid, _shard_export, str(directory / f"shard-{sid}.pkl.tmp"))
+            for sid in shards
+        ]
+        exported = [
+            (sid, self._absorb(envelope))
+            for sid, envelope in self._raw_dispatch(calls)
+            if envelope is not None
+        ]
+        names = [f"shard-{sid}.pkl" for sid, _ in exported]
+        if coordinator:
+            _dump(self._coordinator_state(), directory / "coordinator.pkl.tmp")
+            names.append("coordinator.pkl")
+        for name in names:
+            os.replace(directory / f"{name}.tmp", directory / name)
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        for sid, n_drives in exported:
+            get_registry().counter(
+                "shard.snapshots", help=SHARD_SNAPSHOTS_HELP
+            ).inc()
+            get_event_log().emit(
+                "shard_snapshot", hour=self._last_hour, shard=sid, n_drives=n_drives
+            )
+        return directory
+
+    def snapshot_shard(self, shard: int, directory: Union[str, Path]) -> Path:
+        """Write one shard's state to ``<directory>/shard-<i>.pkl``."""
         shard = self._check_shard(shard)
-        store = self._open_store(store)
-        state = self._export_shard(shard)
-        store.set(f"shard-{shard}", encode_object(state))
-        get_registry().counter(
-            "shard.snapshots", help=SHARD_SNAPSHOTS_HELP
-        ).inc()
-        monitor: FleetMonitor = state["monitor"]
-        get_event_log().emit(
-            "shard_snapshot",
-            hour=self._last_hour,
-            shard=shard,
-            n_drives=len(monitor.watched_drives()),
-        )
-        return store
+        if shard in self._quarantined:
+            raise WorkerDiedError(
+                f"shard {shard} is quarantined; it has no state to export"
+            )
+        return self._snapshot([shard], directory, coordinator=False)
 
-    def snapshot(self, store: Union[str, Path, JsonCheckpoint]) -> JsonCheckpoint:
-        """Persist every shard plus the coordinator state, atomically per cell.
+    def snapshot(self, directory: Union[str, Path]) -> Path:
+        """Write every live shard plus the coordinator into ``directory``.
 
-        The written checkpoint restores to a monitor that is
+        The directory holds one ``shard-<i>.pkl`` per shard and a
+        ``coordinator.pkl``; it restores to a monitor that is
         bit-identical mid-stream: same alerts/faults/events-to-come,
         same voting windows, same SLO state.  Pinned feeds
         (:meth:`pin_feed`) are transient and must be re-pinned.
         """
-        store = self._open_store(store)
-        for shard in self._active_shards():
-            self.snapshot_shard(shard, store)
-        store.set("coordinator", encode_object(self._coordinator_state()))
-        return store
+        return self._snapshot(self._active_shards(), directory, coordinator=True)
 
-    def restore_shard(
-        self, shard: int, store: Union[str, Path, JsonCheckpoint]
-    ) -> None:
+    def restore_shard(self, shard: int, directory: Union[str, Path]) -> None:
         """Replace one shard's state from a snapshot (kill-and-resume).
 
         The shard's host (dead or not) is killed and replaced by a
-        fresh host of the same type whose state is rebuilt from the
-        snapshot blob — the resumed shard continues the stream
-        bit-identically from the snapshot point.
+        fresh host of the same type, which loads ``shard-<i>.pkl``
+        itself — the resumed shard continues the stream bit-identically
+        from the snapshot point.  A missing file raises ``KeyError``; an
+        unreadable one raises ``ValueError`` and leaves the shard dead.
         """
         shard = self._check_shard(shard)
-        store = self._open_store(store)
-        cell = store.get(f"shard-{shard}")
-        if cell is None:
-            raise KeyError(f"snapshot has no cell for shard {shard}")
-        state = decode_object(cell)
-        self._replace_host(
-            shard,
-            _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)),
-        )
+        path = Path(directory) / f"shard-{shard}.pkl"
+        if not path.exists():
+            raise KeyError(f"snapshot {directory} has no file for shard {shard}")
+        self._replace_host(shard, _ShardBuilder(self._spec))
+        try:
+            n_drives = self._absorb(self._hosts[shard].call(_shard_load, str(path)))
+        except ValueError:
+            self._hosts[shard].kill()
+            raise
         self._quarantined.discard(shard)
         # The snapshot's roster may predate the coordinator's current
         # registration; re-pin the live sub-roster so the matrix path
@@ -1160,20 +1187,13 @@ class ShardedFleetMonitor(_ServingFacade):
         get_registry().counter(
             "shard.restores", help=SHARD_RESTORES_HELP
         ).inc()
-        monitor: FleetMonitor = state["monitor"]
         get_event_log().emit(
-            "shard_restored",
-            hour=self._last_hour,
-            shard=shard,
-            n_drives=len(monitor.watched_drives()),
+            "shard_restored", hour=self._last_hour, shard=shard, n_drives=n_drives
         )
 
     @classmethod
     def restore(
-        cls,
-        store: Union[str, Path, JsonCheckpoint],
-        *,
-        mode: Optional[str] = None,
+        cls, directory: Union[str, Path], *, mode: Optional[str] = None
     ) -> "ShardedFleetMonitor":
         """Rebuild a whole coordinator (and all shards) from a snapshot.
 
@@ -1181,12 +1201,11 @@ class ShardedFleetMonitor(_ServingFacade):
         taken from a process-mode fleet restores fine into serial mode
         and vice versa; the serving state is mode-independent.
         """
-        if not isinstance(store, JsonCheckpoint):
-            store = JsonCheckpoint(store, kind=SHARD_SNAPSHOT_KIND)
-        cell = store.get("coordinator")
-        if cell is None:
-            raise KeyError("snapshot has no coordinator cell")
-        coord = decode_object(cell)
+        path = Path(directory) / "coordinator.pkl"
+        if not path.exists():
+            raise KeyError(f"snapshot {directory} has no coordinator file")
+        with path.open("rb") as handle:
+            coord = pickle.load(handle)
         spec: ShardSpec = coord["spec"]
         self = cls(
             **vars(spec),
@@ -1207,11 +1226,11 @@ class ShardedFleetMonitor(_ServingFacade):
         for shard in range(self.n_shards):
             if shard in quarantined:
                 # The shard was cut loose before the snapshot; there is
-                # no cell to restore and it stays out of the rotation.
+                # no file to restore and it stays out of the rotation.
                 self._hosts[shard].kill()
                 self._quarantined.add(shard)
                 continue
-            self.restore_shard(shard, store)
+            self.restore_shard(shard, directory)
         return self
 
     # -- reporting -------------------------------------------------------------

@@ -22,9 +22,9 @@ hand, and every tick since the last snapshot is silently gone.
   payload)`` calls the shards are sent: schema-tagged JSONL
   (``repro.tick-journal/v2``) naming one pickled ``.pkl`` sidecar per
   dispatch, fsync'd per append, torn-tail tolerant on read.  Periodic
-  snapshots through :class:`~repro.utils.checkpoint.JsonCheckpoint`
-  truncate it, so the journal only ever holds the ticks since the last
-  snapshot.
+  snapshots (:meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot`
+  into ``run_dir/snapshot``) truncate it once published, so the journal
+  only ever holds the ticks since the last snapshot.
 * **Recovery** — on a dead shard the supervisor respawns a fresh
   worker from the latest snapshot (or from the shard spec when none
   exists yet) and re-submits that shard's journaled calls verbatim, in
@@ -63,7 +63,6 @@ from typing import Optional, Union
 
 from repro.detection.sharded import ShardedFleetMonitor, _ShardBuilder, _shard_tick
 from repro.observability import get_event_log, get_registry
-from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND, JsonCheckpoint
 from repro.utils.errors import TornEventLogWarning, WorkerDiedError
 from repro.utils.validation import check_count
 
@@ -241,7 +240,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     Args:
         run_dir: Directory for this run's journal and snapshots.  Must
             be private to one supervisor (construction truncates the
-            journal).
+            journal and deletes any previous run's snapshot).
         snapshot_every: Auto-snapshot cadence in collection ticks; each
             snapshot truncates the journal.  ``0`` disables automatic
             snapshots (the journal then grows for the whole run).
@@ -272,9 +271,11 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         self._journal = TickJournal(
             self.run_dir / "journal.jsonl", fsync=journal_fsync
         )
-        self._snapshot_store = JsonCheckpoint(
-            self.run_dir / "snapshot.json", kind=SHARD_SNAPSHOT_KIND, durable=True
-        )
+        # A previous run's snapshot must not outlive its journal: a shard
+        # lost before this run's first snapshot is rebuilt from the spec.
+        self._snapshot_dir = self.run_dir / "snapshot"
+        for stale in self._snapshot_dir.glob("*"):
+            stale.unlink()
         self._tick_index = 0
         self._pin_calls: Optional[list] = None
         self._restarts: dict[int, deque] = {}
@@ -317,37 +318,20 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
 
     # -- snapshots -------------------------------------------------------------
 
-    def _export_shard(self, shard: int) -> dict:
-        # A shard can die in the instant between serving and being
-        # snapshotted; recover it (old snapshot + journal replay) and
-        # export the rebuilt state instead of aborting the checkpoint.
-        try:
-            return super()._export_shard(shard)
-        except WorkerDiedError as error:
-            if shard in self._quarantined or not self._supervise_death(
-                shard, error, in_flight_tick=False
-            ):
-                raise
-            return super()._export_shard(shard)
-
-    def checkpoint(self) -> JsonCheckpoint:
+    def checkpoint(self) -> Path:
         """Snapshot every live shard and truncate the journal.
 
         Called automatically every ``snapshot_every`` ticks and after
         every model change; call it by hand before risky operations.
-        The snapshot plus the (now empty) journal is always a complete
-        recipe for rebuilding any shard.
+        A shard that dies mid-export is recovered from the files still
+        published plus the not-yet-truncated journal, then exports
+        again; one quarantined instead is skipped.  The journal resets
+        only after the new files are published, so the snapshot plus
+        the journal is always a complete recipe for rebuilding any shard.
         """
-        for _ in range(self.n_shards + 1):
-            try:
-                self.snapshot(self._snapshot_store)
-                break
-            except WorkerDiedError:
-                # A shard burned its restart budget mid-snapshot and was
-                # quarantined; retry covers the remaining live shards.
-                continue
+        self.snapshot(self._snapshot_dir)
         self._journal.reset(self._pin_calls)
-        return self._snapshot_store
+        return self._snapshot_dir
 
     def set_model(self, *args, **kwargs) -> int:
         generation = super().set_model(*args, **kwargs)
@@ -448,10 +432,10 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
 
     def _recover(self, sid: int, *, exclude_in_flight: bool) -> None:
         feed_was_pinned = self._feed_pinned
-        if f"shard-{sid}" in self._snapshot_store:
+        try:
+            self.restore_shard(sid, self._snapshot_dir)
             source = "snapshot"
-            self.restore_shard(sid, self._snapshot_store)
-        else:
+        except KeyError:
             # No snapshot yet: the journal covers the whole run, so a
             # fresh shard built from the spec replays to parity.
             source = "fresh"

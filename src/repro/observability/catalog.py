@@ -141,12 +141,12 @@ METRICS: tuple[MetricSpec, ...] = (
                "coordinator's serve.tick)", TIME_BUCKETS_S),
     MetricSpec("shard.snapshots", "counter", "", (),
                "repro.detection.sharded",
-               "once per shard state written to a shard-snapshot "
-               "checkpoint"),
+               "once per shard-<i>.pkl published by a snapshot, after "
+               "every shard's export has answered"),
     MetricSpec("shard.restores", "counter", "", (),
                "repro.detection.sharded",
-               "once per shard state restored from a shard-snapshot "
-               "checkpoint"),
+               "once per shard state loaded from its shard-<i>.pkl "
+               "snapshot file"),
     MetricSpec("shard.recoveries", "counter", "", (),
                "repro.detection.supervision",
                "once per dead shard the supervisor respawned "
@@ -377,11 +377,12 @@ EVENTS: tuple[EventSpec, ...] = (
                "window?")),
     # -- sharded serving lifecycle (repro/detection/sharded.py) -------------
     EventSpec("shard_snapshot", "repro.detection.sharded",
-              "once per shard state written to a shard-snapshot checkpoint",
+              "once per shard-<i>.pkl published by a snapshot, in shard "
+              "order after every shard's export has answered",
               ("shard", "n_drives")),
     EventSpec("shard_restored", "repro.detection.sharded",
-              "once per shard state restored from a shard-snapshot "
-              "checkpoint (kill-and-resume)", ("shard", "n_drives")),
+              "once per shard state loaded from its shard-<i>.pkl "
+              "snapshot file (kill-and-resume)", ("shard", "n_drives")),
     EventSpec("shard_died", "repro.detection.supervision",
               "once per shard worker found dead — by the pre-tick probe "
               "(probe=true) or mid-dispatch (probe=false)",

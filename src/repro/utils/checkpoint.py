@@ -28,14 +28,6 @@ from typing import Any, Union
 #: Format marker; bump on incompatible layout changes.
 _VERSION = 1
 
-#: The ``kind`` tag of sharded-serving snapshots: one cell per shard
-#: (``shard-<i>``, an :func:`encode_object` of the shard monitor) plus a
-#: ``coordinator`` cell, written by
-#: :meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot` and
-#: read back by ``restore``/``restore_shard`` so a killed shard resumes
-#: bit-identically mid-stream.
-SHARD_SNAPSHOT_KIND = "shard-snapshot"
-
 
 def encode_object(value: Any) -> dict:
     """Wrap an arbitrary picklable object as a JSON-able cell payload."""
@@ -61,12 +53,6 @@ class JsonCheckpoint:
         kind: A label identifying the producing computation.  Loading a
             checkpoint written by a different ``kind`` raises, so a grid
             checkpoint cannot masquerade as an updating checkpoint.
-        durable: When True, every write fsyncs the temp file *and* the
-            parent directory before the atomic rename, so the rename
-            itself survives power loss — the durability bar supervision
-            snapshots need.  Off by default: the rename alone already
-            rules out torn documents, and fsync dominates the cost of
-            small checkpoints in tests.
 
     Example:
         >>> import tempfile, os
@@ -77,12 +63,9 @@ class JsonCheckpoint:
         {'metric': 0.25}
     """
 
-    def __init__(
-        self, path: Union[str, Path], *, kind: str, durable: bool = False
-    ):
+    def __init__(self, path: Union[str, Path], *, kind: str):
         self.path = Path(path)
         self.kind = str(kind)
-        self.durable = bool(durable)
         self._cells: dict[str, Any] = {}
         if self.path.exists():
             try:
@@ -141,19 +124,7 @@ class JsonCheckpoint:
         try:
             with handle:
                 json.dump(document, handle)
-                handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
             os.replace(handle.name, self.path)
-            if self.durable:
-                # Persist the rename itself: without a directory fsync a
-                # power cut can roll the directory entry back to the old
-                # document even though the new bytes reached the disk.
-                fd = os.open(self.path.parent, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
         except BaseException:
             try:
                 os.unlink(handle.name)

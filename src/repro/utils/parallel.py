@@ -667,8 +667,9 @@ class WorkerHost:
         Simulates a crashed shard: pending calls are cancelled, nothing
         is flushed.  The host is dead afterwards (``alive`` is False)
         and a second ``kill()`` is a no-op; build a new host — typically
-        from a :class:`~repro.utils.checkpoint.JsonCheckpoint` snapshot
-        — to resume.
+        one that loads a snapshot file, as
+        :meth:`~repro.detection.sharded.ShardedFleetMonitor.restore_shard`
+        does — to resume.
         """
         if self._pool is not None:
             for process in getattr(self._pool, "_processes", {}).values():

@@ -11,6 +11,7 @@ kill-and-resume bit-identity, and the canary rollout lifecycle.
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -612,7 +613,7 @@ class TestKillAndResume:
         with _build_sharded(2, slo=SLOMonitor(), mode="process") as resumed:
             for hour, pairs in stream[:20]:
                 resumed.observe_fleet(hour, pairs)
-            store = resumed.snapshot(tmp_path / "snap.json")
+            store = resumed.snapshot(tmp_path / "snap")
             resumed._hosts[1].kill()
             with pytest.raises(RuntimeError, match="dead"):
                 resumed._hosts[1].submit(len)
@@ -629,12 +630,12 @@ class TestKillAndResume:
         first = _build_sharded(3, slo=SLOMonitor())
         for hour, pairs in stream[:12]:
             first.observe_fleet(hour, pairs)
-        first.snapshot(tmp_path / "snap.json")
+        first.snapshot(tmp_path / "snap")
         first.close()
 
         # The snapshot is mode-independent: restore into serial mode
         # and keep going; only the "sharding" report section may differ.
-        resumed = ShardedFleetMonitor.restore(tmp_path / "snap.json", mode="serial")
+        resumed = ShardedFleetMonitor.restore(tmp_path / "snap", mode="serial")
         assert resumed.n_shards == 3
         self._finish(resumed, stream[12:])
         got = self._state(resumed)
@@ -670,7 +671,7 @@ class TestKillAndResume:
         monitor = _build_sharded(2)
         monitor.register_fleet(old)
         monitor.observe_tick(0.0, old_feed)
-        store = monitor.snapshot(tmp_path / "stale.json")  # roster: old
+        store = monitor.snapshot(tmp_path / "stale")  # roster: old
         monitor.register_fleet(new)
         monitor.observe_tick(1.0, new_ticks[0])
         monitor.kill_shard(1)
@@ -709,7 +710,7 @@ class TestKillAndResume:
         try:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(9)}
             monitor.observe_fleet(0.0, records)
-            store = monitor.snapshot(tmp_path / "snap.json")
+            store = monitor.snapshot(tmp_path / "snap")
             args = (store,) if method in ("snapshot_shard", "restore_shard") else ()
             with pytest.raises(ValueError, match="shard"):
                 getattr(monitor, method)(shard, *args)
@@ -717,18 +718,52 @@ class TestKillAndResume:
             assert monitor.quarantined_shards == []
             monitor.observe_fleet(1.0, records)
             assert monitor.health_report()["watched_drives"] == len(records)
-            assert f"shard-{shard}" not in store
+            assert not (store / f"shard-{shard}.pkl").exists()
+        finally:
+            monitor.close()
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_truncated_snapshot_file_raises_in_both_modes(self, tmp_path, mode):
+        """A cut-off ``shard-<i>.pkl`` is a corrupt file, not a dead worker."""
+        monitor = _build_sharded(2, mode=mode)
+        try:
+            monitor.observe_fleet(0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(6)})
+            store = monitor.snapshot(tmp_path / "snap")
+            path = store / "shard-1.pkl"
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                monitor.restore_shard(1, store)
+            assert monitor._hosts[1].alive is False
+        finally:
+            monitor.close()
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_unwritable_snapshot_file_raises_in_both_modes(self, tmp_path, mode):
+        """A failed export write is an error, not a dead worker."""
+        monitor = _build_sharded(2, mode=mode)
+        try:
+            records = {f"d{d}": np.ones(N_CHANNELS) for d in range(6)}
+            monitor.observe_fleet(0.0, records)
+            (tmp_path / "snap" / "shard-1.pkl.tmp").mkdir(parents=True)
+            with pytest.raises(RuntimeError, match="shard-1.pkl.tmp"):
+                monitor.snapshot(tmp_path / "snap")
+            # Nothing was published and both shards still serve.
+            assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == [
+                "shard-0.pkl.tmp", "shard-1.pkl.tmp",
+            ]
+            monitor.observe_fleet(1.0, records)
+            assert monitor.health_report()["watched_drives"] == len(records)
         finally:
             monitor.close()
 
     def test_restore_missing_cells_raise(self, tmp_path):
         monitor = _build_sharded(2)
         monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS)})
-        store = monitor.snapshot_shard(0, tmp_path / "partial.json")
+        store = monitor.snapshot_shard(0, tmp_path / "partial")
         with pytest.raises(KeyError, match="shard 1"):
             monitor.restore_shard(1, store)
         with pytest.raises(KeyError, match="coordinator"):
-            ShardedFleetMonitor.restore(tmp_path / "partial.json")
+            ShardedFleetMonitor.restore(tmp_path / "partial")
         monitor.close()
 
 

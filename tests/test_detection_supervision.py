@@ -357,6 +357,36 @@ class TestTickJournal:
         assert list(second.sidecar_dir.glob("*.pkl")) == []
         second.close()
 
+    def test_construction_clears_a_previous_runs_snapshot(self, tmp_path):
+        """Regression: a reused ``run_dir`` must not resurrect old drives.
+
+        Construction truncates the journal, so a snapshot left by the
+        previous run no longer pairs with it; a shard lost before this
+        run's first snapshot must be rebuilt from the spec, not from the
+        old run's file.
+        """
+        run_dir = tmp_path / "run"
+        old = {f"old{d:02d}": np.ones(N_CHANNELS) for d in range(8)}
+        with _build_supervised(2, run_dir, snapshot_every=0) as first:
+            first.observe_fleet(0.0, old)
+            first.checkpoint()
+
+        stream = [
+            (float(hour), {f"new{d:02d}": np.ones(N_CHANNELS) for d in range(8)})
+            for hour in range(6)
+        ]
+        golden = _build_single()
+        for hour, records in stream:
+            golden.observe_fleet(hour, records)
+        with _build_supervised(2, run_dir, snapshot_every=0) as second:
+            for at, (hour, records) in enumerate(stream):
+                if at == 3:
+                    second.kill_shard(0)
+                second.observe_fleet(hour, records)
+            assert second.recoveries == 1
+            assert second.watched_drives() == golden.watched_drives()
+            assert_alerts_equal(second.alerts, golden.alerts)
+
 
 class TestPolicies:
     def test_restart_policy_validates(self):
@@ -669,6 +699,48 @@ class TestProcessRecoveryParity:
         )
         assert_states_equal(golden, state)
 
+    def test_sigkill_mid_checkpoint_recovers_and_exports(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies under a checkpoint's export is recovered.
+
+        The export is an ordinary dispatch: the death goes through the
+        supervisor, which restores the shard from the files still
+        published, replays the not-yet-truncated journal and re-submits
+        the export — the stream then continues at parity.
+        """
+        stream = _stream(ticks=12, n_drives=10, seed=23)
+        golden = _run_instrumented(
+            lambda: _build_single(slo=SLOMonitor()),
+            lambda monitor: _finish(monitor, stream),
+        )
+        monkeypatch.setattr(
+            SupervisedShardedMonitor, "probe_shards", lambda self: None
+        )
+
+        def drive(monitor):
+            for at, (hour, pairs) in enumerate(stream):
+                if at == 7:
+                    # No poll wait: the export runs into the corpse.
+                    self._sigkill_shard(monitor, 1, wait=False)
+                    monitor.checkpoint()
+                    assert monitor.journal.tick_count == 0
+                monitor.observe_fleet(hour, pairs)
+            monitor.finalize()
+            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
+            monitor.resolve_outcome("d001", failed=False)
+            assert monitor.recoveries == 1
+            assert monitor.replayed_ticks == 3
+
+        state = _run_instrumented(
+            lambda: _build_supervised(
+                2, tmp_path / "run", slo=SLOMonitor(),
+                snapshot_every=4, mode="process",
+            ),
+            drive,
+        )
+        assert_states_equal(golden, state)
+
     def test_ping_shards_reports_request_response_health(self, tmp_path):
         monitor = _build_supervised(2, tmp_path / "run", mode="process")
         try:
@@ -779,6 +851,66 @@ class TestRestartBudget:
         finally:
             disable_events()
 
+    def test_shard_lost_during_a_checkpoint_is_not_replayed_twice(
+        self, tmp_path
+    ):
+        """Regression: quarantine mid-checkpoint must not re-export a shard.
+
+        Shard 1 burns its budget inside ``checkpoint()`` and its
+        quarantine also takes shard 0 down.  Shard 0's export had
+        already answered, so the published file holds its current state
+        and the journal resets; replaying the old journal into that
+        file would fault every shard-0 drive with duplicate hours.
+        """
+        rng = np.random.default_rng(3)
+        stream = [
+            (float(hour), {f"d{d:03d}": rng.normal(size=N_CHANNELS) for d in range(12)})
+            for hour in range(14)
+        ]
+        monitor = _build_supervised(
+            2, tmp_path / "run",
+            restart_policy=RestartPolicy(max_restarts=1, window_ticks=1000),
+            snapshot_every=0,
+        )
+        try:
+            for hour, records in stream[:4]:
+                monitor.observe_fleet(hour, records)
+            monitor.checkpoint()
+            monitor.kill_shard(1)
+            for hour, records in stream[4:9]:
+                monitor.observe_fleet(hour, records)
+            assert monitor.recoveries == 1
+
+            monitor.kill_shard(1)
+            quarantine = monitor.quarantine_shard
+
+            def quarantine_and_lose_shard_0(shard):
+                quarantine(shard)
+                monitor.kill_shard(0)
+
+            monitor.quarantine_shard = quarantine_and_lose_shard_0
+            monitor.checkpoint()
+            for hour, records in stream[9:]:
+                monitor.observe_fleet(hour, records)
+            assert monitor.quarantined_shards == [1]
+            assert monitor.fault_counts() == {}
+            assert monitor.faults == []
+
+            # Shard 0's drives match one monitor fed only those drives.
+            golden = _build_single()
+            for hour, records in stream:
+                golden.observe_fleet(hour, {
+                    s: v for s, v in records.items() if shard_for(s, 2) == 0
+                })
+            assert golden.alerts
+            survivors = [a for a in monitor.alerts if shard_for(a.serial, 2) == 0]
+            assert [(a.serial, a.hour, a.score) for a in survivors] == [
+                (a.serial, a.hour, a.score) for a in golden.alerts
+            ]
+            assert monitor.watched_drives() == golden.watched_drives()
+        finally:
+            monitor.close()
+
     def test_restart_window_ages_old_deaths_out(self, tmp_path):
         monitor = _build_supervised(
             2, tmp_path / "run",
@@ -809,9 +941,8 @@ class TestSnapshotCadence:
                 monitor.observe_fleet(float(hour), records)
             # Ticks 4 and 8 snapshotted; the journal holds only 9 and 10.
             assert monitor.journal.tick_count == 2
-            store = monitor._snapshot_store
-            assert "coordinator" in store
-            assert "shard-0" in store and "shard-1" in store
+            names = sorted(p.name for p in (monitor.run_dir / "snapshot").iterdir())
+            assert names == ["coordinator.pkl", "shard-0.pkl", "shard-1.pkl"]
         finally:
             monitor.close()
 
@@ -825,7 +956,7 @@ class TestSnapshotCadence:
             monitor.set_model(_score_sample, score_batch=_score_batch)
             # The snapshot owns the ticks; the journal restarts empty.
             assert monitor.journal.tick_count == 0
-            assert "coordinator" in monitor._snapshot_store
+            assert (monitor.run_dir / "snapshot" / "coordinator.pkl").exists()
         finally:
             monitor.close()
 

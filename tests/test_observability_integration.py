@@ -171,7 +171,7 @@ def _run_sharded_serving(tmp):
     assert monitor.last_verdict["passed"]
 
     # Mid-stream snapshot, then kill-and-resume one shard.
-    snapshot_path = tmp / "shard-snapshot.json"
+    snapshot_path = tmp / "shard-snapshot"
     monitor.snapshot(snapshot_path)
     monitor.restore_shard(0, snapshot_path)
 

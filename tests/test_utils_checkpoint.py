@@ -78,13 +78,6 @@ class TestJsonCheckpoint:
         with pytest.raises(ValueError, match="corrupted 'demo' checkpoint"):
             JsonCheckpoint(path, kind="demo")
 
-    def test_durable_writes_round_trip(self, tmp_path):
-        path = tmp_path / "durable.json"
-        store = JsonCheckpoint(path, kind="demo", durable=True)
-        store.set("cell", {"x": 1})
-        assert JsonCheckpoint(path, kind="demo").get("cell") == {"x": 1}
-        assert [p.name for p in tmp_path.iterdir()] == ["durable.json"]
-
     def test_no_temp_files_left_behind(self, tmp_path):
         store = JsonCheckpoint(tmp_path / "ckpt.json", kind="demo")
         for i in range(5):
