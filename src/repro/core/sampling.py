@@ -41,9 +41,31 @@ class TrainingSet:
         return int(np.sum(self.y == GOOD_LABEL))
 
 
-def _usable_rows(matrix: np.ndarray) -> np.ndarray:
-    """Indices of rows with at least one finite feature."""
-    return np.nonzero(np.any(np.isfinite(matrix), axis=1))[0]
+def _usable(matrix: np.ndarray) -> np.ndarray:
+    """Mask of rows with at least one finite feature."""
+    return np.any(np.isfinite(matrix), axis=1)
+
+
+#: Rows extracted at once while sampling good drives, which keep only a
+#: few rows each: bounds the stacked matrix and the lag lookup's
+#: temporaries whatever the fleet's size.
+_SAMPLING_BATCH_ROWS = 1 << 16
+
+
+def _batches(drives: Sequence[DriveRecord]):
+    """Runs of consecutive drives, as ``(index of the first, drives)``.
+
+    A run holds at most :data:`_SAMPLING_BATCH_ROWS` rows; a longer
+    drive runs alone.
+    """
+    start = rows = 0
+    for end, drive in enumerate(drives):
+        if rows and rows + drive.n_samples > _SAMPLING_BATCH_ROWS:
+            yield start, drives[start:end]
+            start, rows = end, 0
+        rows += drive.n_samples
+    if start < len(drives):
+        yield start, drives[start:]
 
 
 def good_training_rows(
@@ -54,17 +76,20 @@ def good_training_rows(
 ) -> np.ndarray:
     """Random recorded samples per good drive, stacked."""
     rng = as_rng(seed)
-    blocks = []
-    for key, drive in enumerate(drives):
-        matrix = extractor.extract(drive)
-        usable = _usable_rows(matrix)
-        if usable.size == 0:
-            continue
-        take = min(per_drive, usable.size)
-        chosen = spawn_child(rng, key).choice(usable, size=take, replace=False)
-        blocks.append(matrix[np.sort(chosen)])
-    if not blocks:
-        return np.empty((0, len(extractor)))
+    blocks = [np.empty((0, len(extractor)))]
+    for first, batch in _batches(drives):
+        matrix, offsets = extractor.extract_all(batch)
+        usable = _usable(matrix)
+        chosen = [np.empty(0, dtype=np.int64)]
+        bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        for key, (start, stop) in enumerate(bounds, start=first):
+            rows = np.flatnonzero(usable[start:stop])
+            if rows.size == 0:
+                continue
+            take = min(per_drive, rows.size)
+            picked = spawn_child(rng, key).choice(rows, size=take, replace=False)
+            chosen.append(start + np.sort(picked))
+        blocks.append(matrix[np.concatenate(chosen)])
     return np.vstack(blocks)
 
 
@@ -74,18 +99,12 @@ def failed_training_rows(
     window_hours: float,
 ) -> np.ndarray:
     """Every recorded sample within each failed drive's time window."""
-    blocks = []
-    for drive in drives:
-        window = drive.window_before_failure(window_hours)
-        if window.size == 0:
-            continue
-        matrix = extractor.extract_rows(drive, window)
-        usable = _usable_rows(matrix)
-        if usable.size:
-            blocks.append(matrix[usable])
-    if not blocks:
-        return np.empty((0, len(extractor)))
-    return np.vstack(blocks)
+    matrix, offsets = extractor.extract_all(drives)
+    windows = matrix[np.concatenate([np.empty(0, dtype=np.int64)] + [
+        start + drive.window_before_failure(window_hours)
+        for drive, start in zip(drives, offsets.tolist())
+    ])]
+    return windows[_usable(windows)]
 
 
 def build_training_set(
@@ -143,38 +162,31 @@ def score_drives(
     with no finite feature (missed samples) surface as NaN scores for
     the voting detectors to skip.
     """
-    matrices = [extractor.extract(drive) for drive in drives]
-    usables = [_usable_rows(matrix) for matrix in matrices]
-    blocks = [
-        matrix[usable] for matrix, usable in zip(matrices, usables) if usable.size
-    ]
+    matrix, offsets = extractor.extract_all(drives)
+    usable = _usable(matrix)
+    n_usable = int(usable.sum())
     registry = get_registry()
     registry.counter("score.fleet_calls", help="stacked-fleet scoring passes").inc()
     registry.counter("score.fleet_drives", help="drives scored").inc(len(drives))
-    registry.counter("score.fleet_rows", help="usable rows stacked").inc(
-        sum(block.shape[0] for block in blocks)
-    )
-    if blocks:
-        fleet_scores = np.asarray(score_rows(np.vstack(blocks)), dtype=float)
-        if fleet_scores.shape != (sum(block.shape[0] for block in blocks),):
+    registry.counter("score.fleet_rows", help="usable rows stacked").inc(n_usable)
+    scores = np.full(matrix.shape[0], np.nan)
+    if n_usable:
+        fleet_scores = np.asarray(score_rows(matrix[usable]), dtype=float)
+        if fleet_scores.shape != (n_usable,):
             raise ValueError(
                 f"score_rows returned shape {fleet_scores.shape} for "
-                f"{sum(block.shape[0] for block in blocks)} stacked rows"
+                f"{n_usable} stacked rows"
             )
-        bounds = np.cumsum([block.shape[0] for block in blocks])[:-1]
-        chunks = iter(np.split(fleet_scores, bounds))
-    series = []
-    for drive, matrix, usable in zip(drives, matrices, usables):
-        scores = np.full(matrix.shape[0], np.nan)
-        if usable.size:
-            scores[usable] = next(chunks)
-        series.append(
-            DriveScoreSeries(
-                serial=drive.serial,
-                failed=drive.failed,
-                hours=drive.hours,
-                scores=scores,
-                failure_hour=drive.failure_hour,
-            )
+        scores[usable] = fleet_scores
+    return [
+        DriveScoreSeries(
+            serial=drive.serial,
+            failed=drive.failed,
+            hours=drive.hours,
+            scores=scores[start:stop],
+            failure_hour=drive.failure_hour,
         )
-    return series
+        for drive, start, stop in zip(
+            drives, offsets[:-1].tolist(), offsets[1:].tolist()
+        )
+    ]

@@ -50,6 +50,42 @@ def change_rate(
     return out
 
 
+def lag_rows(
+    hours: np.ndarray, offsets: np.ndarray, interval_hours: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`change_rate`'s lag lookup for many drives in one pass.
+
+    ``hours`` concatenates the drives' sorted hour axes; drive ``i`` owns
+    rows ``offsets[i]:offsets[i + 1]``.  Each row reads its drive's first
+    hour at or after ``hour - interval_hours`` — :func:`change_rate`'s
+    ``searchsorted``, per drive; the lag hour lies below the row's own
+    hour, so the row found is never past it.  Returns those row indices
+    and whether the hour found ``np.isclose``-matches the lag hour.
+
+    >>> rows, aligned = lag_rows(np.array([0.0, 1.0, 0.0, 2.0]),
+    ...                          np.array([0, 2, 4]), 1.0)
+    >>> rows.tolist(), aligned.tolist()
+    ([0, 0, 2, 3], [False, True, False, False])
+    """
+    check_positive("interval_hours", interval_hours)
+    n = hours.shape[0]
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    lag = hours - interval_hours
+    # Sort the lag hours together with the hours by (drive, hour), lag
+    # hours first on ties: the hours placed before a lag hour are the
+    # earlier drives' rows plus its own drive's hours below it.
+    order = np.lexsort((
+        np.repeat([0, 1], n),
+        np.concatenate([lag, hours]),
+        np.concatenate([owner, owner]),
+    ))
+    is_hour = order >= n
+    below = np.cumsum(is_hour) - is_hour
+    rows = np.empty(n, dtype=np.int64)
+    rows[order[~is_hour]] = below[~is_hour]
+    return rows, np.isclose(hours[rows], lag)
+
+
 def change_rate_matrix(
     hours: np.ndarray, values: np.ndarray, interval_hours: float
 ) -> np.ndarray:

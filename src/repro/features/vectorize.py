@@ -3,7 +3,8 @@
 A :class:`Feature` names either a SMART channel's value or its change
 rate over some interval; a :class:`FeatureExtractor` turns a
 :class:`~repro.smart.drive.DriveRecord` into the ``(T, F)`` matrix the
-models consume, with one row per recorded sample.
+models consume, with one row per recorded sample — or a list of drives
+into their stacked matrices in one whole-array pass.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.features.change_rates import change_rate
-from repro.smart.attributes import channel_index
+from repro.features.change_rates import lag_rows
+from repro.smart.attributes import N_CHANNELS, channel_index
 from repro.smart.drive import DriveRecord
 
 
@@ -83,13 +84,40 @@ class FeatureExtractor:
         unavailable change-rate lags surface as NaN entries (the models
         route NaNs explicitly rather than imputing silently).
         """
-        columns = []
-        for feature in self.features:
-            series = drive.values[:, channel_index(feature.short)]
-            if feature.is_change_rate:
-                series = change_rate(drive.hours, series, feature.change_interval_hours)
-            columns.append(series)
-        return np.column_stack(columns)
+        return self.extract_all([drive])[0]
+
+    def extract_all(
+        self, drives: Sequence[DriveRecord]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every drive's matrix, stacked, and each drive's row offsets.
+
+        Drive ``i`` owns rows ``offsets[i]:offsets[i + 1]``, equal to
+        ``extract(drives[i])``.  The work is whole-array over the
+        concatenated hours and values: change rates follow
+        :func:`~repro.features.change_rates.change_rate`'s rule through
+        :func:`~repro.features.change_rates.lag_rows`, one lag lookup
+        per distinct interval.
+        """
+        offsets = np.zeros(len(drives) + 1, dtype=np.int64)
+        np.cumsum([drive.n_samples for drive in drives], out=offsets[1:])
+        hours = np.concatenate([np.empty(0)] + [drive.hours for drive in drives])
+        values = np.concatenate(
+            [np.empty((0, N_CHANNELS))] + [drive.values for drive in drives]
+        )
+        matrix = np.full((hours.shape[0], len(self.features)), np.nan)
+        lags = {}
+        for column, feature in enumerate(self.features):
+            series = values[:, channel_index(feature.short)]
+            if not feature.is_change_rate:
+                matrix[:, column] = series
+                continue
+            interval = feature.change_interval_hours
+            if interval not in lags:
+                lags[interval] = lag_rows(hours, offsets, interval)
+            rows, aligned = lags[interval]
+            valid = aligned & np.isfinite(series) & np.isfinite(series[rows])
+            matrix[valid, column] = (series[valid] - series[rows[valid]]) / interval
+        return matrix, offsets
 
     def extract_rows(self, drive: DriveRecord, row_indices: np.ndarray) -> np.ndarray:
         """Feature matrix restricted to the given sample indices."""

@@ -28,11 +28,13 @@ offsets from the earliest date (24h apart), and every downstream
 component (change rates, voting windows) is cadence-agnostic as long as
 intervals are expressed in hours.
 
-Two consumers share the streaming core here (:class:`BackblazeReader`
-yields one parsed row at a time, never materializing a file):
-:func:`read_backblaze_csv` for in-memory loads of one or a few files,
-and :mod:`repro.smart.ingest` for chunked, parallel, out-of-core ingest
-of whole quarterly dumps.  ``docs/datasets.md`` is the guide.
+Two consumers share the parse and merge core here
+(:class:`BackblazeReader` parses a file in bounded blocks of rows,
+column by column; :class:`DriveTable` merges blocks into drives with
+one sort): :func:`read_backblaze_csv` for in-memory loads of one or a
+few files, and :mod:`repro.smart.ingest` for chunked, parallel,
+out-of-core ingest of whole quarterly dumps.  ``docs/datasets.md`` is
+the guide.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -79,97 +83,215 @@ _REQUIRED_COLUMNS = ("date", "serial_number", "model", "failure")
 FAILURE_LABELS = ("day-end", "last-sample")
 
 
-def _parse_date(text: str, *, source: str, line: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError as error:
-        raise IngestError(
-            f"bad date {text!r}: {error}",
-            source=source, line=line, column="date",
-        ) from None
+#: The store's column files, in the order the ingest writes and hashes
+#: them (one ``np.save`` each: ``np.savez`` would embed zip timestamps
+#: and break byte determinism).
+STORE_ARRAYS = (
+    "serials", "families", "failed", "failure_hour", "offsets",
+    "hours", "values",
+)
+
+#: Rows in the reader's first block, the factor each next block grows
+#: by, and the cap on a block.  A caller that takes only the first rows
+#: reads only the first lines; memory is bounded by one capped block of
+#: csv text, never by the file.
+_FIRST_BLOCK_ROWS = 1
+_BLOCK_GROWTH = 32
+_MAX_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
-class BackblazeRow:
-    """One parsed daily-snapshot row.
+class RowBlock:
+    """Consecutive parsed daily-snapshot rows, one array per field.
 
-    ``day`` is the calendar day as an ordinal (``date.toordinal``) so
-    rows aggregate with integer arithmetic; ``failed`` is True when the
-    row's ``failure`` column flagged the drive's death on this day.
+    ``day`` holds calendar days as ordinals (``date.toordinal``) so rows
+    aggregate with integer arithmetic; ``failed`` is True where the
+    row's ``failure`` column flagged the drive's death on that day;
+    ``reading`` is ``(n_rows, N_CHANNELS)``, NaN where a mapped cell is
+    empty or absent.
     """
 
-    serial: str
-    model: str
-    day: int
-    failed: bool
+    serial: np.ndarray
+    model: np.ndarray
+    day: np.ndarray
+    failed: np.ndarray
     reading: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.day.shape[0])
+
+    def take(self, rows: np.ndarray) -> "RowBlock":
+        """The block restricted to ``rows`` (a mask or an index array)."""
+        return RowBlock(
+            self.serial[rows], self.model[rows], self.day[rows],
+            self.failed[rows], self.reading[rows],
+        )
+
+    def matching(self, models: Sequence[str]) -> "RowBlock":
+        """The rows whose model passes :func:`model_matches`."""
+        if not models or not len(self):
+            return self
+        names, inverse = np.unique(self.model, return_inverse=True)
+        keep = np.array([model_matches(str(name), models) for name in names])
+        return self.take(keep[inverse])
+
+
+_EMPTY_BLOCK = RowBlock(
+    np.empty(0, dtype=np.str_), np.empty(0, dtype=np.str_),
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+    np.empty((0, N_CHANNELS)),
+)
 
 
 class BackblazeReader:
-    """Streaming reader over one Backblaze daily-snapshot CSV.
+    """Block parser over one Backblaze daily-snapshot CSV.
 
     Wraps an open text handle (a plain file, or a zip member) and yields
-    one :class:`BackblazeRow` at a time — the file is never materialized,
-    so memory stays O(1) in the file size.  Provenance surfaces in two
-    ledgers:
+    :class:`RowBlock` s of consecutive rows.  The C ``csv.reader`` splits
+    the lines; each mapped SMART column of a block converts with one
+    numpy call, and only a column whose conversion raised is re-read
+    cell by cell to find its bad rows.  Date strings parse once per
+    reader.  The first block is one row and blocks grow to
+    ``_MAX_BLOCK_ROWS``, so memory is bounded by one block, not by the
+    file.  Provenance surfaces in two ledgers:
 
     * ``errors`` — one :class:`~repro.utils.errors.IngestError` per
-      malformed row skipped (``lenient=True``) with file/line/column;
-      with ``lenient=False`` the first malformed row raises instead;
+      malformed row skipped (``lenient=True``) with file/line/column,
+      in file order; with ``lenient=False`` the first malformed row
+      raises instead.  ``line`` is the csv reader's physical line count
+      at the end of the row, so blank lines and quoted fields spanning
+      lines are counted.  A row is malformed when it ends before a
+      required field (blamed on the first such field of
+      ``date, serial_number, model, failure``), else when its date does
+      not parse, else at its first mapped SMART cell that ``float``
+      rejects;
     * ``missing_columns`` — mapped SMART columns absent from this file's
       header entirely; every row of those channels loads as NaN, which
       downstream consumers should know is a schema gap, not noise.
 
-    Missing required *columns* always raise — that is a wrong file, not
-    a dirty row.
+    Blank lines are skipped, empty cells and cells missing from a short
+    row's tail load as NaN, and cells past the header's width are
+    ignored.  Missing required *columns* always raise — that is a wrong
+    file, not a dirty row.  ``tests/backblaze_oracle.py`` holds the
+    row-at-a-time parse this reader is tested against.
     """
 
     def __init__(self, handle: TextIO, *, source: str, lenient: bool = False):
-        self._reader = csv.DictReader(handle)
+        self._reader = csv.reader(handle)
         self.source = str(source)
         self.lenient = bool(lenient)
         self.errors: list[IngestError] = []
-        fields = self._reader.fieldnames or []
-        missing = [c for c in _REQUIRED_COLUMNS if c not in fields]
+        header = next(self._reader, [])
+        # A repeated column name reads its last occurrence.
+        position = {name: index for index, name in enumerate(header)}
+        missing = [c for c in _REQUIRED_COLUMNS if c not in position]
         if missing:
             raise IngestError(
                 f"missing required columns {missing}",
                 source=self.source, line=1,
             )
         self.missing_columns: tuple[str, ...] = tuple(
-            column for column in COLUMN_TO_CHANNEL if column not in fields
+            column for column in COLUMN_TO_CHANNEL if column not in position
         )
+        self._width = len(header)
+        self._required = [position[c] for c in _REQUIRED_COLUMNS]
+        self._mapped = [
+            (column, channel_index(short))
+            for column, short in COLUMN_TO_CHANNEL.items()
+            if column in position
+        ]
+        self._pick = itemgetter(
+            *self._required, *(position[column] for column, _ in self._mapped)
+        )
+        self._ordinals: dict[str, int] = {}
+        self._bad_dates: dict[str, str] = {}
 
-    def _parse_row(self, row: dict, line: int) -> BackblazeRow:
-        day = _parse_date(row["date"], source=self.source, line=line)
-        reading = np.full(N_CHANNELS, np.nan)
-        for column, short in COLUMN_TO_CHANNEL.items():
-            cell = row.get(column, "")
-            if cell in ("", None):
-                continue
+    def __iter__(self) -> Iterator[RowBlock]:
+        size = _FIRST_BLOCK_ROWS
+        while True:
+            rows, lines = [], []
+            for row in islice(self._reader, size):
+                rows.append(row)
+                lines.append(self._reader.line_num)
+            if not rows:
+                return
+            block = self._parse(rows, lines)
+            if len(block):
+                yield block
+            size = min(size * _BLOCK_GROWTH, _MAX_BLOCK_ROWS)
+
+    def _error(self, message: str, line: int, column: str) -> IngestError:
+        return IngestError(message, source=self.source, line=line, column=column)
+
+    def _parse(self, rows: list, lines: list) -> RowBlock:
+        if not all(rows):  # blank lines parse as []
+            lines = [line for line, row in zip(lines, rows) if row]
+            rows = [row for row in rows if row]
+            if not rows:
+                return _EMPTY_BLOCK
+        errors: dict[int, IngestError] = {}  # row -> its first fault
+        width = self._width
+        if min(map(len, rows)) < width:
+            for i, row in enumerate(rows):
+                if len(row) < width:
+                    for column, at in zip(_REQUIRED_COLUMNS, self._required):
+                        if at >= len(row):
+                            errors[i] = self._error(
+                                "row ends before this required field",
+                                lines[i], column,
+                            )
+                            break
+                    rows[i] = row + [""] * (width - len(row))
+        fields = list(zip(*map(self._pick, rows)))
+        dates, serials, models, failures = fields[:4]
+        n = len(rows)
+
+        for text in set(dates).difference(self._ordinals):
             try:
-                reading[channel_index(short)] = float(cell)
+                self._ordinals[text] = date.fromisoformat(text).toordinal()
+            except ValueError as error:
+                self._ordinals[text] = 0
+                self._bad_dates[text] = f"bad date {text!r}: {error}"
+        if not self._bad_dates.keys().isdisjoint(dates):
+            for i, text in enumerate(dates):
+                if text in self._bad_dates:
+                    errors.setdefault(
+                        i, self._error(self._bad_dates[text], lines[i], "date")
+                    )
+
+        reading = np.full((n, N_CHANNELS), np.nan)
+        for (column, channel), cells in zip(self._mapped, fields[4:]):
+            if "" in cells:
+                cells = [cell or "nan" for cell in cells]
+            try:
+                reading[:, channel] = np.array(cells, dtype=np.float64)
+                continue
             except ValueError:
-                raise IngestError(
-                    f"bad SMART value {cell!r}",
-                    source=self.source, line=line, column=column,
-                ) from None
-        return BackblazeRow(
-            serial=row["serial_number"],
-            model=row["model"],
-            day=day.toordinal(),
-            failed=row["failure"] == "1",
+                pass
+            for i, cell in enumerate(cells):
+                try:
+                    reading[i, channel] = float(cell)
+                except ValueError:
+                    errors.setdefault(
+                        i, self._error(f"bad SMART value {cell!r}", lines[i], column)
+                    )
+
+        block = RowBlock(
+            serial=np.array(serials, dtype=np.str_),
+            model=np.array(models, dtype=np.str_),
+            day=np.fromiter(map(self._ordinals.__getitem__, dates), np.int64, n),
+            failed=np.fromiter(map("1".__eq__, failures), bool, n),
             reading=reading,
         )
-
-    def __iter__(self) -> Iterator[BackblazeRow]:
-        for line_number, row in enumerate(self._reader, start=2):
-            try:
-                yield self._parse_row(row, line_number)
-            except IngestError as error:
-                if not self.lenient:
-                    raise
-                self.errors.append(error)
+        if not errors:
+            return block
+        faulty = sorted(errors)
+        if not self.lenient:
+            raise errors[faulty[0]]
+        self.errors.extend(errors[i] for i in faulty)
+        keep = np.ones(n, dtype=bool)
+        keep[faulty] = False
+        return block.take(keep)
 
 
 def model_matches(model: str, models: Sequence[str]) -> bool:
@@ -183,147 +305,160 @@ def model_matches(model: str, models: Sequence[str]) -> bool:
     return any(model.startswith(prefix) for prefix in models)
 
 
-def build_drive_record(
-    serial: str,
-    family: str,
-    day_ordinals: np.ndarray,
-    values: np.ndarray,
-    *,
-    failed: bool,
-    epoch_ordinal: int,
-    failure_window_days: Optional[int] = None,
-    failure_label: str = "day-end",
-) -> DriveRecord:
-    """Assemble one drive from per-day rows (shared by both ingest paths).
-
-    ``day_ordinals`` must be sorted strictly increasing.  Failed drives
-    get their ``failure_hour`` per ``failure_label`` (see
-    :data:`FAILURE_LABELS`), and — when ``failure_window_days`` is set —
-    their history trimmed to the last that-many days before failure,
-    the paper's bounded failed-history protocol (its drives carry at
-    most 20 days of pre-failure samples).
-    """
-    if failure_label not in FAILURE_LABELS:
-        raise ValueError(
-            f"failure_label must be one of {FAILURE_LABELS}, got {failure_label!r}"
-        )
-    hours = (day_ordinals - epoch_ordinal).astype(float) * HOURS_PER_DAY
-    failure_hour = None
-    if failed:
-        failure_hour = float(hours[-1])
-        if failure_label == "day-end":
-            # The drive died sometime during its last reported day.
-            failure_hour += HOURS_PER_DAY
-        if failure_window_days is not None:
-            keep = hours > failure_hour - failure_window_days * HOURS_PER_DAY
-            hours = hours[keep]
-            values = values[keep]
-    return DriveRecord(
-        serial=serial,
-        family=family,
-        failed=failed,
-        hours=hours,
-        values=np.asarray(values, dtype=float),
-        failure_hour=failure_hour,
-    )
+def _tight(strings: np.ndarray) -> np.ndarray:
+    """A string array re-sized to its longest element."""
+    return np.array(strings.tolist(), dtype=np.str_)
 
 
 class DriveTable:
-    """Per-serial accumulator of streamed rows (last write wins per day).
+    """Parsed rows of many files, merged into drives.
 
-    The shared aggregation behind :func:`read_backblaze_csv` and the
-    chunked ingest workers: feed it :class:`BackblazeRow` instances in
-    file order, then :meth:`build` the drives (or export the columnar
-    arrays a chunk part stores).
+    The one aggregation behind :func:`read_backblaze_csv`, the chunked
+    ingest's parse workers and its assembly: feed it :class:`RowBlock` s
+    in file order, then export the merged rows (:meth:`columnar`, the
+    layout a chunk part stores), the store's columns
+    (:meth:`store_columns`) or drive records (:meth:`build`).
+
+    Merge rules, one set for every path: the last row added for a
+    ``(serial, day)`` wins; a drive's model is the first one added for
+    its serial; a drive failed when any of its rows flagged failure.
     """
 
     def __init__(self):
-        self._drives: dict[str, dict] = {}
+        self._blocks: list[RowBlock] = []
 
-    def __len__(self) -> int:
-        return len(self._drives)
+    def add(self, block: RowBlock) -> None:
+        if len(block):
+            self._blocks.append(block)
 
-    @property
-    def n_rows(self) -> int:
-        return sum(len(entry["days"]) for entry in self._drives.values())
+    def add_rows(self, reader: BackblazeReader, models: Sequence[str] = ()) -> int:
+        """Add every row of ``reader`` passing the model filter.
 
-    def add(self, row: BackblazeRow) -> None:
-        entry = self._drives.setdefault(
-            row.serial, {"model": row.model, "days": {}, "failed_day": None}
-        )
-        entry["days"][row.day] = row.reading
-        if row.failed:
-            failed_day = entry["failed_day"]
-            entry["failed_day"] = (
-                row.day if failed_day is None else max(failed_day, row.day)
-            )
+        Returns how many rows the filter dropped.
+        """
+        n_filtered = 0
+        for block in reader:
+            kept = block.matching(models)
+            n_filtered += len(block) - len(kept)
+            self.add(kept)
+        return n_filtered
 
     def epoch_ordinal(self) -> Optional[int]:
-        """The earliest observed day across all accumulated drives."""
-        if not self._drives:
+        """The earliest day added, or ``None`` when nothing was."""
+        if not self._blocks:
             return None
-        return min(min(entry["days"]) for entry in self._drives.values())
-
-    def items(self) -> Iterator[tuple[str, dict]]:
-        """``(serial, entry)`` pairs sorted by serial."""
-        return iter(sorted(self._drives.items()))
+        return int(min(block.day.min() for block in self._blocks))
 
     def columnar(self) -> dict[str, np.ndarray]:
-        """Serial-sorted columnar arrays (the chunk-part layout).
+        """Serial-sorted merged rows (the chunk-part layout).
 
-        Keys: ``serials`` / ``models`` / ``failed_day`` (one element per
-        drive, ``-1`` when the drive never flagged failure) plus the
-        row-major ``row_serial`` (index into ``serials``), ``row_day``
-        (ordinals, sorted within each drive) and ``row_values``.
+        Keys: ``serials`` / ``models`` / ``failed`` (one element per
+        drive) plus ``row_serial`` (index into ``serials``), ``row_day``
+        (ordinals, increasing within each drive) and ``row_values`` —
+        one row per ``(serial, day)``.
         """
-        serials, models, failed_days = [], [], []
-        row_serial, row_day, row_values = [], [], []
-        for index, (serial, entry) in enumerate(self.items()):
-            serials.append(serial)
-            models.append(entry["model"])
-            failed_days.append(-1 if entry["failed_day"] is None else entry["failed_day"])
-            for day in sorted(entry["days"]):
-                row_serial.append(index)
-                row_day.append(day)
-                row_values.append(entry["days"][day])
+        blocks = self._blocks or [_EMPTY_BLOCK]
+        serial = np.concatenate([block.serial for block in blocks])
+        day = np.concatenate([block.day for block in blocks])
+        serials, first, owner = np.unique(
+            serial, return_index=True, return_inverse=True
+        )
+        failed = np.zeros(len(serials), dtype=bool)
+        failed[owner[np.concatenate([block.failed for block in blocks])]] = True
+        # The sort is stable, so the rows of one (serial, day) stay in
+        # the order they were added and the last of each run wins.
+        order = np.lexsort((day, owner))
+        owner, day = owner[order], day[order]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = (owner[1:] != owner[:-1]) | (day[1:] != day[:-1])
         return {
-            "serials": np.array(serials, dtype=np.str_),
-            "models": np.array(models, dtype=np.str_),
-            "failed_day": np.array(failed_days, dtype=np.int64),
-            "row_serial": np.array(row_serial, dtype=np.int64),
-            "row_day": np.array(row_day, dtype=np.int64),
-            "row_values": (
-                np.vstack(row_values) if row_values
-                else np.empty((0, N_CHANNELS))
-            ),
+            "serials": serials,
+            "models": np.concatenate([block.model for block in blocks])[first],
+            "failed": failed,
+            "row_serial": owner[last],
+            "row_day": day[last],
+            "row_values": np.concatenate(
+                [block.reading for block in blocks]
+            )[order[last]],
         }
 
-    def build(
+    def store_columns(
         self,
         *,
         family_from_model: bool = True,
         failure_window_days: Optional[int] = None,
         failure_label: str = "day-end",
-    ) -> list[DriveRecord]:
-        """Assemble the accumulated drives, sorted by serial."""
-        epoch = self.epoch_ordinal()
-        drives = []
-        for serial, entry in self.items():
-            days = np.array(sorted(entry["days"]), dtype=np.int64)
-            values = np.vstack([entry["days"][day] for day in days])
-            drives.append(
-                build_drive_record(
-                    serial,
-                    entry["model"] if family_from_model else "BB",
-                    days,
-                    values,
-                    failed=entry["failed_day"] is not None,
-                    epoch_ordinal=epoch,
-                    failure_window_days=failure_window_days,
-                    failure_label=failure_label,
-                )
+    ) -> dict[str, np.ndarray]:
+        """The merged drives as the store's columns (:data:`STORE_ARRAYS`).
+
+        Hours count from the earliest day added (24 per day).  Failed
+        drives get their ``failure_hour`` per ``failure_label`` (see
+        :data:`FAILURE_LABELS`), and — when ``failure_window_days`` is
+        set — their history trimmed to the last that-many days before
+        failure, the paper's bounded failed-history protocol (its drives
+        carry at most 20 days of pre-failure samples).
+        """
+        if failure_label not in FAILURE_LABELS:
+            raise ValueError(
+                f"failure_label must be one of {FAILURE_LABELS}, "
+                f"got {failure_label!r}"
             )
-        return drives
+        merged = self.columnar()
+        n_drives = len(merged["serials"])
+        owner, values = merged["row_serial"], merged["row_values"]
+        failed = merged["failed"]
+        epoch = self.epoch_ordinal() or 0
+        hours = (merged["row_day"] - epoch).astype(float) * HOURS_PER_DAY
+        last = np.cumsum(np.bincount(owner, minlength=n_drives)) - 1
+        failure_hour = np.full(n_drives, np.nan)
+        failure_hour[failed] = hours[last[failed]]
+        if failure_label == "day-end":
+            # The drive died sometime during its last reported day.
+            failure_hour[failed] += HOURS_PER_DAY
+        if failure_window_days is not None:
+            cutoff = failure_hour[owner] - failure_window_days * HOURS_PER_DAY
+            keep = ~failed[owner] | (hours > cutoff)
+            owner, hours, values = owner[keep], hours[keep], values[keep]
+        offsets = np.zeros(n_drives + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n_drives), out=offsets[1:])
+        return {
+            "serials": _tight(merged["serials"]),
+            "families": (
+                _tight(merged["models"]) if family_from_model
+                else np.array(["BB"] * n_drives, dtype=np.str_)
+            ),
+            "failed": failed,
+            "failure_hour": failure_hour,
+            "offsets": offsets,
+            "hours": hours,
+            "values": values if n_drives else np.empty((0, 0)),
+        }
+
+    def build(self, **options) -> list[DriveRecord]:
+        """The merged drives as records, sorted by serial.
+
+        Takes :meth:`store_columns`' keyword options.
+        """
+        return drives_from_columns(self.store_columns(**options))
+
+
+def drives_from_columns(columns: dict[str, np.ndarray]) -> list[DriveRecord]:
+    """Drive records over store columns (views sliced by ``offsets``)."""
+    offsets = columns["offsets"].tolist()
+    return [
+        DriveRecord(
+            serial=str(serial),
+            family=str(family),
+            failed=bool(failed),
+            hours=columns["hours"][start:stop],
+            values=columns["values"][start:stop],
+            failure_hour=float(failure_hour) if failed else None,
+        )
+        for serial, family, failed, failure_hour, start, stop in zip(
+            columns["serials"], columns["families"], columns["failed"],
+            columns["failure_hour"], offsets[:-1], offsets[1:],
+        )
+    ]
 
 
 class DriveLoadResult(list):
@@ -371,15 +506,15 @@ def read_backblaze_csv(
     Args:
         paths: A single CSV path or a sequence of them (typically one
             per day); rows are merged per serial across all files.
-            Rows stream through :class:`BackblazeReader` one at a time —
-            only the per-drive aggregates are held, never a whole file.
+            Rows parse through :class:`BackblazeReader` a block at a
+            time; the parsed rows are held, never a file's text.
             For directories, zips and out-of-core scale, use
             :func:`repro.smart.ingest.ingest_backblaze`.
         family_from_model: Use the ``model`` column as the drive family
             (the paper separates models per family); if False, every
             drive gets family ``"BB"``.
-        lenient: Skip malformed rows (bad dates, unparseable SMART
-            cells) instead of raising, and return a
+        lenient: Skip malformed rows (short rows, bad dates,
+            unparseable SMART cells) instead of raising, and return a
             :class:`DriveLoadResult` whose ``errors`` attribute records
             every skipped row's location and whose ``missing_columns``
             ledger names mapped SMART columns a file does not expose at
@@ -413,9 +548,7 @@ def read_backblaze_csv(
             reader = BackblazeReader(handle, source=str(path), lenient=lenient)
             if reader.missing_columns:
                 missing_columns[str(path)] = reader.missing_columns
-            for row in reader:
-                if model_matches(row.model, models):
-                    table.add(row)
+            table.add_rows(reader, models)
             skipped.extend(reader.errors)
 
     drives = table.build(

@@ -12,19 +12,26 @@ pass, without ever materializing the raw text:
    checkpointing and memory: a parse worker holds one chunk's numeric
    aggregate, never the whole dump (the manifest records per-chunk row
    counts, so the bound is testable).
-2. **Parse.**  Each chunk streams through
-   :class:`~repro.smart.backblaze.BackblazeReader` row by row inside a
-   :func:`~repro.utils.parallel.run_tasks` worker — per-model filtering
-   applied at the row, malformed rows skipped into the lenient ledger —
-   and lands as a columnar **part file** (``parts/part-*.npz``) plus a
-   JSON summary persisted to a :class:`~repro.utils.checkpoint.JsonCheckpoint`,
-   so a killed ingest resumes at chunk granularity.
-3. **Assemble.**  Parts merge in chunk order (a drive's rows re-join
-   across day files and chunk boundaries keyed by serial; later files
-   win duplicate days), failure-window labeling is applied per drive,
-   and the store is written as one ``.npy`` file per column — byte
-   deterministic, so serial and parallel ingests of the same dump are
-   bit-identical, and so is a resumed one.
+2. **Parse.**  Each chunk's files parse through
+   :class:`~repro.smart.backblaze.BackblazeReader` inside a
+   :func:`~repro.utils.parallel.run_tasks` worker, in blocks of at most
+   a few thousand rows: the C csv reader splits the lines and each
+   mapped SMART column converts with one numpy call.  Per-model
+   filtering applies to each block, malformed rows are skipped into
+   the lenient ledger, and the chunk's rows merge into one
+   :class:`~repro.smart.backblaze.DriveTable` that lands as a columnar
+   **part file** (``parts/part-*.npz``) plus a JSON summary persisted
+   to a :class:`~repro.utils.checkpoint.JsonCheckpoint`, so a killed
+   ingest resumes at chunk granularity.  A worker holds one block of
+   text and one chunk of parsed rows, never a whole file's text.
+3. **Assemble.**  Parts merge in chunk order through the same
+   :class:`~repro.smart.backblaze.DriveTable`: one stable sort on
+   ``(serial, day)`` re-joins a drive's rows across day files and
+   chunk boundaries, later files win duplicate days, and a drive keeps
+   the first model seen for it.  Failure-window labeling is applied
+   column-wise and the store is written as one ``.npy`` file per
+   column — byte deterministic, so serial and parallel ingests of the
+   same dump are bit-identical, and so is a resumed one.
 
 The store carries a schema-tagged ``manifest.json``
 (:data:`INGEST_MANIFEST_SCHEMA`) recording the source files, the config
@@ -55,13 +62,13 @@ import numpy as np
 
 from repro.observability import ROW_BUCKETS, get_registry, get_tracer
 from repro.smart.backblaze import (
+    STORE_ARRAYS,
     BackblazeReader,
     DriveTable,
-    build_drive_record,
-    model_matches,
+    RowBlock,
+    drives_from_columns,
 )
 from repro.smart.dataset import SmartDataset
-from repro.smart.drive import DriveRecord
 from repro.utils.checkpoint import JsonCheckpoint
 from repro.utils.errors import IngestError, IngestInterrupted
 from repro.utils.parallel import run_tasks
@@ -71,13 +78,6 @@ INGEST_MANIFEST_SCHEMA = "repro.ingest-manifest/v1"
 
 #: The ``kind`` tag of the per-chunk resume checkpoint.
 INGEST_CHECKPOINT_KIND = "backblaze-ingest"
-
-#: Column files of the store, written one ``np.save`` each (``np.savez``
-#: would embed zip timestamps and break byte determinism).
-STORE_ARRAYS = (
-    "serials", "families", "failed", "failure_hour", "offsets",
-    "hours", "values",
-)
 
 #: A file reference inside a source: ``(kind, path, member)`` where kind
 #: is ``"fs"`` (member empty) or ``"zip"`` (member names the archive
@@ -214,12 +214,13 @@ def _part_path(out: Path, chunk: int) -> Path:
 def _parse_chunk(config: IngestConfig, task: tuple) -> dict:
     """Parse one chunk of day files into a part file (run_tasks worker).
 
-    ``task`` is ``(chunk_index, [file_ref, ...])``.  Streams every file
+    ``task`` is ``(chunk_index, [file_ref, ...])``.  Parses every file
     through :class:`BackblazeReader`, keeps rows passing the model
-    filter, and writes the chunk's columnar aggregate to
-    ``parts/part-<index>.npz``.  Returns the JSON-able chunk summary the
-    checkpoint and manifest record — including the chunk's slice of the
-    lenient ledger, so row-level provenance survives into the manifest.
+    filter, and writes the chunk's merged rows
+    (:meth:`DriveTable.columnar`) to ``parts/part-<index>.npz``.
+    Returns the JSON-able chunk summary the checkpoint and manifest
+    record — including the chunk's slice of the lenient ledger, so
+    row-level provenance survives into the manifest.
     """
     chunk_index, refs = task
     registry = get_registry()
@@ -239,11 +240,7 @@ def _parse_chunk(config: IngestConfig, task: tuple) -> dict:
                 )
                 if reader.missing_columns:
                     missing_columns[label] = list(reader.missing_columns)
-                for row in reader:
-                    if model_matches(row.model, config.models):
-                        table.add(row)
-                    else:
-                        n_filtered += 1
+                n_filtered += table.add_rows(reader, config.models)
                 errors.extend(
                     {
                         "source": error.source,
@@ -253,10 +250,11 @@ def _parse_chunk(config: IngestConfig, task: tuple) -> dict:
                     }
                     for error in reader.errors
                 )
-        n_rows = table.n_rows
+        columns = table.columnar()
+        n_rows = len(columns["row_day"])
         part = _part_path(Path(config.out), chunk_index)
         part.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(part, **table.columnar())
+        np.savez(part, **columns)
     registry.histogram(
         "ingest.chunk_rows", ROW_BUCKETS, unit="rows",
         help="rows kept per parsed chunk (the out-of-core memory granule)",
@@ -267,7 +265,7 @@ def _parse_chunk(config: IngestConfig, task: tuple) -> dict:
         "n_rows": n_rows,
         "n_filtered_rows": n_filtered,
         "n_skipped_rows": len(errors),
-        "n_serials": len(table),
+        "n_serials": len(columns["serials"]),
         "errors": errors,
         "missing_columns": missing_columns,
     }
@@ -276,10 +274,11 @@ def _parse_chunk(config: IngestConfig, task: tuple) -> dict:
 def _assemble(config: IngestConfig, summaries: list[dict]) -> dict:
     """Merge part files into the columnar store; returns the manifest.
 
-    Parts merge in chunk order, so a row for the same ``(serial, day)``
-    in a later file overwrites an earlier one — identical semantics to
-    feeding every file through one :class:`DriveTable` serially, which
-    is what makes the chunked and in-memory paths agree bit for bit.
+    Parts feed one :class:`DriveTable` in chunk order, so a row for the
+    same ``(serial, day)`` in a later file overwrites an earlier one and
+    a drive keeps the first model seen for it — the rules of feeding
+    every file through one table serially, which is what makes the
+    chunked and in-memory paths agree bit for bit.
     """
     out = Path(config.out)
     registry = get_registry()
@@ -287,81 +286,29 @@ def _assemble(config: IngestConfig, summaries: list[dict]) -> dict:
     with tracer.span(
         "ingest.assemble", category="ingest", n_chunks=len(summaries)
     ):
-        merged: dict[str, dict] = {}
+        table = DriveTable()
         for summary in summaries:
             with np.load(_part_path(out, summary["chunk"])) as part:
-                serials = part["serials"]
-                models = part["models"]
-                failed_day = part["failed_day"]
-                row_serial = part["row_serial"]
-                row_day = part["row_day"]
-                row_values = part["row_values"]
-                entries = []
-                for i, serial in enumerate(serials):
-                    entry = merged.setdefault(
-                        str(serial), {"model": "", "days": {}, "failed_day": None}
-                    )
-                    entry["model"] = str(models[i])
-                    day = int(failed_day[i])
-                    if day >= 0:
-                        previous = entry["failed_day"]
-                        entry["failed_day"] = (
-                            day if previous is None else max(previous, day)
-                        )
-                    entries.append(entry)
-                for j in range(row_day.shape[0]):
-                    entries[int(row_serial[j])]["days"][int(row_day[j])] = (
-                        row_values[j]
-                    )
-
-        epoch = None
-        if merged:
-            epoch = min(min(entry["days"]) for entry in merged.values())
-        drives = []
-        for serial in sorted(merged):
-            entry = merged[serial]
-            days = np.array(sorted(entry["days"]), dtype=np.int64)
-            values = np.vstack([entry["days"][day] for day in days])
-            drives.append(
-                build_drive_record(
-                    serial,
-                    entry["model"] if config.family_from_model else "BB",
-                    days,
-                    values,
-                    failed=entry["failed_day"] is not None,
-                    epoch_ordinal=epoch,
-                    failure_window_days=config.failure_window_days,
-                    failure_label=config.failure_label,
-                )
-            )
-
-        offsets = np.zeros(len(drives) + 1, dtype=np.int64)
-        for i, drive in enumerate(drives):
-            offsets[i + 1] = offsets[i] + drive.n_samples
-        arrays = {
-            "serials": np.array([d.serial for d in drives], dtype=np.str_),
-            "families": np.array([d.family for d in drives], dtype=np.str_),
-            "failed": np.array([d.failed for d in drives], dtype=bool),
-            "failure_hour": np.array(
-                [np.nan if d.failure_hour is None else d.failure_hour
-                 for d in drives],
-                dtype=np.float64,
-            ),
-            "offsets": offsets,
-            "hours": (
-                np.concatenate([d.hours for d in drives]) if drives
-                else np.empty(0)
-            ),
-            "values": (
-                np.concatenate([d.values for d in drives]) if drives
-                else np.empty((0, 0))
-            ),
-        }
+                owner = part["row_serial"]
+                table.add(RowBlock(
+                    serial=part["serials"][owner],
+                    model=part["models"][owner],
+                    day=part["row_day"],
+                    failed=part["failed"][owner],
+                    reading=part["row_values"],
+                ))
+        epoch = table.epoch_ordinal()
+        arrays = table.store_columns(
+            family_from_model=config.family_from_model,
+            failure_window_days=config.failure_window_days,
+            failure_label=config.failure_label,
+        )
         for name in STORE_ARRAYS:
             np.save(out / f"{name}.npy", arrays[name])
+        n_drives = len(arrays["serials"])
         registry.counter(
             "ingest.drives", help="drives assembled into the store"
-        ).inc(len(drives))
+        ).inc(n_drives)
 
     missing_columns: dict[str, list[str]] = {}
     for summary in summaries:
@@ -381,9 +328,9 @@ def _assemble(config: IngestConfig, summaries: list[dict]) -> dict:
             "n_rows": sum(s["n_rows"] for s in summaries),
             "n_filtered_rows": sum(s["n_filtered_rows"] for s in summaries),
             "n_skipped_rows": sum(s["n_skipped_rows"] for s in summaries),
-            "n_drives": len(drives),
-            "n_failed": int(sum(d.failed for d in drives)),
-            "n_samples": int(offsets[-1]),
+            "n_drives": n_drives,
+            "n_failed": int(arrays["failed"].sum()),
+            "n_samples": int(arrays["offsets"][-1]),
             "epoch_day": (
                 date.fromordinal(epoch).isoformat() if epoch is not None
                 else None
@@ -555,24 +502,7 @@ def load_store(store: Union[str, Path]) -> SmartDataset:
         )
     read_manifest(store)  # schema check
     arrays = {name: np.load(store / f"{name}.npy") for name in STORE_ARRAYS}
-    drives = []
-    offsets = arrays["offsets"]
-    for i in range(len(arrays["serials"])):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        failed = bool(arrays["failed"][i])
-        drives.append(
-            DriveRecord(
-                serial=str(arrays["serials"][i]),
-                family=str(arrays["families"][i]),
-                failed=failed,
-                hours=arrays["hours"][start:stop],
-                values=arrays["values"][start:stop],
-                failure_hour=(
-                    float(arrays["failure_hour"][i]) if failed else None
-                ),
-            )
-        )
-    return SmartDataset(drives)
+    return SmartDataset(drives_from_columns(arrays))
 
 
 def load_backblaze(
@@ -586,8 +516,8 @@ def load_backblaze(
 ) -> SmartDataset:
     """One-shot in-memory load of a dump (no store directory).
 
-    Same streaming row path, model filter and labeling semantics as the
-    chunked ingest — :func:`load_store` after :func:`ingest_backblaze`
+    Same block parse, model filter, merge and labeling as the chunked
+    ingest — :func:`load_store` after :func:`ingest_backblaze`
     returns a bit-identical dataset — but aggregates in memory, for
     sources small enough not to need resumability.  Accepts everything
     :func:`discover_source_files` accepts.
@@ -595,12 +525,10 @@ def load_backblaze(
     table = DriveTable()
     for ref in discover_source_files(source):
         with _open_ref(ref) as handle:
-            reader = BackblazeReader(
-                handle, source=_ref_label(ref), lenient=lenient
+            table.add_rows(
+                BackblazeReader(handle, source=_ref_label(ref), lenient=lenient),
+                models,
             )
-            for row in reader:
-                if model_matches(row.model, models):
-                    table.add(row)
     return SmartDataset(
         table.build(
             family_from_model=family_from_model,

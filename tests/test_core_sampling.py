@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import sampling
 from repro.core.config import FAILED_LABEL, GOOD_LABEL, SamplingConfig
 from repro.core.sampling import (
     build_training_set,
@@ -12,6 +13,7 @@ from repro.core.sampling import (
 )
 from repro.features.selection import critical_features
 from repro.features.vectorize import FeatureExtractor
+from repro.utils.rng import as_rng, spawn_child
 
 
 @pytest.fixture
@@ -19,7 +21,31 @@ def extractor():
     return FeatureExtractor(critical_features())
 
 
+def _per_drive_good_rows(extractor, drives, per_drive, seed):
+    """The good-row draw the per-drive way: one extract and one draw each."""
+    rng = as_rng(seed)
+    blocks = [np.empty((0, len(extractor)))]
+    for key, drive in enumerate(drives):
+        matrix = extractor.extract(drive)
+        usable = np.nonzero(np.any(np.isfinite(matrix), axis=1))[0]
+        if usable.size:
+            take = min(per_drive, usable.size)
+            chosen = spawn_child(rng, key).choice(usable, size=take, replace=False)
+            blocks.append(matrix[np.sort(chosen)])
+    return np.vstack(blocks)
+
+
 class TestGoodTrainingRows:
+    @pytest.mark.parametrize("batch_rows", [1, 400, 1 << 16])
+    def test_equals_the_per_drive_draw_at_any_batch_size(
+        self, tiny_split, extractor, monkeypatch, batch_rows
+    ):
+        drives = list(tiny_split.train_good)
+        expected = _per_drive_good_rows(extractor, drives, 3, seed=1)
+        monkeypatch.setattr(sampling, "_SAMPLING_BATCH_ROWS", batch_rows)
+        rows = good_training_rows(extractor, drives, 3, seed=1)
+        assert rows.tobytes() == expected.tobytes()
+
     def test_three_samples_per_drive(self, tiny_split, extractor):
         rows = good_training_rows(extractor, tiny_split.train_good, 3, seed=1)
         assert rows.shape == (3 * len(tiny_split.train_good), len(extractor))

@@ -14,6 +14,7 @@ from repro.smart.backblaze import (
     read_backblaze_csv,
     write_backblaze_csv,
 )
+from repro.smart.ingest import load_backblaze
 from repro.utils.errors import IngestError
 from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
@@ -141,6 +142,52 @@ class TestLenientRead:
             (4, "date"),
         ]
 
+    def test_ledger_lines_count_blank_lines_and_multiline_fields(self, tmp_path):
+        # Line 2 holds a model quoted across lines 2-3, line 4 is blank:
+        # the bad cell of the next row sits on physical line 5.
+        path = tmp_path / "lines.csv"
+        bad = _row("2024-01-02", "S1")
+        bad[5 + list(COLUMN_TO_CHANNEL).index("smart_9_normalized")] = "?"
+        _write_sample(path, [_row("2024-01-01", "S1", model="ST\n4000")])
+        with path.open("a", newline="") as handle:
+            handle.write("\r\n")
+            csv.writer(handle).writerow(bad)
+        result = read_backblaze_csv(path, lenient=True)
+        assert [(e.line, e.column) for e in result.errors] == [
+            (5, "smart_9_normalized")
+        ]
+        assert [d.family for d in result] == ["ST\n4000"]
+
+    def test_truncated_row_is_ledgered_not_loaded(self, tmp_path):
+        # A row that ends before a required field is a bad row, blamed
+        # on the first missing field; a row missing only SMART cells at
+        # its tail still loads, those channels as NaN.
+        dump = tmp_path / "dump"
+        dump.mkdir()
+        path = dump / "2024-01-02.csv"
+        _write_sample(path, [_row("2024-01-01", "S1")])
+        with path.open("a", newline="") as handle:
+            handle.write("2024-01-02\r\n")
+            handle.write("2024-01-02,S2,ST4000,4000,1,100\r\n")
+        result = load_backblaze(dump, lenient=True)
+        assert [(d.serial, d.family) for d in result.drives] == [
+            ("S1", "ST4000"), ("S2", "ST4000"),
+        ]
+        s2 = result.drives[1]
+        assert s2.failed
+        assert s2.values[0, channel_index("RRER")] == 100.0
+        assert np.isnan(s2.values[0, channel_index("POH")])
+        with pytest.raises(IngestError) as excinfo:
+            read_backblaze_csv(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, "serial_number")
+
+        # Alone in its dump, the short row makes no drive.
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        (lone / "2024-01-02.csv").write_text(path.read_text().splitlines()[0]
+                                             + "\n2024-01-02\n")
+        assert load_backblaze(lone, lenient=True).drives == []
+
     def test_clean_file_has_empty_ledger(self, tmp_path):
         path = tmp_path / "clean.csv"
         _write_sample(path, [_row("2024-01-01", "S1")])
@@ -199,8 +246,9 @@ class TestStreamingReader:
         with path.open(newline="") as handle:
             reader = BackblazeReader(handle, source=str(path))
             assert reader.missing_columns == ("smart_189_normalized",)
-            (row,) = list(reader)
-        assert np.isnan(row.reading[channel_index("HFW")])
+            (block,) = list(reader)
+        assert len(block) == 1
+        assert np.isnan(block.reading[0, channel_index("HFW")])
 
     def test_missing_columns_reach_the_lenient_result(self, tmp_path):
         path = tmp_path / "partial.csv"

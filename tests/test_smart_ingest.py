@@ -7,6 +7,7 @@ the header).  Regenerate it with ``python tools/make_backblaze_fixture.py``
 and update the pins together.
 """
 
+import csv
 import hashlib
 import json
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smart.backblaze import write_backblaze_csv
+from repro.smart.backblaze import COLUMN_TO_CHANNEL, write_backblaze_csv
 from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
 from repro.smart.ingest import (
@@ -33,8 +34,20 @@ from repro.smart.ingest import (
     read_manifest,
 )
 from repro.utils.errors import IngestError, IngestInterrupted
+from tests import backblaze_oracle
 
 FIXTURE = Path(__file__).parent / "fixtures" / "backblaze_mini"
+
+#: ``_store_digest`` of the fixture's store and its full ledger, both
+#: computed before the parse went column-at-a-time; any change to the
+#: parse or the merge must leave them as they are.
+GOLDEN_DIGEST = "69a5931016b9b42851c0689f4280d362ebf34835e9976637b65d88a7d5d009fc"
+GOLDEN_LEDGER = [
+    ("2024-01-03.csv", 18, "date",
+     "column 'date': bad date '2024-13-99': month must be in 1..12"),
+    ("2024-01-06.csv", 19, "smart_9_normalized",
+     "column 'smart_9_normalized': bad SMART value 'not-a-number'"),
+]
 
 #: Pinned manifest totals of the fixture (see the module docstring).
 GOLDEN_TOTALS = {
@@ -121,6 +134,15 @@ class TestGoldenFixture:
         assert failed["ZA08"].failure_hour == 336.0
         assert failed["ZB04"].failure_hour == 288.0
 
+    def test_store_bytes_and_ledger_pinned(self, tmp_path):
+        manifest = ingest_backblaze(_config(tmp_path))
+        assert _store_digest(tmp_path / "store") == GOLDEN_DIGEST
+        assert [
+            (Path(e["source"]).name, e["line"], e["column"],
+             e["message"].split(": ", 1)[1])
+            for e in manifest["errors"]
+        ] == GOLDEN_LEDGER
+
     def test_ledger_carries_row_provenance(self, tmp_path):
         manifest = ingest_backblaze(_config(tmp_path))
         locations = [
@@ -144,15 +166,31 @@ class TestGoldenFixture:
 
     def test_chunk_boundaries_do_not_change_the_store(self, tmp_path):
         # Drive histories span every chunk boundary at chunk_files=1;
-        # reassembly across parts must be invisible in the output.
-        digests = set()
-        for chunk_files in (1, 3, 14):
-            out = tmp_path / f"store-{chunk_files}"
-            ingest_backblaze(
-                _config(tmp_path, out=str(out), chunk_files=chunk_files)
+        # reassembly across parts must be invisible in the output.  In
+        # the second dump a drive's model changes between day files:
+        # every chunking keeps the first model seen, as the in-memory
+        # load does.
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        header = "date,serial_number,model,failure,smart_9_normalized\n"
+        for day in range(1, 6):
+            model = "ST4000A" if day <= 2 else "ST4000B"
+            (renamed / f"2024-01-0{day}.csv").write_text(
+                header + f"2024-01-0{day},S1,{model},0,9{day}\n"
             )
-            digests.add(_store_digest(out))
-        assert len(digests) == 1
+        for source in (FIXTURE, renamed):
+            digests = set()
+            for chunk_files in (1, 3, 14):
+                out = tmp_path / f"store-{source.name}-{chunk_files}"
+                ingest_backblaze(_config(
+                    tmp_path, source=str(source), out=str(out),
+                    chunk_files=chunk_files,
+                ))
+                digests.add(_store_digest(out))
+            assert len(digests) == 1
+        store = load_store(tmp_path / "store-renamed-1")
+        assert [d.family for d in store.drives] == ["ST4000A"]
+        _assert_same_drives(store, load_backblaze(renamed))
 
     def test_zip_source_is_byte_identical_to_directory(self, tmp_path):
         archive = tmp_path / "dump.zip"
@@ -337,3 +375,112 @@ class TestRoundTrip:
             ingest_backblaze(replace(config, stop_after_chunks=1))
         with pytest.raises(ValueError, match="no manifest"):
             load_store(tmp_path / "store")
+
+
+# -- differential: the block parse and sort merge against the row oracle ------
+
+_DATES = ["2024-01-01", "2024-01-02", "2024-01-03", "20240104", "2024-01-05",
+          "2024-13-01", "", "x"]
+_CELLS = ["", " ", "nan", "-nan", "inf", "-Infinity", "1e3", "2.5E-1", "1_000",
+          "12", " 7 ", "1e400", "-0", "abc", "1__0", "0x10"]
+_SERIALS = ["S1", "S2", "s,3", 'q"4', "n\n5"]
+_MODELS = ["ST4000A", "ST4000B", "WDC 1"]
+
+
+@st.composite
+def _day_file(draw):
+    """One day file: header columns, then rows, blank lines and short rows."""
+    mapped = draw(st.lists(
+        st.sampled_from(list(COLUMN_TO_CHANNEL)), unique=True, max_size=5
+    ))
+    header = draw(st.permutations(
+        ["date", "serial_number", "model", "failure", "capacity_bytes"] + mapped
+    ))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(None)  # a blank line
+            continue
+        cells = {
+            "date": draw(st.sampled_from(_DATES)),
+            "serial_number": draw(st.sampled_from(_SERIALS)),
+            "model": draw(st.sampled_from(_MODELS)),
+            "failure": draw(st.sampled_from(["0", "1", "", "x"])),
+            "capacity_bytes": "4000",
+        }
+        row = [cells.get(name) or draw(st.sampled_from(_CELLS)) for name in header]
+        if draw(st.integers(0, 5)) == 0:
+            row = row[:draw(st.integers(1, len(row)))]  # a short row
+        rows.append(row)
+    return header, rows
+
+
+def _write_day_file(path, header, rows):
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            if row is None:
+                handle.write("\r\n")
+            else:
+                writer.writerow(row)
+
+
+def _ledger(errors):
+    return [(e.source, e.line, e.column, str(e)) for e in errors]
+
+
+def _assert_same_bytes(left, right):
+    assert [(d.serial, d.family, d.failed, d.failure_hour) for d in left] == [
+        (d.serial, d.family, d.failed, d.failure_hour) for d in right
+    ]
+    for a, b in zip(left, right):
+        assert a.hours.tobytes() == b.hours.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestAgainstOracle:
+    @given(
+        files=st.lists(_day_file(), min_size=1, max_size=4),
+        models=st.sampled_from([(), ("ST",), ("ST4000B", "WDC")]),
+        chunk_files=st.integers(1, 3),
+        family_from_model=st.booleans(),
+        failure_window_days=st.sampled_from([None, 1, 3]),
+        failure_label=st.sampled_from(["day-end", "last-sample"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_store_and_ledger_equal_the_row_oracle(
+        self, files, models, chunk_files, family_from_model,
+        failure_window_days, failure_label,
+    ):
+        options = dict(
+            family_from_model=family_from_model,
+            failure_window_days=failure_window_days,
+            failure_label=failure_label,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            dump = tmp / "dump"
+            dump.mkdir()
+            paths = [dump / f"2024-01-{i + 1:02d}.csv" for i in range(len(files))]
+            for path, (header, rows) in zip(paths, files):
+                _write_day_file(path, header, rows)
+            drives, errors = backblaze_oracle.load(paths, models=models, **options)
+
+            manifest = ingest_backblaze(IngestConfig(
+                source=str(dump), out=str(tmp / "store"), models=models,
+                chunk_files=chunk_files, n_jobs=1, **options,
+            ))
+            _assert_same_bytes(load_store(tmp / "store").drives, drives)
+            assert [
+                (e["source"], e["line"], e["column"], e["message"])
+                for e in manifest["errors"]
+            ] == _ledger(errors)
+            _assert_same_bytes(
+                load_backblaze(dump, models=models, **options).drives, drives
+            )
+
+            if errors:
+                with pytest.raises(IngestError) as excinfo:
+                    load_backblaze(dump, models=models, lenient=False, **options)
+                assert _ledger([excinfo.value]) == _ledger(errors[:1])
