@@ -361,21 +361,17 @@ def _dump(value: object, path: Union[str, Path]) -> None:
 def _shard_export(state: dict, path: str) -> int:
     """Write this shard's state to ``path``; returns its drive count.
 
-    Pinned feeds are transient, not state.  A failed write raises
-    ``RuntimeError``: an ``OSError`` would read as a worker death.
+    Pinned feeds are transient, not state.
     """
-    try:
-        _dump({"monitor": state["monitor"], "roster": state["roster"]}, path)
-    except OSError as error:
-        raise RuntimeError(f"cannot write shard snapshot {path}: {error}") from error
+    _dump({"monitor": state["monitor"], "roster": state["roster"]}, path)
     return len(state["monitor"].watched_drives())
 
 
 def _shard_load(state: dict, path: str) -> int:
     """Swap in the shard state stored at ``path``; returns its drive count.
 
-    An unreadable file raises ``ValueError`` naming it: the ``EOFError``
-    of a truncated pickle would otherwise read as a worker death.
+    An unreadable file raises ``ValueError`` naming it, the error
+    :meth:`ShardedFleetMonitor.restore_shard` documents for it.
     """
     try:
         with open(path, "rb") as handle:

@@ -259,8 +259,6 @@ def run_experiment_grid(
     *,
     n_jobs: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
     dataset: Optional[str] = None,
 ) -> dict[str, object]:
     """Run a grid of experiment drivers, optionally across processes.
@@ -286,8 +284,6 @@ def run_experiment_grid(
     — a grid killed at cell k resumes at cell k, bit-identical to an
     uninterrupted run.  The checkpoint records the dataset handle;
     resuming it with a different ``dataset`` raises ``ValueError``.
-    ``retries``/``timeout`` pass through to
-    :func:`repro.utils.parallel.run_tasks`.
     """
     names = list(runs)
     handle = canonical_handle(dataset) if dataset is not None else None
@@ -322,8 +318,6 @@ def run_experiment_grid(
         [(name, runs[name]) for name in pending],
         n_jobs=n_jobs,
         context=GridContext(scale, handle) if handle is not None else scale,
-        retries=retries,
-        timeout=timeout,
         on_result=record if checkpoint is not None else None,
     )
     done.update(zip(pending, fresh))

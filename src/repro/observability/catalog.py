@@ -207,8 +207,6 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("parallel.tasks", "counter", "", ("mode",),
                "repro.utils.parallel",
                "once per task completed, labelled serial or pool"),
-    MetricSpec("parallel.retries", "counter", "", (), "repro.utils.parallel",
-               "once per retry attempt granted to a failing task"),
     MetricSpec("parallel.salvaged", "counter", "", (), "repro.utils.parallel",
                "once per task recomputed serially after a pool failure"),
     MetricSpec("parallel.serial_fallbacks", "counter", "", (),

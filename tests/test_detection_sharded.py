@@ -67,6 +67,12 @@ def _score_batch_poisoned(X):
     return _score_batch(X)
 
 
+def _score_batch_missing_file(X):
+    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
+        raise FileNotFoundError("scorer rejected a poisoned drive")
+    return _score_batch(X)
+
+
 def _build_single(**kwargs):
     kwargs.setdefault("score_batch", _score_batch)
     kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
@@ -457,7 +463,7 @@ class TestGoldenParity:
         report.pop("sharding")
         assert report == single.health_report()
 
-    def test_modes_converge_after_a_hosted_error(self):
+    def _assert_modes_converge_after(self, score_batch, error_type):
         # Every shard receives its slice before a hosted error surfaces,
         # so both modes are left in the same state after the raise.
         serials = [f"d{d:03d}" for d in range(40)]
@@ -466,18 +472,25 @@ class TestGoldenParity:
         tick[poisoned] = np.full(N_CHANNELS, _POISON)
         outcomes = {}
         for mode in SHARD_MODES:
-            with _build_sharded(
-                2, score_batch=_score_batch_poisoned, mode=mode
-            ) as monitor:
+            with _build_sharded(2, score_batch=score_batch, mode=mode) as monitor:
                 assert monitor.mode == mode
-                with pytest.raises(RuntimeError) as err:
+                with pytest.raises(error_type) as err:
                     monitor.observe_fleet(0.0, tick)
                 report = monitor.health_report()
                 assert report["sharding"].pop("mode") == mode
                 outcomes[mode] = (type(err.value), str(err.value), report)
         assert outcomes["serial"] == outcomes["process"]
+        assert outcomes["serial"][0] is error_type
         assert outcomes["serial"][1] == "scorer rejected a poisoned drive"
         assert outcomes["serial"][2]["watched_drives"] == len(serials)
+
+    def test_modes_converge_after_a_hosted_error(self):
+        self._assert_modes_converge_after(_score_batch_poisoned, RuntimeError)
+
+    def test_modes_converge_after_a_hosted_os_error(self):
+        # An OSError the scorer raises is its error in process mode too,
+        # not a dead shard worker.
+        self._assert_modes_converge_after(_score_batch_missing_file, FileNotFoundError)
 
     def test_pinned_feed_matches_per_tick_matrix(self):
         serials = tuple(f"p{d:02d}" for d in range(20))
@@ -745,7 +758,7 @@ class TestKillAndResume:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(6)}
             monitor.observe_fleet(0.0, records)
             (tmp_path / "snap" / "shard-1.pkl.tmp").mkdir(parents=True)
-            with pytest.raises(RuntimeError, match="shard-1.pkl.tmp"):
+            with pytest.raises(OSError, match="shard-1.pkl.tmp"):
                 monitor.snapshot(tmp_path / "snap")
             # Nothing was published and both shards still serve.
             assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == [

@@ -69,6 +69,16 @@ def _score_batch(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
+#: A reading no healthy drive reports; ``_score_batch_missing_file`` rejects it.
+_POISON = 1e9
+
+
+def _score_batch_missing_file(X):
+    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
+        raise FileNotFoundError("scorer lost its model file")
+    return _score_batch(X)
+
+
 def _build_single(**kwargs):
     kwargs.setdefault("score_batch", _score_batch)
     kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
@@ -983,6 +993,39 @@ class TestSnapshotCadence:
             assert section["restarts_in_window"] == {0: 1}
         finally:
             monitor.close()
+
+
+class TestHostedErrors:
+    """A shard's own exception is an error, never a shard death."""
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_scorer_os_error_raises_without_recovery(self, tmp_path, mode):
+        # An OSError subclass, the family a torn worker pipe raises: the
+        # supervisor must surface it, not spend restarts or quarantine.
+        serials = [f"d{d:03d}" for d in range(12)]
+        tick = {s: np.ones(N_CHANNELS) for s in serials}
+        tick[next(s for s in serials if shard_for(s, 2) == 0)] = np.full(
+            N_CHANNELS, _POISON
+        )
+        log = enable_events()
+        try:
+            monitor = _build_supervised(
+                2, tmp_path / "run", score_batch=_score_batch_missing_file,
+                mode=mode,
+            )
+            try:
+                assert monitor.mode == mode
+                monitor.observe_fleet(0.0, {s: np.ones(N_CHANNELS) for s in serials})
+                with pytest.raises(FileNotFoundError, match="model file") as err:
+                    monitor.observe_fleet(1.0, tick)
+                assert type(err.value) is FileNotFoundError
+                assert monitor.recoveries == 0
+                assert monitor.quarantined_shards == []
+                assert "shard_died" not in {e.type for e in log.events}
+            finally:
+                monitor.close()
+        finally:
+            disable_events()
 
 
 class TestExplainReportChaos:

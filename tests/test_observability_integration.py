@@ -6,7 +6,7 @@ tree fitting, compiled batch scoring, fleet routing, streaming serving
 snapshot/restore, canary rollouts), supervised serving (shard death,
 journal-replay recovery, restart-budget quarantine), offline detection,
 the updating simulator
-with checkpoint/drift, the parallel pool (pooled, salvaged, retried and
+with checkpoint/drift, the parallel pool (pooled, salvaged and
 serially-degraded tasks), the out-of-core Backblaze ingest (chunk
 parsing, the lenient ledger, the model filter, interrupt-and-resume
 checkpointing, store assembly), the experiment grid and the explain
@@ -20,7 +20,9 @@ undocumented emission or a documented-but-dead name fails the suite.
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
 import warnings
 from dataclasses import replace
 
@@ -62,10 +64,10 @@ def _evaluate_empty_fleet(context, task):
     return evaluate_detection([], MajorityVoteDetector(n_voters=1)).n_detected
 
 
-def _raise_in_worker(context, task):
-    """Fails inside the pool, succeeds on the serial salvage retry."""
+def _die_in_worker(context, task):
+    """Kills its pool worker, succeeds on the serial salvage."""
     if parallel._IN_WORKER:
-        raise RuntimeError("transient worker fault (integration test)")
+        os.kill(os.getpid(), signal.SIGKILL)
     return task
 
 
@@ -327,12 +329,12 @@ def _run_scenario(tiny_fleet, tiny_split, aging_fleet_small, tmp, registry):
     ]
     drift.check(shifted)  # injected shift -> drift alarm
 
-    # parallel: pooled success (worker metrics absorbed), worker failure
-    # (salvage + retry), unpicklable payload (serial fallback)
+    # parallel: pooled success (worker metrics absorbed), worker death
+    # (serial salvage), unpicklable payload (serial fallback)
     evals_before_pool = _counter_total(registry, "detect.evaluations")
     run_tasks(_evaluate_empty_fleet, [0, 1, 2, 3], n_jobs=2)
     evals_after_pool = _counter_total(registry, "detect.evaluations")
-    run_tasks(_raise_in_worker, [10, 11], n_jobs=2, retries=1, backoff=0.001)
+    run_tasks(_die_in_worker, [10, 11], n_jobs=2)
     run_tasks(lambda context, task: task, [1, 2], n_jobs=2)
 
     # grid: run twice against one checkpoint for grid.checkpoint_hits
@@ -356,7 +358,7 @@ def live(tiny_fleet, tiny_split, aging_fleet_small, tmp_path_factory):
     )
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # fallback/retry warnings are the point
+            warnings.simplefilter("ignore")  # fallback warnings are the point
             health, evals_before, evals_after = _run_scenario(
                 tiny_fleet, tiny_split, aging_fleet_small, tmp, registry
             )
@@ -413,7 +415,6 @@ class TestCatalogCoverage:
         assert total("serve.vote_flips") >= 1
         assert total("serve.alerts") >= 1
         assert total("parallel.salvaged") >= 2
-        assert total("parallel.retries") >= 2
         assert total("parallel.serial_fallbacks") >= 1
         assert total("updating.checkpoint_hits") >= 1
         assert total("updating.cache_hits") >= 1
