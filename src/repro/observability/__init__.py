@@ -221,8 +221,7 @@ def capture_remote(
     Returns the bare result when ``config`` is ``None`` (observability
     disabled at the parent), otherwise a :class:`RemoteObservation`
     whose snapshot/spans/events are exactly this task's contribution.
-    Instruments are restored even when the task raises, so a retried
-    task never double-counts.
+    Instruments are restored even when the task raises.
     """
     if not config:
         return func(*args)

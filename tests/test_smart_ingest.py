@@ -286,6 +286,20 @@ class TestResume:
             ingest_backblaze(replace(config, failure_label="last-sample"))
 
 
+    def test_deleted_checkpoint_does_not_reuse_another_configs_parts(
+        self, tmp_path
+    ):
+        config = _config(tmp_path, models=("ST4000",))
+        with pytest.raises(IngestInterrupted):
+            ingest_backblaze(replace(config, stop_after_chunks=2))
+        (Path(config.out) / "ingest-checkpoint.json").unlink()
+        fresh = _config(tmp_path, out=str(tmp_path / "fresh"))
+        ingest_backblaze(fresh)
+        manifest = ingest_backblaze(replace(fresh, out=config.out))
+        assert manifest["totals"] == GOLDEN_TOTALS
+        assert _store_digest(config.out) == _store_digest(fresh.out)
+
+
 class TestFilterAndLabeling:
     def test_model_filter_drops_rows_at_the_source(self, tmp_path):
         manifest = ingest_backblaze(_config(tmp_path, models=("ST4000",)))
@@ -324,6 +338,21 @@ class TestFilterAndLabeling:
     def test_strict_mode_fails_on_the_first_bad_row(self, tmp_path):
         with pytest.raises(IngestError, match="2024-01-03.csv:18"):
             ingest_backblaze(_config(tmp_path, lenient=False))
+
+    def test_strict_mode_error_is_the_same_in_a_pool(self, tmp_path):
+        errors = []
+        for n_jobs in (1, 2):
+            out = str(tmp_path / f"jobs{n_jobs}")
+            with pytest.raises(IngestError) as excinfo:
+                ingest_backblaze(
+                    _config(tmp_path, out=out, lenient=False, n_jobs=n_jobs)
+                )
+            error = excinfo.value
+            errors.append(
+                (str(error), Path(error.source).name, error.line, error.column)
+            )
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == ("2024-01-03.csv", 18, "date")
 
 
 class TestRoundTrip:
