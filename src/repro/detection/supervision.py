@@ -20,8 +20,12 @@ hand, and every tick since the last snapshot is silently gone.
 * **Write-ahead tick journal** — :class:`TickJournal` records every
   tick and pin dispatch *before* it runs, as the ``(shard, func,
   payload)`` calls the shards are sent: schema-tagged JSONL
-  (``repro.tick-journal/v2``) naming one pickled ``.pkl`` sidecar per
-  dispatch, fsync'd per append, torn-tail tolerant on read.  Periodic
+  (``repro.tick-journal/v3``) naming one pickled ``.pkl`` sidecar per
+  dispatch with one self-contained segment per call, fsync'd per
+  append, torn-tail tolerant on read.  The journal is also the
+  transport: each payload is pickled once, into its segment, and a
+  worker-hosted shard is sent a reference from which it loads that
+  segment itself (:class:`_SegmentPayload`).  Periodic
   snapshots (:meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot`
   into ``run_dir/snapshot``) truncate it once published, so the journal
   only ever holds the ticks since the last snapshot.
@@ -67,7 +71,7 @@ from repro.utils.errors import TornEventLogWarning, WorkerDiedError
 from repro.utils.validation import check_count
 
 #: Schema tag on the journal's JSONL header line.
-TICK_JOURNAL_SCHEMA = "repro.tick-journal/v2"
+TICK_JOURNAL_SCHEMA = "repro.tick-journal/v3"
 
 SHARD_RECOVERIES_HELP = "shard workers respawned after an unexpected death"
 SHARD_REPLAYED_HELP = "journaled tick slices replayed into recovered shards"
@@ -93,17 +97,48 @@ class RestartPolicy:
         check_count("window_ticks", self.window_ticks)
 
 
+def _load_payload(path: str, start: int) -> dict:
+    """The payload of the call pickled at byte ``start`` of sidecar ``path``."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return pickle.load(handle)[2]
+
+
+class _SegmentPayload(dict):
+    """A journaled payload that pickles as a read of its own segment.
+
+    In memory it is the payload dict itself, so a shard called in
+    process uses it as is.  Pickled on its way to a worker process it is
+    ``_load_payload(path, start)`` — about a hundred bytes, and the
+    worker reads its own slice of the fsync'd sidecar from the page
+    cache instead of the coordinator pickling the payload a second time
+    into the pipe.
+    """
+
+    __slots__ = ("segment",)
+
+    def __init__(self, payload: dict, segment: tuple[str, int]):
+        super().__init__(payload)
+        self.segment = segment
+
+    def __reduce__(self):
+        return _load_payload, self.segment
+
+
 class TickJournal:
     """Append-only write-ahead log of the calls every shard was sent.
 
-    One JSONL file (header line ``{"schema": "repro.tick-journal/v2"}``)
+    One JSONL file (header line ``{"schema": "repro.tick-journal/v3"}``)
     plus a ``<path>.d/`` sidecar directory.  Each entry is one dispatch:
     the ``(shard, func, payload)`` call list the coordinator handed to
-    its shards, pickled into a ``NNNNNN.pkl`` sidecar, and a line
-    ``{"sidecar": "NNNNNN.pkl", "tick": true}`` naming it.  ``tick`` is
-    false for roster/feed pins and true for collection ticks.  Recovery
+    its shards, pickled call by call into a ``NNNNNN.pkl`` sidecar, and
+    a line ``{"sidecar": "NNNNNN.pkl", "tick": true, "segments": [[shard,
+    start, stop], ...]}`` naming it and each call's byte range.  Every
+    segment unpickles by itself, so a reader loads one shard's calls
+    without touching another's bytes.  ``tick`` is false for
+    roster/feed pins and true for collection ticks.  Recovery
     re-submits one shard's calls in order, so only
-    :mod:`repro.detection.sharded` knows what a payload looks like.
+    :mod:`repro.detection.sharded` knows what a payload (a dict) holds.
 
     Durability contract (``fsync=True``, the default): a sidecar is
     written and fsync'd *before* the line referencing it, and each line
@@ -120,7 +155,8 @@ class TickJournal:
 
     def __init__(self, path: Union[str, Path], *, fsync: bool = True):
         self.path = Path(path)
-        self.sidecar_dir = Path(str(self.path) + ".d")
+        # Absolute: a segment reference is resolved in a worker process.
+        self.sidecar_dir = Path(str(self.path) + ".d").absolute()
         self._fsync = bool(fsync)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.sidecar_dir.mkdir(parents=True, exist_ok=True)
@@ -136,23 +172,46 @@ class TickJournal:
         self._handle.write(json.dumps(line) + "\n")
         self._sync(self._handle)
 
-    def append(self, calls: list, *, tick: bool) -> None:
-        """Record one dispatch's call list, sidecar first (write-ahead order)."""
+    def append(self, calls: list, *, tick: bool) -> list:
+        """Record one dispatch's call list, sidecar first (write-ahead order).
+
+        Returns the calls to send: each payload a
+        :class:`_SegmentPayload` over its just-written segment.  Every
+        payload is journaled as a plain dict, so re-appending payloads
+        that came out of this journal never points at a deleted sidecar.
+        """
         name = f"{self._seq:06d}.pkl"
         self._seq += 1
-        with (self.sidecar_dir / name).open("wb") as handle:
-            pickle.dump(calls, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        path = self.sidecar_dir / name
+        segments: list[list[int]] = []
+        with path.open("wb") as handle:
+            for sid, func, payload in calls:
+                start = handle.tell()
+                pickle.dump(
+                    (sid, func, dict(payload)), handle,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+                segments.append([sid, start, handle.tell()])
             self._sync(handle)
-        self._write_line({"sidecar": name, "tick": bool(tick)})
+        self._write_line({"sidecar": name, "tick": bool(tick), "segments": segments})
         if tick:
             self.tick_count += 1
+        return [
+            (sid, func, _SegmentPayload(payload, (str(path), start)))
+            for (sid, func, payload), (_, start, _) in zip(calls, segments)
+        ]
 
-    def entries(self, *, tolerant: bool = True) -> list[dict]:
+    def entries(
+        self, *, tolerant: bool = True, shard: Optional[int] = None
+    ) -> list[dict]:
         """Every journal line with its ``calls`` loaded, in append order.
 
-        ``tolerant=True`` (the default — this *is* the crash-recovery
-        read) drops a torn final line with a
-        :class:`~repro.utils.errors.TornEventLogWarning`; corruption
+        ``shard`` loads only that shard's segments (each line's
+        ``calls`` then holds its calls alone); every payload is a
+        :class:`_SegmentPayload`, so re-sending it to a worker ships a
+        reference, not the bytes.  ``tolerant=True`` (the default —
+        this *is* the crash-recovery read) drops a torn final line with
+        a :class:`~repro.utils.errors.TornEventLogWarning`; corruption
         before the final line always raises.
         """
         raw_lines: list[tuple[int, str]] = []
@@ -181,8 +240,17 @@ class TickJournal:
                         f"{self.path}:{number}: missing "
                         f"{TICK_JOURNAL_SCHEMA!r} header line"
                     )
-                with (self.sidecar_dir / line["sidecar"]).open("rb") as handle:
-                    line["calls"] = pickle.load(handle)
+                sidecar = str(self.sidecar_dir / line["sidecar"])
+                line["calls"] = []
+                with open(sidecar, "rb") as handle:
+                    for sid, start, _ in line["segments"]:
+                        if shard is None or sid == shard:
+                            handle.seek(start)
+                            _, func, payload = pickle.load(handle)
+                            segment = (sidecar, start)
+                            line["calls"].append(
+                                (sid, func, _SegmentPayload(payload, segment))
+                            )
             except (json.JSONDecodeError, FileNotFoundError) as error:
                 if tolerant and last:
                     warnings.warn(
@@ -297,11 +365,12 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     # -- journaled ingestion ---------------------------------------------------
 
     def _dispatch_input(self, calls, *, tick):
-        # Write-ahead: the calls are on disk before any shard runs them.
-        self._journal.append(calls, tick=tick)
+        # Write-ahead: the calls are on disk before any shard runs them,
+        # and what the shards are sent is read back from there.
+        sent = self._journal.append(calls, tick=tick)
         if not tick:
-            self._pin_calls = calls
-        return super()._dispatch_input(calls, tick=tick)
+            self._pin_calls = calls  # re-journaled by every checkpoint
+        return super()._dispatch_input(sent, tick=tick)
 
     def _serve(self, hour, items, duplicates, **kwargs):
         # Probe first: a shard quarantined by the probe gets no call.
@@ -463,12 +532,14 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     def _replay_shard(self, sid: int, *, exclude_in_flight: bool) -> int:
         """Re-submit every journaled call for one shard, in order.
 
+        Only this shard's segments are read, and a worker-hosted shard
+        is sent references to them, as in the live dispatch.
         Observability is suppressed for every replayed call (the
         original run already counted these ticks); only shard-side
         state is rebuilt.  Returns the number of tick entries actually
         executed on the shard.
         """
-        entries = self._journal.entries()
+        entries = self._journal.entries(shard=sid)
         if exclude_in_flight and entries and entries[-1]["tick"]:
             # The dying dispatch's tick was journaled (write-ahead) but
             # never merged; _handle_shard_death re-submits it through
@@ -476,12 +547,11 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             entries = entries[:-1]
         replayed = 0
         for entry in entries:
-            calls = [call for call in entry["calls"] if call[0] == sid]
-            for _, func, payload in calls:
+            for _, func, payload in entry["calls"]:
                 # observed=False: the call runs under throwaway instruments
                 # and resolves to the bare result, so the parent sees nothing.
                 self._hosts[sid].submit(func, payload, observed=False).result()
-            if calls and entry["tick"]:
+            if entry["calls"] and entry["tick"]:
                 replayed += 1
         return replayed
 

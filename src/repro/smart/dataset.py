@@ -13,7 +13,7 @@ experiments (Figures 6-9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,6 +38,13 @@ class TrainTestSplit:
     test_good: tuple[DriveRecord, ...]
     train_failed: tuple[DriveRecord, ...]
     test_failed: tuple[DriveRecord, ...]
+
+
+def _cut(drive: DriveRecord, rows: slice) -> DriveRecord:
+    """A copy of ``drive`` restricted to a contiguous run of its samples."""
+    return replace(
+        drive, hours=drive.hours[rows].copy(), values=drive.values[rows].copy()
+    )
 
 
 @dataclass
@@ -144,16 +151,10 @@ class SmartDataset:
                 continue
             boundary = int(round(train_fraction * drive.n_samples))
             boundary = min(max(boundary, 1), drive.n_samples - 1) if drive.n_samples > 1 else 1
-            cut_hour = (
-                drive.hours[boundary] if boundary < drive.n_samples else drive.hours[-1] + 1.0
-            )
-            early = drive.slice_hours(drive.hours[0], cut_hour)
-            if early.n_samples:
-                train_good.append(early)
+            # Hours are strictly increasing: the time split is an index cut.
+            train_good.append(_cut(drive, slice(None, boundary)))
             if boundary < drive.n_samples:
-                late = drive.slice_hours(cut_hour, drive.hours[-1] + 1.0)
-                if late.n_samples:
-                    test_good.append(late)
+                test_good.append(_cut(drive, slice(boundary, None)))
 
         failed = list(self.failed_drives)
         order = rng.permutation(len(failed))

@@ -133,6 +133,26 @@ class WorkerDiedError(ReproError, RuntimeError):
         self.exit_code = exit_code
 
 
+class RemoteTaskError(ReproError, RuntimeError):
+    """A worker task raised an exception that could not be pickled home.
+
+    The stand-in the worker sends instead (:mod:`repro.utils.parallel`),
+    so the task still runs once and its failure still surfaces:
+    ``type_name`` is the original exception's qualified type name,
+    ``message`` its ``str()`` and ``remote_traceback`` the formatted
+    traceback from the worker.
+    """
+
+    def __init__(self, type_name: str, message: str, remote_traceback: str):
+        super().__init__(f"{type_name}: {message}")
+        self.type_name = type_name
+        self.message = message
+        self.remote_traceback = remote_traceback
+
+    def __reduce__(self):
+        return type(self), (self.type_name, self.message, self.remote_traceback)
+
+
 class TornEventLogWarning(RuntimeWarning):
     """A tolerant event-log read skipped a truncated final line.
 

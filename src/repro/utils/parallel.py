@@ -54,11 +54,9 @@ Both run their calls under one failure contract:
   worker wraps it in ``_TaskRaised`` so the parent never has to guess
   from an exception's type whether the task or the infrastructure
   failed; any other exception a future raises is the infrastructure's.
-  One case escapes this: a task exception that cannot be pickled never
-  reaches the parent, which sees a pickling failure instead, so
-  ``run_tasks`` re-runs that task serially under
-  :class:`~repro.utils.errors.UnpicklableTaskWarning`, where it raises
-  again, now unchanged.
+  A task exception that cannot be pickled travels home as a
+  :class:`~repro.utils.errors.RemoteTaskError` carrying its type name,
+  message and traceback instead, so that task too runs once.
 * **A dead worker is infrastructure.**  ``run_tasks`` submits tasks
   individually, so when the pool breaks mid-batch (a worker OOM-killed
   or segfaulted) every already-completed result is kept and only the
@@ -77,7 +75,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
+import traceback
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -96,6 +96,7 @@ from repro.observability import (
 )
 from repro.utils.errors import (
     BrokenPoolWarning,
+    RemoteTaskError,
     SerialFallbackWarning,
     UnpicklableTaskWarning,
     WorkerDiedError,
@@ -212,12 +213,30 @@ class _TaskRaised(Exception):
         self.error = error
 
 
+def _picklable(error: Exception) -> Exception:
+    """``error`` if it survives a pickle round trip, else a stand-in that does.
+
+    The stand-in, a :class:`~repro.utils.errors.RemoteTaskError`, keeps
+    the type name, message and traceback, so a task whose exception
+    cannot cross the process boundary still fails once, as itself.
+    """
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        return RemoteTaskError(
+            f"{type(error).__module__}.{type(error).__qualname__}",
+            str(error),
+            "".join(traceback.format_exception(error)),
+        )
+
+
 def _run_task(config: object, func: Callable, state: object, payload: object) -> object:
     """Run one task in a worker, marking any exception it raises as its own."""
     try:
         return capture_remote(config, func, state, payload)
     except Exception as error:
-        raise _TaskRaised(error) from error
+        raise _TaskRaised(_picklable(error)) from error
 
 
 def _call_with_shared_context(func: Callable, task: object) -> object:
@@ -253,10 +272,11 @@ def run_tasks(
     are fewer than two tasks.
 
     Failures (see the module docs): an exception ``func`` raises
-    propagates unchanged the first time, as from the serial loop,
-    unless the exception itself cannot be pickled.  A task lost to the
-    infrastructure — a dead worker, a payload, result or exception that
-    cannot be pickled — is recomputed serially under a structured
+    propagates the first time, as from the serial loop — unchanged, or
+    as a :class:`~repro.utils.errors.RemoteTaskError` stand-in when a
+    pooled task's exception cannot be pickled.  A task lost to the
+    infrastructure — a dead worker, a payload or result that cannot be
+    pickled — is recomputed serially under a structured
     :class:`SerialFallbackWarning`, and completed results are kept.
 
     ``on_result(index, result)`` is invoked once per task as its result
@@ -324,8 +344,8 @@ def run_tasks(
             except _TaskRaised as raised:
                 raise raised.error from raised.__cause__
             except Exception as error:
-                # A dead worker, or a call, result or exception that
-                # cannot be pickled.
+                # A dead worker, or a call or result that cannot be
+                # pickled.
                 dead = isinstance(error, (BrokenProcessPool, OSError))
                 category = BrokenPoolWarning if dead else UnpicklableTaskWarning
                 _warn_fallback(category, repr(error), 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -311,7 +312,7 @@ class TestTickJournal:
         )
         journal.close()
         with path.open("a") as handle:
-            handle.write('{"sidecar": "000002.p')  # crashed mid-append
+            handle.write('{"sidecar": "000002.pkl", "tick": true, "segm')  # crashed mid-append
         with pytest.warns(TornEventLogWarning, match="torn final"):
             entries = journal.entries()
         assert [e["tick"] for e in entries] == [False, True]
@@ -336,8 +337,9 @@ class TestTickJournal:
         journal.append(self._pin(("a",)), tick=False)
         journal.close()
         lines = path.read_text().splitlines()
+        intact = lines[1]
         lines[1] = lines[1][:-4]
-        lines.append('{"sidecar": "000000.pkl", "tick": false}')
+        lines.append(intact)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt"):
             journal.entries()
@@ -345,16 +347,49 @@ class TestTickJournal:
     def test_reset_truncates_and_reseeds_context(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
         feed = self._matrix()
-        journal.append(self._pin(), tick=False)
+        # What a dispatch sends: payloads referring to their own sidecar,
+        # which the reset below deletes.
+        sent = journal.append(self._pin(feed=feed), tick=False)
         journal.append(self._tick(0.0, matrix=feed), tick=True)
-        journal.reset(self._pin(feed=feed))
+        journal.reset(sent)
         assert journal.tick_count == 0
         entries = journal.entries()
         assert [e["tick"] for e in entries] == [False]
         assert _calls_equal(entries[0]["calls"], self._pin(feed=feed))
-        # Old tick sidecars are gone; only the re-seeded pin remains.
-        assert len(list(journal.sidecar_dir.glob("*.pkl"))) == 1
+        # Old tick sidecars are gone; only the re-seeded pin remains, and
+        # its segment holds the payload itself, not a reference.
+        (sidecar,) = journal.sidecar_dir.glob("*.pkl")
+        ((sid, start, stop),) = entries[0]["segments"]
+        with sidecar.open("rb") as handle:
+            handle.seek(start)
+            _, func, payload = pickle.load(handle)
+            assert handle.tell() == stop
+        assert (sid, func, type(payload)) == (0, _shard_pin, dict)
         journal.close()
+
+    def test_shard_read_loads_only_that_shards_segments(self, tmp_path):
+        journal = TickJournal(tmp_path / "j.jsonl")
+        calls = [
+            (sid, _shard_tick, {"hour": 0.0, "shard": sid, "matrix": self._matrix(seed=sid)})
+            for sid in range(2)
+        ]
+        sent = journal.append(calls, tick=True)
+        journal.close()
+        (line,) = [
+            json.loads(raw) for raw in (tmp_path / "j.jsonl").read_text().splitlines()[1:]
+        ]
+        assert [segment[0] for segment in line["segments"]] == [0, 1]
+        # Shard 1's bytes are destroyed; shard 0 still loads without them.
+        _, start, stop = line["segments"][1]
+        sidecar = journal.sidecar_dir / line["sidecar"]
+        data = bytearray(sidecar.read_bytes())
+        data[start:stop] = bytes(stop - start)
+        sidecar.write_bytes(bytes(data))
+        (entry,) = journal.entries(shard=0)
+        assert _calls_equal(entry["calls"], calls[:1])
+        assert _calls_equal(pickle.loads(pickle.dumps(sent[0][2])), calls[0][2])
+        with pytest.raises(pickle.UnpicklingError):
+            journal.entries()
 
     def test_construction_truncates_a_previous_run(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -431,21 +466,33 @@ class TestJournalIsWhatShardsWereSent:
     """Each shard's journaled calls are exactly the calls it received."""
 
     def _spy(self, monitor):
+        """Record each pin and tick payload as the shard itself sees it.
+
+        A worker process gets the payload by unpickling it, so in process
+        mode the record is the unpickled copy.
+        """
         received = {sid: [] for sid in range(monitor.n_shards)}
+        seen = (
+            (lambda payload: pickle.loads(pickle.dumps(payload)))
+            if monitor.mode == "process" else (lambda payload: payload)
+        )
         for sid, host in enumerate(monitor._hosts):
             def submit(func, payload=None, *, observed=True,
                        _calls=received[sid], _submit=host.submit):
                 if func in (_shard_pin, _shard_tick):
-                    _calls.append((func, payload))
+                    _calls.append((func, seen(payload)))
                 return _submit(func, payload, observed=observed)
 
             host.submit = submit
         return received
 
-    def test_journal_equals_the_calls_each_shard_received(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_journal_equals_the_calls_each_shard_received(self, tmp_path, mode):
         rng = np.random.default_rng(5)
         serials = tuple(f"j{d:02d}" for d in range(12))
-        monitor = _build_supervised(3, tmp_path / "run", snapshot_every=0)
+        monitor = _build_supervised(
+            3, tmp_path / "run", snapshot_every=0, mode=mode
+        )
         try:
             received = self._spy(monitor)
             monitor.register_fleet(serials)
@@ -593,6 +640,46 @@ class TestSerialRecoveryParity:
         )
         # The journal re-pins the recovered shard's feed slice; the other
         # shard keeps its original pin — no caller-side re-pin needed.
+        assert_states_equal(golden, state)
+
+    def test_replay_reads_only_the_recovered_shards_segments(self, tmp_path):
+        """Recovering shard 0 never reads shard 1's journaled bytes."""
+        serials = tuple(f"s{d:02d}" for d in range(16))
+        rng = np.random.default_rng(29)
+        ticks = [rng.normal(size=(16, N_CHANNELS)) for _ in range(8)]
+
+        def drive_clean(monitor):
+            monitor.register_fleet(serials)
+            for hour, matrix in enumerate(ticks):
+                monitor.observe_tick(float(hour), matrix)
+            monitor.finalize()
+
+        def drive_killed(monitor):
+            monitor.register_fleet(serials)
+            for hour, matrix in enumerate(ticks):
+                if hour == 5:
+                    # Destroy every byte journaled for shard 1, then lose
+                    # shard 0: its replay must not need them.
+                    journal = monitor.journal
+                    for raw in journal.path.read_text().splitlines()[1:]:
+                        line = json.loads(raw)
+                        sidecar = journal.sidecar_dir / line["sidecar"]
+                        data = bytearray(sidecar.read_bytes())
+                        for sid, start, stop in line["segments"]:
+                            if sid == 1:
+                                data[start:stop] = bytes(stop - start)
+                        sidecar.write_bytes(bytes(data))
+                    monitor.kill_shard(0)
+                monitor.observe_tick(float(hour), matrix)
+            monitor.finalize()
+            assert monitor.recoveries == 1
+            assert monitor.replayed_ticks == 5
+
+        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        state = _run_instrumented(
+            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=0),
+            drive_killed,
+        )
         assert_states_equal(golden, state)
 
     def test_single_record_observe_recovery_parity(self, tmp_path):
@@ -748,6 +835,82 @@ class TestProcessRecoveryParity:
                 snapshot_every=4, mode="process",
             ),
             drive,
+        )
+        assert_states_equal(golden, state)
+
+    def test_tick_payload_ships_as_a_sidecar_reference(self, tmp_path):
+        """A worker is sent a reference to its journal segment, not the bytes."""
+        serials = tuple(f"r{d:03d}" for d in range(400))
+        matrix = np.random.default_rng(2).normal(size=(400, N_CHANNELS))
+        sizes = []
+        monitor = _build_supervised(
+            2, tmp_path / "run", snapshot_every=0, mode="process"
+        )
+        try:
+            for host in monitor._hosts:
+                def submit(func, payload=None, *, observed=True, _submit=host.submit):
+                    if func is _shard_tick:
+                        sizes.append(
+                            (len(pickle.dumps(dict(payload))), len(pickle.dumps(payload)))
+                        )
+                    return _submit(func, payload, observed=observed)
+
+                host.submit = submit
+            monitor.register_fleet(serials)
+            monitor.observe_tick(0.0, matrix)
+            single = _build_single()
+            single.register_fleet(serials)
+            single.observe_tick(0.0, matrix)
+            assert monitor.watched_drives() == single.watched_drives()
+        finally:
+            monitor.close()
+        assert len(sizes) == 2
+        for plain, sent in sizes:
+            assert plain > 10 * 1024
+            assert sent < 1024
+
+    def test_sigkill_after_checkpoint_recovers_from_reseeded_pins(self, tmp_path):
+        """The pins a checkpoint re-journals are payloads, not references.
+
+        The checkpoint deletes the sidecars the original pin dispatch
+        pointed into; a shard lost afterwards is rebuilt from the
+        snapshot plus the re-seeded roster and feed, and keeps ticking
+        the pinned feed at parity.
+        """
+        serials = tuple(f"k{d:02d}" for d in range(24))
+        rng = np.random.default_rng(17)
+        feed = rng.normal(size=(24, N_CHANNELS))
+        feed[:6] -= 3.0  # a few drives vote to alert
+
+        def drive_clean(monitor):
+            monitor.register_fleet(serials)
+            for hour in range(10):
+                monitor.observe_tick(float(hour), feed)
+            monitor.finalize()
+
+        def drive_killed(monitor):
+            monitor.register_fleet(serials)
+            monitor.pin_feed(feed)
+            for hour in range(10):
+                if hour == 4:
+                    monitor.checkpoint()
+                    assert all(
+                        type(payload) is dict for _, _, payload in monitor._pin_calls
+                    )
+                if hour == 6:
+                    self._sigkill_shard(monitor, 0)
+                monitor.observe_tick(float(hour))
+            monitor.finalize()
+            assert monitor.recoveries == 1
+            assert monitor.replayed_ticks == 2
+
+        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        assert golden["alerts"]
+        state = _run_instrumented(
+            lambda: _build_supervised(
+                2, tmp_path / "run", snapshot_every=0, mode="process"
+            ),
+            drive_killed,
         )
         assert_states_equal(golden, state)
 

@@ -13,6 +13,7 @@ from repro.tree.bagging import subsample_member_inputs
 from repro.utils import parallel
 from repro.utils.errors import (
     BrokenPoolWarning,
+    RemoteTaskError,
     SerialFallbackWarning,
     UnpicklableTaskWarning,
     WorkerDiedError,
@@ -63,6 +64,14 @@ def _counted_task(context, task):
     if error_type is not None:
         raise error_type(f"task {index} failed")
     return index
+
+
+class _UnpicklableError(RuntimeError):
+    """A task exception holding a lambda, which pickle refuses."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
 
 
 class TestResolveNJobs:
@@ -169,6 +178,21 @@ class TestRetries:
         with pytest.raises(error_type, match="task 1 failed") as err:
             run_tasks(_counted_task, tasks, n_jobs=2)
         assert type(err.value) is error_type
+        runs = {
+            path.name: len(path.read_text().splitlines())
+            for path in tmp_path.iterdir()
+        }
+        assert runs == {"run-0": 1, "run-1": 1}
+
+    def test_pooled_unpicklable_task_error_propagates_once(self, tmp_path):
+        # The worker cannot send the exception itself home, so it sends a
+        # stand-in: the task must not be re-run serially to re-raise it.
+        tasks = [(str(tmp_path), 0, None), (str(tmp_path), 1, _UnpicklableError)]
+        with pytest.raises(RemoteTaskError, match="task 1 failed") as err:
+            run_tasks(_counted_task, tasks, n_jobs=2)
+        assert err.value.type_name.endswith("._UnpicklableError")
+        assert err.value.message == "task 1 failed"
+        assert "_counted_task" in err.value.remote_traceback
         runs = {
             path.name: len(path.read_text().splitlines())
             for path in tmp_path.iterdir()
@@ -436,6 +460,17 @@ class TestWorkerHost(_HostCallContract):
         host = WorkerHost(_counter_state)
         try:
             assert host.call(_nested_knobs) == (1, 1)
+        finally:
+            host.close()
+
+    def test_hosted_unpicklable_error_surfaces_as_a_stand_in(self):
+        host = WorkerHost(_counter_state)
+        try:
+            with pytest.raises(RemoteTaskError, match="hosted bug") as err:
+                host.call(_raise_hosted, (_UnpicklableError, "hosted bug"))
+            assert err.value.type_name.endswith("._UnpicklableError")
+            assert host.alive is True
+            assert host.call(_add_to_state, 1) == 1
         finally:
             host.close()
 
