@@ -450,7 +450,7 @@ def test_micro_event_emission_overhead(benchmark, score_bench_results):
 #
 # The FleetMonitor's deployment loop is one tick per collection interval
 # over the whole fleet, ingested as a single (n_drives, n_channels)
-# matrix — vectorized gate, shift-left voting, one batched model call.
+# matrix — vectorized gate, voter-major voting windows, one batched model call.
 
 
 def _make_monitor(n_drives):

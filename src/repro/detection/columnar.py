@@ -14,21 +14,27 @@ layout the monitor should not have to know:
   does not grow with the change-rate interval, and a full-roster tick
   reads its lagged values as one contiguous slice;
 * :class:`MajorityVoteMatrix` / :class:`MeanThresholdMatrix` —
-  shift-left ``(n_drives, n_voters)`` voting windows whose storage order
-  *is* window order, so provenance snapshots read straight out of a row.
+  voter-major ``(n_voters, capacity)`` voting windows whose axis 0 *is*
+  window order, oldest first, so provenance reads one column.  A tick
+  shifts a contiguous run of rows with ``n_voters - 1`` contiguous
+  storage-row moves, and the majority voter keeps a running failed-vote
+  count per row (incoming vote minus outgoing vote) instead of
+  recounting every window.
 
 Every per-row entry point takes ``rows`` as either an index array or a
 unit-step ``slice`` of rows: the monitor passes a slice when a tick
-covers a contiguous run of rows, and the structures then read and shift
-their storage in place instead of gathering and scattering copies.
+covers a contiguous run of rows, and the structures then read, shift
+and update their storage in place instead of gathering and scattering
+copies.
 
 The voters replicate the offline paper detectors
 (:class:`~repro.detection.voting.MajorityVoteDetector`,
 :class:`~repro.detection.voting.MeanThresholdDetector`) sample for
 sample, including the short-history flush; ``tests/`` pins them against
 those detectors.  Where a vectorized mean could diverge in float space
-(pairwise summation reassociation) the mean voter re-judges boundary
-rows with the exact per-row rule.
+(the sum down the voter axis associates differently from a per-row
+mean) the mean voter re-judges boundary rows with the exact per-row
+rule.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from bisect import bisect_left
 from typing import Sequence, Union
 
 import numpy as np
+
+from repro.utils.validation import check_finite
 
 #: A tick's rows: an index array, or a unit-step slice of a contiguous run.
 Rows = Union[np.ndarray, slice]
@@ -50,6 +58,17 @@ def _row_array(rows: Rows) -> np.ndarray:
     if isinstance(rows, slice):
         return np.arange(rows.start, rows.stop, dtype=np.intp)
     return rows
+
+
+def _write_back(array: np.ndarray, rows: Rows, values: np.ndarray) -> None:
+    """Scatter values gathered with ``array[rows]`` back into ``array``.
+
+    A slice's values are a view, already updated in place.  Updating in
+    place rather than storing a fresh result matters at fleet scale: a
+    fresh row-sized buffer is page-faulted again on every tick.
+    """
+    if not isinstance(rows, slice):
+        array[rows] = values
 
 
 class _HourBlock:
@@ -220,40 +239,70 @@ class _LagHistory:
 
 
 class _WindowMatrix:
-    """Shift-left ``(n_rows, n_voters)`` windows plus per-row fill lengths.
+    """Voter-major ``(n_voters, capacity)`` windows plus per-row fill lengths.
+
+    ``slots[i, row]`` is the row's ``i``-th oldest window slot: axis 0
+    is window order, oldest first, so a row's window (provenance,
+    ``flush``) is one column, and a tick's shift over a unit-step slice
+    of rows is ``n_voters - 1`` contiguous row moves.
 
     Subclasses name the unfilled-slot marker ``_fill`` and its ``_dtype``.
+    Snapshots record the layout, and one pickled in the row-major
+    layout of earlier releases refuses to load (``ValueError``): read
+    as voter-major it would serve transposed windows, and a shape check
+    cannot tell the two apart when ``n_rows == n_voters``.
     """
 
     _fill: float
     _dtype: type
+    _LAYOUT = "voter-major"
 
     def __init__(self, n_voters: int, n_rows: int):
         self.n_voters = int(n_voters)
-        self.window = np.full((n_rows, self.n_voters), self._fill, dtype=self._dtype)
+        self.slots = np.full((self.n_voters, n_rows), self._fill, dtype=self._dtype)
         self.length = np.zeros(n_rows, dtype=np.int64)
 
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, layout=self._LAYOUT)
+
+    def __setstate__(self, state: dict) -> None:
+        if state.pop("layout", None) != self._LAYOUT:
+            raise ValueError(
+                f"{type(self).__name__} was pickled with row-major voting "
+                "windows (a snapshot from before the voter-major layout); "
+                "it cannot be restored"
+            )
+        self.__dict__.update(state)
+
     def grow_rows(self, n_rows: int) -> None:
-        extra = n_rows - self.window.shape[0]
-        self.window = np.concatenate([
-            self.window,
-            np.full((extra, self.n_voters), self._fill, dtype=self._dtype),
-        ])
+        extra = n_rows - self.slots.shape[1]
+        self.slots = np.concatenate(
+            [self.slots, np.full((self.n_voters, extra), self._fill, dtype=self._dtype)],
+            axis=1,
+        )
         self.length = np.concatenate([self.length, np.zeros(extra, dtype=np.int64)])
 
     def _shift_in(self, rows: Rows, column: np.ndarray) -> tuple:
         """Append one column to the rows' windows; return them and a full mask.
 
-        A slice shifts the storage in place; an index array gathers,
-        shifts and scatters back.
+        A slice moves each storage row down one slot in place and the
+        windows come back as a view; an index array gathers the newer
+        slots one down into a copy and scatters it back.
         """
-        window = self.window[rows]
-        window[:, :-1] = window[:, 1:]
-        window[:, -1] = column
-        if not isinstance(rows, slice):
-            self.window[rows] = window
-        length = np.minimum(self.length[rows] + 1, self.n_voters)
-        self.length[rows] = length
+        slots = self.slots
+        if isinstance(rows, slice):
+            for at in range(self.n_voters - 1):
+                slots[at, rows] = slots[at + 1, rows]
+            slots[-1, rows] = column
+            window = slots[:, rows]
+        else:
+            window = np.empty((self.n_voters, len(rows)), dtype=slots.dtype)
+            slots[1:].take(rows, axis=1, out=window[:-1])
+            window[-1] = column
+            slots[:, rows] = window
+        length = self.length[rows]
+        length += length < self.n_voters
+        _write_back(self.length, rows, length)
         return window, length == self.n_voters
 
 
@@ -263,22 +312,36 @@ class MajorityVoteMatrix(_WindowMatrix):
     ``push`` alarms the first time a row's trailing window holds a
     strict failed majority, and never before the window has filled.
     NaN scores (missed/unusable samples) occupy a window slot but never
-    count as failed votes.  One int8 shift-left window per row: ``-1``
-    marks an unfilled slot, ``0``/``1`` a vote, and storage order is
-    window order (oldest first), so provenance reads a row verbatim.
+    count as failed votes.  The int8 window slots hold ``-1`` for an
+    unfilled slot and ``0``/``1`` for a vote.  ``fails`` keeps each
+    row's failed-vote count (int16 for any window that fits): a push
+    adds the incoming vote and takes away the one shifted out, so no
+    window is recounted.  ``failed_label`` must be finite, so a NaN or
+    infinite score never equals it, as the offline detector never
+    counts one.
     """
 
     _fill, _dtype = -1, np.int8
 
     def __init__(self, n_voters: int, failed_label: float, n_rows: int):
         super().__init__(n_voters, n_rows)
-        self.failed_label = failed_label
+        self.failed_label = check_finite("failed_label", failed_label)
+        count_dtype = np.int16 if self.n_voters < 2**15 else np.int64
+        self.fails = np.zeros(n_rows, dtype=count_dtype)
+
+    def grow_rows(self, n_rows: int) -> None:
+        extra = n_rows - self.slots.shape[1]
+        super().grow_rows(n_rows)
+        self.fails = np.concatenate([self.fails, np.zeros(extra, dtype=self.fails.dtype)])
 
     def push(self, rows: Rows, scores: np.ndarray) -> np.ndarray:
-        votes = (np.isfinite(scores) & (scores == self.failed_label)).astype(np.int8)
-        window, full = self._shift_in(rows, votes)
-        fails = np.einsum("ij->i", window == 1, dtype=np.int64)
-        return full & (fails > self.n_voters / 2.0)
+        votes = (scores == self.failed_label).view(np.int8)
+        change = votes - (self.slots[0, rows] == 1)
+        _, full = self._shift_in(rows, votes)
+        fails = self.fails[rows]
+        fails += change
+        _write_back(self.fails, rows, fails)
+        return full & (fails > self.n_voters // 2)
 
     def flush(self, row: int) -> bool:
         """Judge a row whose whole history is shorter than the window.
@@ -289,41 +352,40 @@ class MajorityVoteMatrix(_WindowMatrix):
         filled = int(self.length[row])
         if filled == 0 or filled >= self.n_voters:
             return False
-        fails = int((self.window[row] == 1).sum())
-        return fails > filled / 2.0
+        return int(self.fails[row]) > filled / 2.0
 
     def window_contents(self, row: int) -> list:
         """The row's current window, oldest first (alert provenance)."""
-        window = self.window[row]
+        window = self.slots[:, row]
         return [bool(vote) for vote in window[window >= 0]]
 
 
 class MeanThresholdMatrix(_WindowMatrix):
     """Streaming :class:`~repro.detection.voting.MeanThresholdDetector`, fleet-wide.
 
-    Float64 shift-left windows with NaN both as the unfilled-slot marker
-    and as the unscorable-sample gap (the first ``length`` check keeps
-    the two apart).  The alarm decision masks NaN to ``0.0`` and divides
-    by the finite count — the mean of the window's finite scores, except
-    that numpy's pairwise summation may associate the additions
-    differently; rows whose mean lands within the reassociation error
-    bound of the threshold are re-judged with the exact per-row rule
-    (:meth:`_judge_exact`), so the decision never depends on the
-    summation order.
+    Float64 window slots with NaN both as the unfilled-slot marker and
+    as the unscorable-sample gap (the first ``length`` check keeps the
+    two apart).  The alarm decision masks NaN to ``0.0`` and divides by
+    the finite count — the mean of the window's finite scores, except
+    that the vectorised sum down the voter axis may associate the
+    additions differently from the per-row mean; rows whose mean lands
+    within the reassociation error bound of the threshold are re-judged
+    with the exact per-row rule (:meth:`_judge_exact`), so the decision
+    never depends on the summation order.
     """
 
     _fill, _dtype = np.nan, float
 
     def __init__(self, n_voters: int, threshold: float, n_rows: int):
         super().__init__(n_voters, n_rows)
-        self.threshold = float(threshold)
+        self.threshold = float(check_finite("threshold", threshold))
 
     def push(self, rows: Rows, scores: np.ndarray) -> np.ndarray:
         window, full = self._shift_in(rows, scores)
         finite = np.isfinite(window)
-        counts = finite.sum(axis=1)
-        sums = np.where(finite, window, 0.0).sum(axis=1)
-        sums_abs = np.where(finite, np.abs(window), 0.0).sum(axis=1)
+        counts = finite.sum(axis=0)
+        sums = np.where(finite, window, 0.0).sum(axis=0)
+        sums_abs = np.where(finite, np.abs(window), 0.0).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             means = sums / counts
             alarm = full & (counts > 0) & (means < self.threshold)
@@ -336,7 +398,7 @@ class MeanThresholdMatrix(_WindowMatrix):
                 np.abs(means - self.threshold) <= tolerance
             )
         for at in np.nonzero(suspect)[0]:
-            alarm[at] = self._judge_exact(window[at])
+            alarm[at] = self._judge_exact(window[:, at])
         return alarm
 
     def _judge_exact(self, values: np.ndarray) -> bool:
@@ -347,9 +409,9 @@ class MeanThresholdMatrix(_WindowMatrix):
         filled = int(self.length[row])
         if filled == 0 or filled >= self.n_voters:
             return False
-        return self._judge_exact(self.window[row, self.n_voters - filled:])
+        return self._judge_exact(self.slots[self.n_voters - filled:, row])
 
     def window_contents(self, row: int) -> list:
         filled = min(int(self.length[row]), self.n_voters)
-        window = self.window[row, self.n_voters - filled:]
+        window = self.slots[self.n_voters - filled:, row]
         return [float(v) if np.isfinite(v) else None for v in window]

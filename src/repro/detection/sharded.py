@@ -371,12 +371,14 @@ def _shard_load(state: dict, path: str) -> int:
     """Swap in the shard state stored at ``path``; returns its drive count.
 
     An unreadable file raises ``ValueError`` naming it, the error
-    :meth:`ShardedFleetMonitor.restore_shard` documents for it.
+    :meth:`ShardedFleetMonitor.restore_shard` documents for it; so does
+    one whose state refuses to load, such as voting windows pickled in
+    the row-major layout of earlier releases.
     """
     try:
         with open(path, "rb") as handle:
             loaded = pickle.load(handle)
-    except (OSError, EOFError, pickle.UnpicklingError) as error:
+    except (OSError, EOFError, ValueError, pickle.UnpicklingError) as error:
         raise ValueError(f"corrupt shard snapshot {path}: {error!r}") from error
     state["monitor"], state["roster"] = loaded["monitor"], loaded["roster"]
     return len(state["monitor"].watched_drives())

@@ -10,8 +10,9 @@ Every piece of per-drive state lives in a preallocated array keyed by a
 stable serial→row index, so a collection tick is a handful of
 vectorized passes instead of ``n_drives`` python round-trips: one 2-D
 ``(n_drives, n_channels)`` ingest, mask-based validation, online
-features from an hour-keyed lag history, shift-left voting matrices
-(:mod:`repro.detection.columnar`) and a single batched model call.
+features from an hour-keyed lag history, voter-major voting windows
+with a running failed-vote count (:mod:`repro.detection.columnar`) and
+a single batched model call.
 :meth:`FleetMonitor.observe` is the same tick with one row.
 
 **Degraded-mode serving.**  A production feed is dirty: ticks arrive
@@ -46,7 +47,7 @@ from repro.observability import get_event_log, get_registry, get_tracer
 from repro.observability.events import decision_path_payload
 from repro.smart.attributes import N_CHANNELS, channel_index
 from repro.utils.errors import FaultKind, SampleFault
-from repro.utils.validation import check_count
+from repro.utils.validation import check_count, check_finite, check_in_choices
 
 #: Schema tag on :meth:`FleetMonitor.health_report` (bump on breaking change).
 HEALTH_REPORT_SCHEMA = "repro.health-report/v1"
@@ -181,7 +182,10 @@ class VoterSpec:
     ``threshold`` (the health-degree rule, Section V-C).  A spec is
     plain data, so it pickles across shard process boundaries; the
     monitor builds the fleet-wide voting matrix from it with
-    :meth:`build`.
+    :meth:`build`.  ``failed_label`` and ``threshold`` must be finite
+    (``ValueError`` otherwise).  A non-finite one is a degenerate rule:
+    no score equals a NaN label, no mean falls below a NaN or ``-inf``
+    threshold, and every mean falls below ``+inf``.
     """
 
     kind: str  # "majority" | "mean"
@@ -190,11 +194,10 @@ class VoterSpec:
     threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("majority", "mean"):
-            raise ValueError(
-                f"kind must be 'majority' or 'mean', got {self.kind!r}"
-            )
+        check_in_choices("kind", self.kind, ("majority", "mean"))
         check_count("n_voters", self.n_voters)
+        check_finite("failed_label", self.failed_label)
+        check_finite("threshold", self.threshold)
 
     def build(self, n_rows: int = 0) -> Union[MajorityVoteMatrix, MeanThresholdMatrix]:
         """The voting matrix applying this rule to ``n_rows`` drives."""

@@ -22,14 +22,18 @@ arrays (one slot per node, pre-order):
   ``surrogate_less_goes_left``) reproducing rpart's missing-value
   routing without per-row Python calls.
 
-Routing is a vectorised subset descent: an explicit stack of
-(node, row-subset) pairs where each internal node costs one contiguous
-column gather, one scalar compare and two boolean compressions — a few
-flat numpy passes per node actually visited, never a Python frame per
-row.  The semantics — including NaN/inf handling and surrogate
-fallbacks — are bit-identical to walking the Figure-1 node graph with
-:meth:`~repro.tree.node.Node.route`; the golden-equivalence tests
-enforce that against a node-walk oracle kept in the test suite.
+Routing is a vectorised descent over an explicit stack of (node, rows)
+pairs — a few flat numpy passes per node actually visited, never a
+Python frame per row.  Near the root, where a node holds a large share
+of the batch, its rows are a boolean mask over the whole batch and the
+node costs one contiguous compare on the split column and one AND; once
+a node holds less than ``1/MASK_SHARE`` of the batch, its rows become
+an index array and each node below costs one column gather, one compare
+and two compressions of its own subset.  The semantics — including
+NaN/inf handling and surrogate fallbacks — are bit-identical to walking
+the Figure-1 node graph with :meth:`~repro.tree.node.Node.route`; the
+golden-equivalence tests enforce that against a node-walk oracle kept
+in the test suite.
 
 :class:`CompiledForest` stacks the members of an ensemble into one flat
 arena (child indices offset per member) and scores all of them against
@@ -55,6 +59,19 @@ from repro.tree.surrogates import SurrogateSplit
 #: Sentinel used in ``feature``/``children_*`` arrays at leaf slots.
 LEAF = -1
 
+#: A node holding at least ``1/MASK_SHARE`` of a batch routes its rows
+#: as a boolean mask over the batch; a smaller node as an index array.
+#: A mask node pays passes over the whole batch, an index node passes
+#: over its own rows that cost several times more per row (a gather, and
+#: compressions that write int64 indices).  Chosen on a captured
+#: 100k-drive serving tick (99,033 rows, 13 features, 10.7k missing
+#: cells; 2 cores, numpy 2.4), median ms per batch at each share —
+#: index arrays below the root / 2 / 4 / 8 / 16 / 32 / masks throughout:
+#: the paper CT (23 slots, depth 7) 3.9 / 2.0 / 2.0 / 1.7 / 1.7 / 2.0 /
+#: 2.5; a 103-slot, depth-12 tree 7.5 / 7.3 / 7.7 / 7.5 / 9.0 / 11.2 /
+#: 13.5.  The previous index-only router took 6.0 ms on the paper CT.
+MASK_SHARE = 8
+
 
 def _observe_batch(registry, n_rows: int, n_trees: int, elapsed: float) -> None:
     """Record one compiled batch routing call (enabled registries only)."""
@@ -71,17 +88,16 @@ def _observe_batch(registry, n_rows: int, n_trees: int, elapsed: float) -> None:
 class _RoutingContext:
     """Per-matrix precomputation shared by every tree in a batch call.
 
-    Columns are transposed once into contiguous layout (descent gathers
-    one column at a time) — unless each column of ``X`` is already
-    contiguous, as for a transposed feature-major block, which is used
-    as is.  Each column's missing mask is computed lazily on first use
-    — ``None`` marks an all-finite column so clean columns never pay a
-    missing pass.  A forest builds one context and routes all members
-    through it.
+    Columns are transposed once into contiguous layout (a node compares
+    or gathers one column at a time) — unless each column of ``X`` is
+    already contiguous, as for a transposed feature-major block, which
+    is used as is.  Each column's missing mask is computed lazily on
+    first use — ``None`` marks an all-finite column so clean columns
+    never pay a missing pass.  A forest builds one context and routes
+    all members through it.
     """
 
     def __init__(self, X: np.ndarray):
-        self.X = X
         columns = X.T
         self.columns = (
             columns if columns.strides[1] == columns.itemsize
@@ -100,12 +116,15 @@ class _RoutingContext:
 
 
 class _FlatArrays:
-    """The shared flat representation + vectorised subset router.
+    """The shared flat representation + vectorised router.
 
-    Routing partitions a row subset down the tree with an explicit
-    (node, rows) stack; each internal node visited costs one contiguous
-    column gather and two boolean compressions, with missing-value
-    handling hoisted out entirely for columns that contain no NaN/inf.
+    :meth:`_route_subtree` is the one router for :class:`CompiledTree`
+    and every member of a :class:`CompiledForest`.  It partitions the
+    batch down the tree with an explicit (node, rows) stack, holding a
+    node's rows as a boolean mask while the node has at least
+    ``1/MASK_SHARE`` of the batch and as an index array below that.
+    Missing-value handling is hoisted out entirely for columns that
+    contain no NaN/inf.
     """
 
     feature: np.ndarray
@@ -147,84 +166,89 @@ class _FlatArrays:
     # -- routing -------------------------------------------------------------
 
     def _route_subtree(
-        self,
-        ctx: _RoutingContext,
-        root: int,
-        rows: np.ndarray,
-        out: np.ndarray,
+        self, ctx: _RoutingContext, root: int, out: np.ndarray
     ) -> None:
-        """Route ``rows`` from ``root`` down to leaves, writing leaf slots to ``out``.
+        """Route the whole batch from ``root``, writing each row's leaf slot to ``out``.
 
-        Iterative subset descent: each internal node partitions the row
-        subset that reached it with its scalar threshold — one contiguous
-        column gather, one compare, two compressions — so a batch costs
-        ``O(sum of per-level rows)`` flat passes with no per-row Python.
-        Rows whose split value is missing take the surrogate/fallback
-        path of :meth:`_route_missing_lanes`.
+        Iterative descent over an explicit (node, rows) stack, in two
+        modes.  A node that holds at least ``1/MASK_SHARE`` of the batch
+        keeps its rows as a boolean mask over the whole batch: it costs
+        one contiguous compare on the split column and one AND, with no
+        gather.  Below that share the node's rows become an index array
+        and the subset descent takes over: one column gather, one
+        compare and two compressions, each the size of the subset.  Rows
+        whose split value is missing take the surrogate/fallback path of
+        :meth:`_route_missing_lanes` in either mode.
         """
-        if self.is_leaf[root]:
-            out[rows] = root
-            return
+        n_rows = out.shape[0]
         feature = self.feature
         threshold = self.threshold
         children_left = self.children_left
         children_right = self.children_right
         is_leaf = self.is_leaf
-        stack = [(root, rows)]
+        stack = [(root, np.ones(n_rows, dtype=bool), n_rows)]
         while stack:
-            slot, rows = stack.pop()
+            slot, rows, n_held = stack.pop()
+            if is_leaf[slot]:
+                out[rows] = slot
+                continue
             f = int(feature[slot])
-            column = ctx.columns[f].take(rows)
-            goes_left = column < threshold[slot]
             column_missing = ctx.missing_mask(f)
-            if column_missing is not None:
-                missing = column_missing.take(rows)
-                if missing.any():
-                    lanes = np.nonzero(missing)[0]
-                    goes_left[lanes] = self._route_missing_lanes(
-                        ctx.X,
-                        rows[lanes],
-                        np.full(lanes.size, slot, dtype=np.int64),
-                    )
-            for child, child_rows in (
-                (int(children_left[slot]), rows[goes_left]),
-                (int(children_right[slot]), rows[~goes_left]),
+            as_mask = rows.dtype == bool
+            if as_mask:
+                goes_left = ctx.columns[f] < threshold[slot]
+                missing = column_missing & rows if column_missing is not None else None
+            else:
+                goes_left = ctx.columns[f].take(rows) < threshold[slot]
+                missing = column_missing.take(rows) if column_missing is not None else None
+            if missing is not None and missing.any():
+                lanes = np.flatnonzero(missing)
+                goes_left[lanes] = self._route_missing_lanes(
+                    ctx, lanes if as_mask else rows[lanes], slot
+                )
+            if as_mask:
+                left = np.logical_and(goes_left, rows, out=goes_left)
+                right = rows ^ left
+                n_left = int(np.count_nonzero(left))
+                n_right = n_held - n_left
+            else:
+                left, right = rows.compress(goes_left), rows.compress(~goes_left)
+                n_left, n_right = left.size, right.size
+            for child, child_rows, n_child in (
+                (int(children_left[slot]), left, n_left),
+                (int(children_right[slot]), right, n_right),
             ):
-                if not child_rows.size:
+                if not n_child:
                     continue
-                if is_leaf[child]:
-                    out[child_rows] = child
-                else:
-                    stack.append((child, child_rows))
+                # A leaf writes through indices too: a masked store of a
+                # data-dependent mask is several times slower.
+                if as_mask and (is_leaf[child] or n_child * MASK_SHARE < n_rows):
+                    child_rows = np.flatnonzero(child_rows)
+                stack.append((child, child_rows, n_child))
 
     def _route_missing_lanes(
-        self, X: np.ndarray, rows: np.ndarray, nodes: np.ndarray
+        self, ctx: _RoutingContext, rows: np.ndarray, slot: int
     ) -> np.ndarray:
-        """Surrogate-then-fallback routing for lanes whose primary value is missing.
+        """Surrogate-then-fallback routing at ``slot`` of rows missing its split value.
 
         Mirrors :func:`repro.tree.surrogates.route_left_with_surrogates`:
         the highest-ranked surrogate with a finite value decides; rows no
         surrogate can place follow ``missing_goes_left``.
         """
-        goes_left = self.missing_goes_left[nodes].copy()
-        counts = self.surrogate_offset[nodes + 1] - self.surrogate_offset[nodes]
-        undecided = np.ones(rows.size, dtype=bool)
-        for rank in range(int(counts.max()) if counts.size else 0):
-            trying = np.nonzero(undecided & (counts > rank))[0]
-            if trying.size == 0:
-                break
-            slots = self.surrogate_offset[nodes[trying]] + rank
-            candidate = X[rows[trying], self.surrogate_feature[slots]]
+        goes_left = np.full(rows.size, self.missing_goes_left[slot])
+        undecided = np.arange(rows.size)
+        for rank in range(
+            int(self.surrogate_offset[slot]), int(self.surrogate_offset[slot + 1])
+        ):
+            candidate = ctx.columns[self.surrogate_feature[rank]].take(rows[undecided])
             finite = np.isfinite(candidate)
-            if not finite.any():
-                continue
-            decided = trying[finite]
-            slots = slots[finite]
-            goes_less = candidate[finite] < self.surrogate_threshold[slots]
-            goes_left[decided] = np.where(
-                self.surrogate_less_goes_left[slots], goes_less, ~goes_less
+            goes_less = candidate[finite] < self.surrogate_threshold[rank]
+            goes_left[undecided[finite]] = (
+                goes_less if self.surrogate_less_goes_left[rank] else ~goes_less
             )
-            undecided[decided] = False
+            undecided = undecided[~finite]
+            if not undecided.size:
+                break
         return goes_left
 
     def _route_row(self, row: np.ndarray, slot: int) -> int:
@@ -387,9 +411,7 @@ class CompiledTree(_FlatArrays):
     def _apply_slots_impl(self, X: np.ndarray) -> np.ndarray:
         n_rows = X.shape[0]
         out = np.empty(n_rows, dtype=np.int64)
-        self._route_subtree(
-            _RoutingContext(X), 0, np.arange(n_rows, dtype=np.intp), out
-        )
+        self._route_subtree(_RoutingContext(X), 0, out)
         return out
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -495,9 +517,8 @@ class CompiledForest(_FlatArrays):
         n_rows = X.shape[0]
         out = np.empty((self.n_trees, n_rows), dtype=np.int64)
         ctx = _RoutingContext(X)
-        rows = np.arange(n_rows, dtype=np.intp)
         for member, root in enumerate(self.roots):
-            self._route_subtree(ctx, int(root), rows, out[member])
+            self._route_subtree(ctx, int(root), out[member])
         return out
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:

@@ -35,6 +35,13 @@ def check_count(name: str, value: int, *, strict: bool = True) -> int:
     return value
 
 
+def check_finite(name: str, value: float) -> float:
+    """Validate that ``value`` is a finite number (not NaN or infinite)."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def check_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
     """Validate that ``value`` lies in ``[0, 1]`` (or ``(0, 1)``)."""
     if inclusive:

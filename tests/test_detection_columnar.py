@@ -17,11 +17,12 @@ online feature rows are pinned against the offline :class:`~repro.features.vecto
 in ``tests/test_detection_streaming.py``.
 """
 
+import collections
 import functools
 import hashlib
 import json
-
-import collections
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -32,9 +33,12 @@ from repro.core.config import CTConfig
 from repro.core.predictor import DriveFailurePredictor
 from repro.detection import (
     FleetMonitor,
+    MajorityVoteDetector,
     MajorityVoteMatrix,
+    MeanThresholdDetector,
     MeanThresholdMatrix,
     QuarantinePolicy,
+    ShardedFleetMonitor,
     VoterSpec,
 )
 from repro.features.vectorize import Feature
@@ -454,7 +458,7 @@ class TestVoterMatrices:
         assert isinstance(VoterSpec("majority", 3).build(), MajorityVoteMatrix)
         mean = VoterSpec("mean", 5, threshold=0.5).build(4)
         assert isinstance(mean, MeanThresholdMatrix)
-        assert (mean.n_voters, mean.threshold, mean.window.shape) == (5, 0.5, (4, 5))
+        assert (mean.n_voters, mean.threshold, mean.slots.shape) == (5, 0.5, (5, 4))
 
     def test_factory_rejects_custom_detectors(self):
         with pytest.raises(TypeError, match="VoterSpec"):
@@ -469,6 +473,180 @@ class TestVoterMatrices:
             _build(detector=Custom())
 
 
+class _RowMajorPickle:
+    """Pickles a voter the way the earlier row-major layout did.
+
+    It unpickles as such a ``_WindowMatrix`` did: a bare instance of the
+    class, then its plain ``__dict__`` as state, with ``window`` holding
+    the row-major ``(n_rows, n_voters)`` windows.
+    """
+
+    def __init__(self, voter):
+        self.cls = type(voter)
+        state = {
+            "n_voters": voter.n_voters,
+            "window": np.ascontiguousarray(voter.slots.T),
+            "length": voter.length.copy(),
+        }
+        for name in ("failed_label", "threshold"):
+            if hasattr(voter, name):
+                state[name] = getattr(voter, name)
+        self.state = state
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), self.state
+
+
+def _filled_voter(kind, n_voters, n_rows):
+    voter = VoterSpec(kind, n_voters, threshold=0.0).build(n_rows)
+    rng = np.random.default_rng(n_voters)
+    for _ in range(n_voters - 1):
+        voter.push(slice(0, n_rows), rng.choice([-1.0, 1.0, np.nan], n_rows))
+    return voter
+
+
+class TestWindowLayout:
+    """Voter-major storage, and snapshots written in the row-major layout."""
+
+    @pytest.mark.parametrize("kind", ["majority", "mean"])
+    def test_storage_is_voter_major(self, kind):
+        voter = _filled_voter(kind, 4, 6)
+        assert voter.slots.shape == (4, 6)
+        assert voter.slots.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["majority", "mean"])
+    def test_pickle_round_trips_mid_window(self, kind):
+        voter = _filled_voter(kind, 5, 5)
+        restored = pickle.loads(pickle.dumps(voter))
+        rows = slice(0, 5)
+        scores = np.array([-1.0, 1.0, np.nan, -1.0, 0.5])
+        assert np.array_equal(restored.push(rows, scores), voter.push(rows, scores))
+        assert np.array_equal(restored.slots, voter.slots, equal_nan=True)
+        assert [restored.window_contents(r) for r in range(5)] == [
+            voter.window_contents(r) for r in range(5)
+        ]
+
+    @pytest.mark.parametrize("kind", ["majority", "mean"])
+    @pytest.mark.parametrize("n_rows", [5, 7])
+    def test_row_major_pickle_refuses_to_load(self, kind, n_rows):
+        # n_rows == n_voters is the case a shape check cannot catch: a
+        # row-major (5, 5) window would read as five transposed windows.
+        blob = pickle.dumps(_RowMajorPickle(_filled_voter(kind, 5, n_rows)))
+        with pytest.raises(ValueError, match="row-major"):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_row_major_shard_snapshot_raises_naming_the_file(self, tmp_path, mode):
+        # 64 voters on the 64-row minimum roster: both layouts are (64, 64).
+        monitor = ShardedFleetMonitor(
+            FEATURES, _score_sample, VoterSpec("majority", 64),
+            score_batch=_score_batch, n_shards=2, mode=mode,
+        )
+        try:
+            monitor.observe_fleet(0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(6)})
+            store = monitor.snapshot(tmp_path / "snap")
+            path = store / "shard-1.pkl"
+            state = pickle.loads(path.read_bytes())
+            voter = state["monitor"]._voter
+            assert voter.slots.shape == (64, 64)
+            state["monitor"]._voter = _RowMajorPickle(voter)
+            path.write_bytes(pickle.dumps(state))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                monitor.restore_shard(1, store)
+            assert monitor._hosts[1].alive is False
+        finally:
+            monitor.close()
+
+
+def _draw_rows(data, n_rows):
+    """One tick's rows: a unit-step slice, or an unsorted index array."""
+    if data.draw(st.booleans(), label="slice tick"):
+        start = data.draw(st.integers(0, n_rows - 1))
+        return slice(start, data.draw(st.integers(start + 1, n_rows)))
+    order = data.draw(st.permutations(range(n_rows)))
+    return np.array(order[: data.draw(st.integers(1, n_rows))], dtype=np.intp)
+
+
+#: Scores are dyadic, so every window sum is exact and the per-row
+#: oracles see the same means the matrices do.
+_MAJORITY_SCORES = st.sampled_from([-1.0, 1.0, 0.5, np.nan, np.inf, -np.inf])
+_MEAN_SCORES = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, np.nan, np.inf])
+
+
+class TestVoterMatricesUnderMixedTicks:
+    """Random tick sequences against the per-row offline detectors.
+
+    Ticks mix unit-step slices with unsorted partial index arrays, the
+    roster grows and the matrix goes through a pickle round trip, all
+    mid-window.  After every push each row's alarm, ``flush`` and
+    ``window_contents`` must be what the offline paper detector says of
+    that row's history, and the majority voter's running failed-vote
+    count must equal a recount of the window.
+    """
+
+    @staticmethod
+    def _offline(kind, n_voters, threshold):
+        if kind == "majority":
+            return MajorityVoteDetector(n_voters=n_voters)
+        return MeanThresholdDetector(n_voters=n_voters, threshold=threshold)
+
+    @staticmethod
+    def _expected_contents(kind, window):
+        if kind == "majority":
+            return [bool(s == -1.0) for s in window]
+        return [float(s) if np.isfinite(s) else None for s in window]
+
+    def _check(self, voter, kind, histories, threshold):
+        n_voters = voter.n_voters
+        offline = self._offline(kind, n_voters, threshold)
+        for row, history in enumerate(histories):
+            window = history[-n_voters:]
+            short = 0 < len(history) < n_voters
+            assert voter.flush(row) is (
+                short and offline.first_alarm(history) is not None
+            )
+            assert voter.window_contents(row) == self._expected_contents(kind, window)
+            if kind == "majority":
+                recount = int(np.count_nonzero(voter.slots[:, row] == 1))
+                assert int(voter.fails[row]) == recount
+                assert recount == sum(1 for s in window if s == -1.0)
+
+    @pytest.mark.parametrize("kind", ["majority", "mean"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_offline_detectors(self, kind, data):
+        n_voters = data.draw(st.integers(1, 6), label="n_voters")
+        threshold = data.draw(st.sampled_from([-0.25, 0.0, 0.125, 0.5]))
+        n_rows = data.draw(st.integers(1, 6), label="n_rows")
+        voter = VoterSpec(kind, n_voters, threshold=threshold).build(n_rows)
+        histories = [[] for _ in range(n_rows)]
+        offline = self._offline(kind, n_voters, threshold)
+        scores_of = _MAJORITY_SCORES if kind == "majority" else _MEAN_SCORES
+        for _ in range(data.draw(st.integers(1, 14), label="n_steps")):
+            step = data.draw(st.sampled_from(["tick", "tick", "tick", "grow", "pickle"]))
+            if step == "grow":
+                n_rows += data.draw(st.integers(1, 4))
+                voter.grow_rows(n_rows)
+                histories.extend([] for _ in range(n_rows - len(histories)))
+            elif step == "pickle":
+                voter = pickle.loads(pickle.dumps(voter))
+            else:
+                rows = _draw_rows(data, n_rows)
+                row_ids = range(n_rows)[rows] if isinstance(rows, slice) else rows
+                k = len(row_ids)
+                scores = np.array(data.draw(st.lists(scores_of, min_size=k, max_size=k)))
+                alarmed = voter.push(rows, scores)
+                for at, row in enumerate(row_ids):
+                    histories[row].append(float(scores[at]))
+                    window = histories[row][-n_voters:]
+                    expected = (
+                        len(window) == n_voters
+                        and offline.first_alarm(window) is not None
+                    )
+                    assert bool(alarmed[at]) is expected
+            self._check(voter, kind, histories, threshold)
+
+
 class TestVoterSpec:
     @pytest.mark.parametrize("n_voters", [0, -1, 2.5, True])
     def test_rejects_non_positive_integer_voters(self, n_voters):
@@ -477,6 +655,23 @@ class TestVoterSpec:
 
     def test_accepts_numpy_integers(self):
         assert VoterSpec("mean", np.int64(4)).build().n_voters == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "kind, field", [("majority", "failed_label"), ("mean", "threshold")]
+    )
+    def test_rejects_non_finite_settings(self, kind, field, value):
+        # Such a rule is degenerate: it never alarms, or for a +inf
+        # threshold alarms on every scored window.
+        with pytest.raises(ValueError, match=field):
+            VoterSpec(kind, 3, **{field: value})
+        matrix = MajorityVoteMatrix if kind == "majority" else MeanThresholdMatrix
+        with pytest.raises(ValueError, match=field):
+            matrix(3, value, 1)
+
+    def test_rejects_unknown_kinds(self):
+        with pytest.raises(ValueError, match="kind"):
+            VoterSpec("median", 3)
 
 
 class TestDuplicateSerials:

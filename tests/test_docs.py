@@ -29,10 +29,8 @@ from repro.observability import catalog
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_check_links():
-    spec = importlib.util.spec_from_file_location(
-        "check_links", ROOT / "tools" / "check_links.py"
-    )
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -73,7 +71,7 @@ class TestCatalogTables:
 
 class TestLinkChecker:
     def test_repo_docs_have_no_broken_references(self):
-        check_links = _load_check_links()
+        check_links = _load_tool("check_links")
         files = [
             ROOT / "README.md",
             ROOT / "DESIGN.md",
@@ -85,7 +83,7 @@ class TestLinkChecker:
         assert check_links.broken_references(files) == []
 
     def test_checker_catches_a_broken_reference(self, tmp_path):
-        check_links = _load_check_links()
+        check_links = _load_tool("check_links")
         page = tmp_path / "page.md"
         page.write_text(
             "A [dead link](missing/file.md) and a live one: `tools/check_links.py`.\n"
@@ -93,6 +91,34 @@ class TestLinkChecker:
         )
         broken = check_links.broken_references([page])
         assert broken == [f"{page}: missing/file.md"]
+
+
+#: One of each kind of line ``tools/code_lines.py`` tells apart.
+_COUNTED_MODULE = '''"""Module docstring,
+
+over three lines."""
+
+# a comment
+import os  # trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method
+        docstring."""
+        text = """not a docstring,
+        two lines"""
+        return (text,
+                os)
+'''
+
+
+class TestCodeLineCounter:
+    def test_counts_code_but_not_blanks_comments_or_docstrings(self):
+        # import, class, def, the two-line string, the two-line return.
+        assert _load_tool("code_lines").count_code_lines(_COUNTED_MODULE) == 7
 
 
 def _run_example(name: str) -> subprocess.CompletedProcess:

@@ -8,6 +8,8 @@ here uses exact comparisons, never tolerances.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,13 @@ from repro.tree import (
     prune_to_alpha,
     save_model,
 )
+from repro.tree.compiled import MASK_SHARE, CompiledTree
+from repro.tree.node import Node
 from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
 )
+from repro.tree.surrogates import SurrogateSplit
 from tests.tree_oracle import (
     NodeWalkClassificationTree,
     NodeWalkRegressionTree,
@@ -43,6 +48,7 @@ from tests.tree_oracle import (
     node_forest_predict,
     node_forest_predict_proba,
     node_forest_regressor_predict,
+    route_rows_node_ids,
 )
 
 #: The flat arrays a :class:`~repro.tree.compiled.CompiledTree` is built from.
@@ -474,3 +480,114 @@ class TestPropertyEquivalence:
         Xt = make_matrix(60, X.shape[1], nan_frac=0.3, seed=label_seed + 7)
         assert np.array_equal(restored.predict_proba(Xt), tree.predict_proba(Xt))
         assert np.array_equal(restored.apply(Xt), tree.apply(Xt))
+
+
+#: Split and surrogate thresholds, and most matrix cells, come from one
+#: small grid, so cells tie with thresholds exactly (a tie goes right).
+_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_CELLS = np.array(_GRID + (np.nan, np.inf, -np.inf))
+
+
+def _random_node(draw, n_features, depth, ids, max_depth):
+    """A random Figure-1 subtree with random surrogates and NaN fallbacks."""
+    base = dict(
+        node_id=next(ids), depth=depth, n_samples=1, weight=1.0, impurity=0.0,
+    )
+    base["prediction"] = float(base["node_id"])
+    if depth == max_depth or not draw(st.integers(0, 3)):
+        return Node(**base)
+    features = st.integers(0, n_features - 1)
+    surrogates = tuple(
+        SurrogateSplit(
+            draw(features), draw(st.sampled_from(_GRID)), draw(st.booleans()), 0.5
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Node(
+        **base,
+        feature=draw(features),
+        threshold=draw(st.sampled_from(_GRID)),
+        missing_goes_left=draw(st.booleans()),
+        surrogates=surrogates,
+        left=_random_node(draw, n_features, depth + 1, ids, max_depth),
+        right=_random_node(draw, n_features, depth + 1, ids, max_depth),
+    )
+
+
+@st.composite
+def routing_problems(draw):
+    """``(roots, X)``: random trees and a batch built to straddle the switch.
+
+    The batch has ``8 * k`` rows.  When ``n_left`` is drawn, every root
+    splits on column 0 at 0.0 and exactly ``n_left`` rows go left — one
+    below, at or above ``1/MASK_SHARE`` of the batch — so the left
+    subtree starts as an index array or as a mask.  Column 0 then holds
+    no missing cell; every other cell is a grid value, NaN, +/-inf or a
+    normal draw.  ``X`` comes C-ordered, feature-major (each column
+    contiguous) or strided in both axes.
+    """
+    n_features = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 40))
+    n_rows = MASK_SHARE * k
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weights = rng.dirichlet(np.ones(len(_CELLS)))
+    X = rng.choice(_CELLS, size=(n_rows, n_features), p=weights)
+    normal = rng.random(X.shape) < draw(st.floats(0.0, 0.5))
+    X[normal] = rng.normal(size=int(normal.sum()))
+    n_left = draw(st.sampled_from([None, k - 1, k, k + 1]))
+    if n_left is not None:
+        column = np.ones(n_rows)
+        column[:n_left] = -1.0
+        X[:, 0] = rng.permutation(column)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        ids = itertools.count(1)
+        if n_left is None:
+            root = _random_node(draw, n_features, 0, ids, draw(st.integers(0, 6)))
+        else:
+            root = Node(
+                node_id=next(ids), depth=0, n_samples=1, weight=1.0, prediction=0.0,
+                impurity=0.0, feature=0, threshold=0.0,
+                left=_random_node(draw, n_features, 1, ids, 6),
+                right=_random_node(draw, n_features, 1, ids, 6),
+            )
+        roots.append(root)
+    layout = draw(st.sampled_from(["C", "feature-major", "strided"]))
+    if layout == "feature-major":
+        X = np.ascontiguousarray(X.T).T
+    elif layout == "strided":
+        wide = np.full((2 * n_rows, 2 * n_features), 7.0)
+        wide[::2, ::2] = X
+        X = wide[::2, ::2]
+    return roots, X
+
+
+class TestRouterDifferential:
+    """The two-mode router against the node walk of ``tests/tree_oracle.py``.
+
+    Random trees carry random surrogates and fallbacks; random batches
+    carry NaN and +/-inf, come in three memory layouts and put nodes on
+    both sides of the mask/index switch, including exactly at it.
+    """
+
+    @given(routing_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_compiled_tree_matches_node_walk(self, problem):
+        roots, X = problem
+        for root in roots:
+            compiled = CompiledTree.from_node(root)
+            slots = compiled.apply_slots(X)
+            assert compiled.is_leaf[slots].all()
+            assert np.array_equal(compiled.node_id[slots], route_rows_node_ids(root, X))
+
+    @given(routing_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_forest_matches_node_walk(self, problem):
+        roots, X = problem
+        forest = CompiledForest([CompiledTree.from_node(root) for root in roots])
+        slots = forest.apply_slots(X)
+        assert slots.shape == (len(roots), X.shape[0])
+        for member, root in enumerate(roots):
+            assert np.array_equal(
+                forest.node_id[slots[member]], route_rows_node_ids(root, X)
+            )
