@@ -509,14 +509,17 @@ class ShardedFleetMonitor(_ServingFacade):
     # -- dispatch plumbing -----------------------------------------------------
 
     def _raw_dispatch(
-        self, calls: list[tuple[int, Callable, object]]
+        self, calls: Iterable[tuple[int, Callable, object]]
     ) -> list[tuple[int, object]]:
         """Run ``func(state, payload)`` per shard; results in call order.
 
-        Every call is submitted before any result is collected, so
-        worker-hosted shard slices execute concurrently (a local host
-        runs each at submit time), and a hosted exception surfaces only
-        once every shard has its slice.
+        ``calls`` may be lazy: each call is submitted as soon as it is
+        produced, so a worker-hosted shard starts on its slice while the
+        next one is still being cut (or journaled).  Every call is
+        submitted before any result is collected, so worker-hosted shard
+        slices execute concurrently (a local host runs each at submit
+        time), and a hosted exception surfaces only once every shard has
+        its slice.
 
         A shard that dies mid-call (or was already dead at submit time)
         surfaces as a :class:`~repro.utils.errors.WorkerDiedError`
@@ -548,14 +551,15 @@ class ShardedFleetMonitor(_ServingFacade):
         return responses
 
     def _dispatch_input(
-        self, calls: list[tuple[int, Callable, object]], *, tick: bool
+        self, calls: Iterable[tuple[int, Callable, object]], *, tick: bool
     ) -> list[tuple[int, object]]:
         """Dispatch calls that change what a shard serves: pins and ticks.
 
         Every roster/feed pin and every tick slice goes through here,
         so a subclass sees exactly the ``(shard, func, payload)`` calls
         the shards were sent; ``tick`` says which of the two it is.
-        ``SupervisedShardedMonitor`` journals them here before they run.
+        ``SupervisedShardedMonitor`` journals each call here as it is
+        sent.
         """
         return self._raw_dispatch(calls)
 
@@ -774,7 +778,7 @@ class ShardedFleetMonitor(_ServingFacade):
         ``collection=False`` is :meth:`observe`: no tick-level
         instrumentation and no canary soak count.
         """
-        calls: list[tuple[int, Callable, dict]] = []
+        calls: Iterable[tuple[int, Callable, dict]]
         sizes: dict[int, int] = {}
         dup_counts: dict[int, int] = {}
         if items is None:
@@ -784,15 +788,16 @@ class ShardedFleetMonitor(_ServingFacade):
                     self._note_seen(serial)
                 self._roster_noted = True
             for sid in self._active_shards():
-                indices = self._partition[sid]
-                if len(indices) == 0:
-                    continue
-                payload: dict = {"hour": hour, "shard": sid}
-                if matrix is not None:
-                    payload["matrix"] = matrix[indices]
-                sizes[sid] = len(indices)
-                calls.append((sid, _shard_tick, payload))
+                if len(self._partition[sid]):
+                    sizes[sid] = len(self._partition[sid])
+            # Lazy: a shard's slice is cut only when its call is sent, so
+            # shard k works while shard k+1's slice is cut and sent.
+            calls = (
+                (sid, _shard_tick, self._roster_payload(hour, sid, matrix))
+                for sid in sizes
+            )
         else:
+            calls = []
             positions = {serial: at for at, (serial, _) in enumerate(items)}
             # First-seen bookkeeping mirrors a single monitor's row
             # allocation: duplicate occurrences register before the items.
@@ -831,6 +836,15 @@ class ShardedFleetMonitor(_ServingFacade):
             deployment.ticks += 1
             self._maybe_resolve_deployment()
         return alerts
+
+    def _roster_payload(
+        self, hour: float, sid: int, matrix: Optional[np.ndarray]
+    ) -> dict:
+        """Shard ``sid``'s roster-tick payload: its matrix slice, or none."""
+        payload: dict = {"hour": hour, "shard": sid}
+        if matrix is not None:
+            payload["matrix"] = matrix[self._partition[sid]]
+        return payload
 
     def _merge(
         self,

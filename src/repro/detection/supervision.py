@@ -17,18 +17,24 @@ hand, and every tick since the last snapshot is silently gone.
   mid-dispatch.  Deaths during a dispatch surface as
   :class:`~repro.utils.errors.WorkerDiedError` and are handled at the
   same place.
-* **Write-ahead tick journal** — :class:`TickJournal` records every
-  tick and pin dispatch *before* it runs, as the ``(shard, func,
-  payload)`` calls the shards are sent: schema-tagged JSONL
-  (``repro.tick-journal/v3``) naming one pickled ``.pkl`` sidecar per
-  dispatch with one self-contained segment per call, fsync'd per
-  append, torn-tail tolerant on read.  The journal is also the
-  transport: each payload is pickled once, into its segment, and a
-  worker-hosted shard is sent a reference from which it loads that
-  segment itself (:class:`_SegmentPayload`).  Periodic
-  snapshots (:meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot`
-  into ``run_dir/snapshot``) truncate it once published, so the journal
-  only ever holds the ticks since the last snapshot.
+* **Tick journal** — :class:`TickJournal` records every
+  tick and pin dispatch as the ``(shard, func, payload)`` calls the
+  shards are sent: schema-tagged JSONL (``repro.tick-journal/v3``)
+  naming one pickled ``.pkl`` sidecar per dispatch with one
+  self-contained segment per call, torn-tail tolerant on read.  The
+  journal is also the transport, and it is pipelined: each payload is
+  pickled once, into its segment, and the shard is sent that call as
+  soon as the segment is flushed — a worker-hosted shard gets a
+  reference and reads the segment itself (:class:`_SegmentPayload`),
+  while the next shard's segment is still being written.  The entry is
+  committed (sidecar fsync'd, then the line written and fsync'd) after
+  the last call is sent and before the first result is collected, so
+  the coordinator's fsyncs overlap the shards' work; an entry is durable
+  before the tick returns and before any recovery reads the journal.
+  Periodic snapshots
+  (:meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot` into
+  ``run_dir/snapshot``) truncate it once published, so the journal only
+  ever holds the ticks since the last snapshot.
 * **Recovery** — on a dead shard the supervisor respawns a fresh
   worker from the latest snapshot (or from the shard spec when none
   exists yet) and re-submits that shard's journaled calls verbatim, in
@@ -40,6 +46,14 @@ hand, and every tick since the last snapshot is silently gone.
   serving already meets against a single monitor).  A tick that was
   in flight when the shard died is excluded from replay and re-submitted
   through the normal merge path instead.
+
+A journal entry that fails to commit (an ``OSError`` writing or
+fsyncing it) does not cut the tick short: every shard is still sent and
+collected, the results merge, and then the error propagates from the
+call.  The shards applied a tick that snapshot + journal do not hold, so
+the supervisor refuses every further dispatch and recovery until
+:meth:`SupervisedShardedMonitor.checkpoint` succeeds and snapshots the
+state the shards really have.
 
 Restarts are budgeted: :class:`RestartPolicy` allows ``max_restarts``
 respawns per shard within a sliding ``window_ticks`` window.  A shard
@@ -61,6 +75,7 @@ import os
 import pickle
 import warnings
 from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -97,22 +112,51 @@ class RestartPolicy:
         check_count("window_ticks", self.window_ticks)
 
 
-def _load_payload(path: str, start: int) -> dict:
-    """The payload of the call pickled at byte ``start`` of sidecar ``path``."""
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        return pickle.load(handle)[2]
+class _SegmentRef(Mapping):
+    """A journaled payload as a worker process receives it.
+
+    It holds only ``(path, start)`` and reads its segment on first use,
+    inside the hosted call — so a missing or corrupt segment raises
+    ``ValueError`` there, an ordinary task error, and the worker lives.
+    """
+
+    __slots__ = ("segment", "_payload")
+
+    def __init__(self, path: str, start: int):
+        self.segment = (path, start)
+        self._payload: Optional[dict] = None
+
+    def _load(self) -> dict:
+        if self._payload is None:
+            path, start = self.segment
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(start)
+                    self._payload = pickle.load(handle)[2]
+            except (OSError, EOFError, ValueError, pickle.UnpicklingError) as error:
+                raise ValueError(
+                    f"unreadable journal segment {path} at byte {start}: {error!r}"
+                ) from error
+        return self._payload
+
+    def __getitem__(self, key):
+        return self._load()[key]
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __len__(self) -> int:
+        return len(self._load())
 
 
 class _SegmentPayload(dict):
-    """A journaled payload that pickles as a read of its own segment.
+    """A journaled payload that pickles as a reference to its own segment.
 
     In memory it is the payload dict itself, so a shard called in
     process uses it as is.  Pickled on its way to a worker process it is
-    ``_load_payload(path, start)`` — about a hundred bytes, and the
-    worker reads its own slice of the fsync'd sidecar from the page
-    cache instead of the coordinator pickling the payload a second time
-    into the pipe.
+    a :class:`_SegmentRef` — about a hundred bytes, and the worker reads
+    its own slice of the sidecar from the page cache instead of the
+    coordinator pickling the payload a second time into the pipe.
     """
 
     __slots__ = ("segment",)
@@ -122,11 +166,11 @@ class _SegmentPayload(dict):
         self.segment = segment
 
     def __reduce__(self):
-        return _load_payload, self.segment
+        return _SegmentRef, self.segment
 
 
 class TickJournal:
-    """Append-only write-ahead log of the calls every shard was sent.
+    """Append-only log of the calls every shard was sent.
 
     One JSONL file (header line ``{"schema": "repro.tick-journal/v3"}``)
     plus a ``<path>.d/`` sidecar directory.  Each entry is one dispatch:
@@ -147,6 +191,15 @@ class TickJournal:
     missing bytes.  :meth:`entries` drops a torn tail under a
     :class:`~repro.utils.errors.TornEventLogWarning`; corruption before
     the final line raises.
+
+    :meth:`stream` journals a dispatch while it is being sent: it yields
+    each call as soon as its segment is written and flushed, and commits
+    the entry (sidecar fsync, then line) when the caller asks for the
+    call after the last — so a caller that submits every call before it
+    collects any result pays the fsyncs while its shards work.  An
+    ``OSError`` on the way never stops the stream: the rest of the calls
+    are yielded with their plain payloads, the entry is not committed,
+    and :attr:`failure` holds the error until the next :meth:`reset`.
 
     The journal is per-run: construction truncates ``path``.  After a
     snapshot, :meth:`reset` truncates again and re-seeds the last pin
@@ -172,34 +225,61 @@ class TickJournal:
         self._handle.write(json.dumps(line) + "\n")
         self._sync(self._handle)
 
-    def append(self, calls: list, *, tick: bool) -> list:
-        """Record one dispatch's call list, sidecar first (write-ahead order).
+    def stream(self, calls: Iterable, *, tick: bool) -> Iterator[tuple]:
+        """Journal one dispatch, yielding each call to send once it is written.
 
-        Returns the calls to send: each payload a
-        :class:`_SegmentPayload` over its just-written segment.  Every
-        payload is journaled as a plain dict, so re-appending payloads
-        that came out of this journal never points at a deleted sidecar.
+        Each yielded payload is a :class:`_SegmentPayload` over its
+        just-flushed segment, journaled as a plain dict, so re-appending
+        payloads that came out of this journal never points at a deleted
+        sidecar.  Exhausting the iterator commits the entry.
         """
-        name = f"{self._seq:06d}.pkl"
+        path = self.sidecar_dir / f"{self._seq:06d}.pkl"
         self._seq += 1
-        path = self.sidecar_dir / name
         segments: list[list[int]] = []
-        with path.open("wb") as handle:
+        handle = None
+        try:
             for sid, func, payload in calls:
-                start = handle.tell()
-                pickle.dump(
-                    (sid, func, dict(payload)), handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                segments.append([sid, start, handle.tell()])
-            self._sync(handle)
-        self._write_line({"sidecar": name, "tick": bool(tick), "segments": segments})
-        if tick:
-            self.tick_count += 1
-        return [
-            (sid, func, _SegmentPayload(payload, (str(path), start)))
-            for (sid, func, payload), (_, start, _) in zip(calls, segments)
-        ]
+                if self.failure is None:
+                    try:
+                        handle = handle or path.open("wb")
+                        start = handle.tell()
+                        pickle.dump(
+                            (sid, func, dict(payload)), handle,
+                            protocol=pickle.HIGHEST_PROTOCOL,
+                        )
+                        # Flushed, so a worker can read it the moment it is sent.
+                        handle.flush()
+                        segments.append([sid, start, handle.tell()])
+                        payload = _SegmentPayload(payload, (str(path), start))
+                    except OSError as error:
+                        self.failure = error
+                yield sid, func, payload
+            if self.failure is None:
+                try:
+                    handle = handle or path.open("wb")
+                    self._sync(handle)
+                    self._write_line(
+                        {"sidecar": path.name, "tick": bool(tick), "segments": segments}
+                    )
+                except OSError as error:
+                    self.failure = error
+                else:
+                    if tick:
+                        self.tick_count += 1
+        finally:
+            if handle is not None:
+                handle.close()
+
+    def append(self, calls: Iterable, *, tick: bool) -> list:
+        """Journal and commit one whole dispatch; returns the calls to send.
+
+        The eager form of :meth:`stream`: raises :attr:`failure` when
+        the entry could not be committed.
+        """
+        sent = list(self.stream(calls, tick=tick))
+        if self.failure is not None:
+            raise self.failure
+        return sent
 
     def entries(
         self, *, tolerant: bool = True, shard: Optional[int] = None
@@ -282,6 +362,9 @@ class TickJournal:
         self.tick_count = 0
         self._handle = self.path.open("w")
         self._write_line({"schema": TICK_JOURNAL_SCHEMA})
+        #: The ``OSError`` that kept an entry from committing since the
+        #: last reset, or ``None``.
+        self.failure: Optional[OSError] = None
         if calls is not None:
             self.append(calls, tick=False)
 
@@ -297,12 +380,12 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     Drop-in: same constructor plus the supervision knobs, same serving
     API, same bit-identical merge semantics.  It hooks the coordinator
     in three places: ``_serve`` (probe, serve, count the tick, snapshot
-    at the cadence), ``_dispatch_input`` (journal each dispatch before
-    it runs) and ``finalize`` (probe first).  The difference is what
+    at the cadence), ``_dispatch_input`` (journal each call as it is
+    sent) and ``finalize`` (probe first).  The difference is what
     happens when a shard worker dies — instead of a
     :class:`~repro.utils.errors.WorkerDiedError` unwinding to the
     caller, the supervisor restores the shard from the latest snapshot,
-    replays the write-ahead journal, re-submits whatever call was in
+    replays the tick journal, re-submits whatever call was in
     flight, and the stream continues as if nothing happened.
 
     Args:
@@ -354,7 +437,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
 
     @property
     def journal(self) -> TickJournal:
-        """The write-ahead tick journal (read-only access for tooling)."""
+        """The tick journal (read-only access for tooling)."""
         return self._journal
 
     def close(self) -> None:
@@ -365,18 +448,43 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     # -- journaled ingestion ---------------------------------------------------
 
     def _dispatch_input(self, calls, *, tick):
-        # Write-ahead: the calls are on disk before any shard runs them,
-        # and what the shards are sent is read back from there.
-        sent = self._journal.append(calls, tick=tick)
+        self._require_committed()
         if not tick:
-            self._pin_calls = calls  # re-journaled by every checkpoint
-        return super()._dispatch_input(sent, tick=tick)
+            calls = self._pin_calls = list(calls)  # re-journaled by every checkpoint
+        # What the shards are sent comes out of the journal, each call as
+        # soon as its segment is written; the entry commits after the
+        # last send, before the first result (and any recovery) is read.
+        responses = super()._dispatch_input(
+            self._journal.stream(calls, tick=tick), tick=tick
+        )
+        if not tick and self._journal.failure is not None:
+            raise self._journal.failure
+        return responses
+
+    def _require_committed(self) -> None:
+        """Refuse to serve or recover while a journal entry is uncommitted.
+
+        The shards applied that dispatch, but snapshot + journal do not
+        hold it, so a replay would rebuild a shard without it; only a
+        successful :meth:`checkpoint` makes the recipe whole again.
+        """
+        failure = self._journal.failure
+        if failure is not None:
+            raise RuntimeError(
+                f"a tick journal entry failed to commit ({failure!r}); "
+                "call checkpoint() before serving or recovering a shard"
+            ) from failure
 
     def _serve(self, hour, items, duplicates, **kwargs):
-        # Probe first: a shard quarantined by the probe gets no call.
+        # Refuse before the coordinator notes the tick's serials, and
+        # probe first: a shard quarantined by the probe gets no call.
+        self._require_committed()
         self.probe_shards()
         alerts = super()._serve(hour, items, duplicates, **kwargs)
         self._tick_index += 1
+        if self._journal.failure is not None:
+            # Served and merged, but not journaled: surface it now.
+            raise self._journal.failure
         if self.snapshot_every and self._tick_index % self.snapshot_every == 0:
             self.checkpoint()
         return alerts
@@ -397,6 +505,8 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         again; one quarantined instead is skipped.  The journal resets
         only after the new files are published, so the snapshot plus
         the journal is always a complete recipe for rebuilding any shard.
+        After a journal entry failed to commit, this is the one way back
+        to serving: the snapshot takes the state the shards really have.
         """
         self.snapshot(self._snapshot_dir)
         self._journal.reset(self._pin_calls)
@@ -477,8 +587,11 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     ) -> bool:
         """Death → respawn-and-replay, or quarantine once the budget is gone.
 
-        Returns True when the shard is back in service.
+        Returns True when the shard is back in service.  While a journal
+        entry is uncommitted the death raises instead: a replay would
+        rebuild the shard without that entry.
         """
+        self._require_committed()
         log = get_event_log()
         death_data: dict = {
             "shard": sid,
@@ -541,9 +654,9 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         """
         entries = self._journal.entries(shard=sid)
         if exclude_in_flight and entries and entries[-1]["tick"]:
-            # The dying dispatch's tick was journaled (write-ahead) but
-            # never merged; _handle_shard_death re-submits it through
-            # the observed path instead.
+            # The dying dispatch's tick was committed (deaths are handled
+            # only after the commit) but never merged; _handle_shard_death
+            # re-submits it through the observed path instead.
             entries = entries[:-1]
         replayed = 0
         for entry in entries:

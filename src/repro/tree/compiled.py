@@ -88,28 +88,34 @@ def _observe_batch(registry, n_rows: int, n_trees: int, elapsed: float) -> None:
 class _RoutingContext:
     """Per-matrix precomputation shared by every tree in a batch call.
 
-    Columns are transposed once into contiguous layout (a node compares
-    or gathers one column at a time) — unless each column of ``X`` is
-    already contiguous, as for a transposed feature-major block, which
-    is used as is.  Each column's missing mask is computed lazily on
-    first use — ``None`` marks an all-finite column so clean columns
-    never pay a missing pass.  A forest builds one context and routes
-    all members through it.
+    A node compares or gathers one column at a time, so each column a
+    tree reads is made contiguous on first use, and only those: a
+    column of a transposed feature-major block already is and is used
+    as is, while a row-major matrix pays one strided copy per feature
+    the trees split on, not a transpose of every feature.  Each
+    column's missing mask is computed lazily too — ``None`` marks an
+    all-finite column so clean columns never pay a missing pass.  A
+    forest builds one context and routes all members through it.
     """
 
     def __init__(self, X: np.ndarray):
-        columns = X.T
-        self.columns = (
-            columns if columns.strides[1] == columns.itemsize
-            else np.ascontiguousarray(columns)
-        )
+        self._X = X
+        self._columns: dict[int, np.ndarray] = {}
         self._missing: dict[int, Optional[np.ndarray]] = {}
+
+    def column(self, feature: int) -> np.ndarray:
+        """Contiguous values of one feature, cached."""
+        values = self._columns.get(feature)
+        if values is None:
+            values = np.ascontiguousarray(self._X[:, feature])
+            self._columns[feature] = values
+        return values
 
     def missing_mask(self, feature: int) -> Optional[np.ndarray]:
         """Cached non-finite mask for a column, ``None`` when all finite."""
         mask = self._missing.get(feature, False)
         if mask is False:
-            column_missing = ~np.isfinite(self.columns[feature])
+            column_missing = ~np.isfinite(self.column(feature))
             mask = column_missing if column_missing.any() else None
             self._missing[feature] = mask
         return mask
@@ -196,10 +202,10 @@ class _FlatArrays:
             column_missing = ctx.missing_mask(f)
             as_mask = rows.dtype == bool
             if as_mask:
-                goes_left = ctx.columns[f] < threshold[slot]
+                goes_left = ctx.column(f) < threshold[slot]
                 missing = column_missing & rows if column_missing is not None else None
             else:
-                goes_left = ctx.columns[f].take(rows) < threshold[slot]
+                goes_left = ctx.column(f).take(rows) < threshold[slot]
                 missing = column_missing.take(rows) if column_missing is not None else None
             if missing is not None and missing.any():
                 lanes = np.flatnonzero(missing)
@@ -240,7 +246,7 @@ class _FlatArrays:
         for rank in range(
             int(self.surrogate_offset[slot]), int(self.surrogate_offset[slot + 1])
         ):
-            candidate = ctx.columns[self.surrogate_feature[rank]].take(rows[undecided])
+            candidate = ctx.column(self.surrogate_feature[rank]).take(rows[undecided])
             finite = np.isfinite(candidate)
             goes_less = candidate[finite] < self.surrogate_threshold[rank]
             goes_left[undecided[finite]] = (

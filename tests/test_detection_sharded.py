@@ -463,6 +463,41 @@ class TestGoldenParity:
         report.pop("sharding")
         assert report == single.health_report()
 
+    @pytest.mark.parametrize("mode", SHARD_MODES)
+    def test_process_mode_sends_each_slice_before_cutting_the_next(
+        self, mode, monkeypatch
+    ):
+        # The roster tick is pipelined: shard k is already working on its
+        # slice while shard k+1's is cut from the tick matrix.
+        order = []
+        cut = ShardedFleetMonitor._roster_payload
+
+        def recording_cut(self, hour, sid, matrix):
+            order.append(("cut", sid))
+            return cut(self, hour, sid, matrix)
+
+        monkeypatch.setattr(ShardedFleetMonitor, "_roster_payload", recording_cut)
+        serials = tuple(f"q{d:02d}" for d in range(24))
+        matrix = np.random.default_rng(8).normal(size=(24, N_CHANNELS))
+        single = _build_single()
+        single.register_fleet(serials)
+        with _build_sharded(3, mode=mode) as monitor:
+            assert monitor.mode == mode
+            for sid, host in enumerate(monitor._hosts):
+                def submit(func, payload=None, *, _sid=sid, _submit=host.submit, **kw):
+                    order.append(("send", _sid))
+                    return _submit(func, payload, **kw)
+
+                host.submit = submit
+            monitor.register_fleet(serials)
+            order.clear()
+            alerts = monitor.observe_tick(0.0, matrix)
+            assert order == [
+                ("cut", 0), ("send", 0), ("cut", 1), ("send", 1), ("cut", 2), ("send", 2),
+            ]
+            assert_alerts_equal(alerts, single.observe_tick(0.0, matrix))
+            assert monitor.watched_drives() == single.watched_drives()
+
     def _assert_modes_converge_after(self, score_batch, error_type):
         # Every shard receives its slice before a hosted error surfaces,
         # so both modes are left in the same state after the raise.

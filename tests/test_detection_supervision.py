@@ -35,7 +35,11 @@ from repro.detection import (
     shard_for,
 )
 from repro.detection.sharded import _shard_pin, _shard_tick
-from repro.detection.supervision import TICK_JOURNAL_SCHEMA
+from repro.detection.supervision import (
+    TICK_JOURNAL_SCHEMA,
+    _SegmentPayload,
+    _SegmentRef,
+)
 from repro.features.vectorize import Feature
 from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import (
@@ -47,6 +51,7 @@ from repro.observability.events import (
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
 from repro.utils.errors import TornEventLogWarning
+from repro.utils.parallel import LocalHost, WorkerHost
 
 FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
 
@@ -251,6 +256,7 @@ class TestTickJournal:
 
         class Recording(ShardedFleetMonitor):
             def _dispatch_input(self, calls, *, tick):
+                calls = list(calls)  # a roster tick's calls are lazy
                 sent.append((calls, tick))
                 return super()._dispatch_input(calls, tick=tick)
 
@@ -387,9 +393,38 @@ class TestTickJournal:
         sidecar.write_bytes(bytes(data))
         (entry,) = journal.entries(shard=0)
         assert _calls_equal(entry["calls"], calls[:1])
-        assert _calls_equal(pickle.loads(pickle.dumps(sent[0][2])), calls[0][2])
+        # A worker unpickles a reference and reads shard 0's segment alone.
+        assert _calls_equal(dict(pickle.loads(pickle.dumps(sent[0][2]))), calls[0][2])
         with pytest.raises(pickle.UnpicklingError):
             journal.entries()
+
+    def test_failed_write_keeps_sending_and_holds_the_error(self, tmp_path):
+        class Unwritable:
+            def __reduce__(self):
+                raise OSError(28, "No space left on device")
+
+        journal = TickJournal(tmp_path / "j.jsonl")
+        journal.append(self._pin(), tick=False)
+        calls = [
+            (sid, _shard_tick, {"hour": 0.0, "shard": sid, "matrix": self._matrix(seed=sid)})
+            for sid in range(3)
+        ]
+        calls[1][2]["bad"] = Unwritable()
+        sent = list(journal.stream(calls, tick=True))
+        # Every call is still sent; from the failed write on, each carries
+        # its payload, not a reference to bytes that were never written.
+        assert [type(payload) for _, _, payload in sent] == [_SegmentPayload, dict, dict]
+        assert _calls_equal(sent, calls)
+        assert isinstance(journal.failure, OSError)
+        assert journal.tick_count == 0
+        with pytest.raises(OSError, match="No space"):
+            journal.append(self._tick(1.0, matrix=self._matrix()), tick=True)
+        assert [e["tick"] for e in journal.entries()] == [False]
+        journal.reset()
+        assert journal.failure is None
+        journal.append(self._tick(2.0, matrix=self._matrix()), tick=True)
+        assert journal.tick_count == 1
+        journal.close()
 
     def test_construction_truncates_a_previous_run(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -468,12 +503,12 @@ class TestJournalIsWhatShardsWereSent:
     def _spy(self, monitor):
         """Record each pin and tick payload as the shard itself sees it.
 
-        A worker process gets the payload by unpickling it, so in process
-        mode the record is the unpickled copy.
+        A worker process gets the payload by unpickling it and reading
+        what that names, so in process mode the record is that read.
         """
         received = {sid: [] for sid in range(monitor.n_shards)}
         seen = (
-            (lambda payload: pickle.loads(pickle.dumps(payload)))
+            (lambda payload: dict(pickle.loads(pickle.dumps(payload))))
             if monitor.mode == "process" else (lambda payload: payload)
         )
         for sid, host in enumerate(monitor._hosts):
@@ -963,6 +998,243 @@ class TestProcessRecoveryParity:
             if event.type == "sample_scored"
         ]
         assert len(scored) == len(set(scored))
+
+
+def _record_dispatch(monkeypatch, monitor):
+    """Record, in order, what a supervised dispatch does.
+
+    ``("send", shard, segment_readable, journal_lines)`` per tick call
+    submitted (recovery replays are unobserved and not recorded),
+    ``("fsync", "sidecar" | "line", journal_lines)`` per journal fsync,
+    ``("collect", shard, journal_lines)`` per tick result collected and
+    ``("entries", journal_lines)`` per journal read.  ``journal_lines``
+    counts the lines on disk at that moment.
+    """
+    events = []
+    journal = monitor.journal
+
+    def lines():
+        return len(journal.path.read_text().splitlines())
+
+    def readable(payload):
+        try:
+            return _calls_equal(dict(_SegmentRef(*payload.segment)), dict(payload))
+        except (AttributeError, ValueError):
+            return False
+
+    for host_type in (LocalHost, WorkerHost):
+        def submit(host, func, payload=None, *, observed=True, _submit=host_type.submit):
+            if func is not _shard_tick or not observed:
+                return _submit(host, func, payload, observed=observed)
+            sid = payload["shard"]
+            events.append(("send", sid, readable(payload), lines()))
+            future = _submit(host, func, payload, observed=observed)
+            result = future.result
+
+            def collect(*args, **kwargs):
+                events.append(("collect", sid, lines()))
+                return result(*args, **kwargs)
+
+            future.result = collect
+            return future
+
+        monkeypatch.setattr(host_type, "submit", submit)
+
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        inode = os.fstat(fd).st_ino
+        if inode == os.stat(journal.path).st_ino:
+            events.append(("fsync", "line", lines()))
+        elif any(inode == path.stat().st_ino for path in journal.sidecar_dir.iterdir()):
+            events.append(("fsync", "sidecar", lines()))
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    entries = journal.entries
+
+    def recording_entries(*args, **kwargs):
+        events.append(("entries", lines()))
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(journal, "entries", recording_entries)
+    return events
+
+
+def _kill(monitor, sid):
+    """Lose shard ``sid``'s state: SIGKILL its worker, or drop a local host."""
+    if monitor.mode == "process":
+        os.kill(monitor._hosts[sid].pids()[0], signal.SIGKILL)
+    else:
+        monitor.kill_shard(sid)
+
+
+class TestDispatchOrder:
+    """The pipelined tick: send each segment at once, commit while shards work."""
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_send_commit_collect_order(self, tmp_path, monkeypatch, mode):
+        serials = tuple(f"o{d:02d}" for d in range(16))
+        rng = np.random.default_rng(37)
+        ticks = [rng.normal(size=(16, N_CHANNELS)) for _ in range(4)]
+        # Deaths must be found mid-dispatch, not by the pre-tick probe.
+        monkeypatch.setattr(SupervisedShardedMonitor, "probe_shards", lambda self: None)
+        single = _build_single()
+        single.register_fleet(serials)
+        with _build_supervised(2, tmp_path / "run", snapshot_every=0, mode=mode) as monitor:
+            monitor.register_fleet(serials)
+            events = _record_dispatch(monkeypatch, monitor)
+            for hour, matrix in enumerate(ticks):
+                if hour == 2:
+                    _kill(monitor, 1)
+                before = len(events)
+                lines = len(monitor.journal.path.read_text().splitlines())
+                monitor.observe_tick(float(hour), matrix)
+                single.observe_tick(float(hour), matrix)
+                tick = events[before:]
+                # Each segment is flushed before its own send; the sidecar
+                # is fsync'd before the line lands, and the line is fsync'd
+                # before any result is collected or the tick returns.
+                assert tick[:4] == [
+                    ("send", 0, True, lines),
+                    ("send", 1, True, lines),
+                    ("fsync", "sidecar", lines),
+                    ("fsync", "line", lines + 1),
+                ]
+                if hour != 2:
+                    assert tick[4:] == [
+                        ("collect", 0, lines + 1), ("collect", 1, lines + 1),
+                    ]
+                    continue
+                # A mid-dispatch death is recovered at collection, so the
+                # recovery reads the journal only after the commit.
+                reads = [event for event in tick if event[0] == "entries"]
+                assert reads == [("entries", lines + 1)]
+                assert tick.index(reads[0]) > 3
+            assert monitor.recoveries == 1
+            assert_alerts_equal(monitor.alerts, single.alerts)
+            assert monitor.watched_drives() == single.watched_drives()
+
+
+class TestFailedCommit:
+    """A journal entry that cannot commit: raise, then refuse until checkpoint().
+
+    The shards applied the tick, so the supervisor finishes it (every
+    call collected, the results merged) and raises the ``OSError``;
+    after that, it serves and recovers nothing until ``checkpoint()``
+    snapshots the state the shards really have.
+    """
+
+    @staticmethod
+    def _fsync_fails_once(monkeypatch):
+        fsync = os.fsync
+        failed = []
+
+        def flaky_fsync(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(5, "Input/output error")
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_process_and_serial_failed_commit_then_kill_keep_parity(
+        self, tmp_path, monkeypatch, mode
+    ):
+        serials = tuple(f"f{d:02d}" for d in range(24))
+        rng = np.random.default_rng(41)
+        ticks = [rng.normal(size=(24, N_CHANNELS)) - 0.3 for _ in range(12)]
+
+        def drive_clean(monitor):
+            monitor.register_fleet(serials)
+            for hour, matrix in enumerate(ticks):
+                monitor.observe_tick(float(hour), matrix)
+            monitor.finalize()
+
+        def drive_failing(monitor):
+            monitor.register_fleet(serials)
+            for hour, matrix in enumerate(ticks):
+                if hour == 5:
+                    with monkeypatch.context() as patch:
+                        events = _record_dispatch(patch, monitor)
+                        self._fsync_fails_once(patch)
+                        with pytest.raises(OSError, match="Input/output"):
+                            monitor.observe_tick(float(hour), matrix)
+                        # No call is left in flight: both results came home.
+                        assert [e[:2] for e in events if e[0] != "fsync"] == [
+                            ("send", 0), ("send", 1), ("collect", 0), ("collect", 1),
+                        ]
+                        del events[:]
+                        with pytest.raises(RuntimeError, match="checkpoint"):
+                            monitor.observe_tick(float(hour + 1), ticks[hour + 1])
+                        assert events == []  # refused before anything was sent
+                    monitor.checkpoint()
+                    assert monitor.journal.failure is None
+                    continue
+                if hour == 7:
+                    # Snapshot + journal now hold tick 5: a replay rebuilds
+                    # the shard exactly as it was.
+                    _kill(monitor, 0)
+                monitor.observe_tick(float(hour), matrix)
+            monitor.finalize()
+            assert monitor.recoveries == 1
+
+        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        assert golden["alerts"]
+        state = _run_instrumented(
+            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=4, mode=mode),
+            drive_failing,
+        )
+        assert_states_equal(golden, state)
+
+    def test_death_while_uncommitted_is_not_recovered(self, tmp_path, monkeypatch):
+        records = {f"u{d}": np.ones(N_CHANNELS) for d in range(8)}
+        with _build_supervised(2, tmp_path / "run", snapshot_every=0) as monitor:
+            monitor.observe_fleet(0.0, records)
+            with monkeypatch.context() as patch:
+                self._fsync_fails_once(patch)
+                with pytest.raises(OSError):
+                    monitor.observe_fleet(1.0, records)
+            # The journal lacks tick 1, which the shards applied: replaying
+            # it would rebuild shard 0 without that tick.
+            monitor.kill_shard(0)
+            with pytest.raises(RuntimeError, match="failed to commit"):
+                monitor.probe_shards()
+            assert monitor.recoveries == 0
+            assert monitor.quarantined_shards == []
+
+
+class TestProcessSegmentReads:
+    """A worker reads its segment inside the call: a bad one is a task error."""
+
+    def test_process_missing_sidecar_raises_like_serial(self, tmp_path):
+        journal = TickJournal(tmp_path / "j.jsonl")
+        matrix = np.random.default_rng(4).normal(size=(4, N_CHANNELS))
+        ((_, _, payload),) = journal.append(
+            [(0, _shard_tick, {"hour": 1.0, "shard": 0, "matrix": matrix})], tick=True
+        )
+        journal.close()
+        (journal.sidecar_dir / "000000.pkl").unlink()
+        errors = {}
+        for mode in ("serial", "process"):
+            with _build_supervised(
+                1, tmp_path / mode, snapshot_every=0, mode=mode
+            ) as monitor:
+                monitor.register_fleet(("a", "b", "c", "d"))
+                host = monitor._hosts[0]
+                pids = host.pids()
+                # Serial mode resolves the reference a worker would unpickle.
+                sent = payload if mode == "process" else pickle.loads(pickle.dumps(payload))
+                with pytest.raises(ValueError, match="unreadable journal segment") as err:
+                    host.submit(_shard_tick, sent).result()
+                errors[mode] = (type(err.value), str(err.value))
+                # The host lives on and serves the next tick.
+                assert host.alive and host.pids() == pids
+                monitor.observe_tick(0.0, matrix)
+                assert monitor.watched_drives() == ["a", "b", "c", "d"]
+                assert monitor.recoveries == 0
+        assert errors["process"] == errors["serial"]
 
 
 class TestRestartBudget:
