@@ -74,6 +74,20 @@ _CLEAN, _SHAPE, _NF_TIME, _DUP_TIME, _OOO = 0, 1, 2, 3, 4
 _CHUNK = 4096
 
 
+def _change_rate_into(out: np.ndarray, now: np.ndarray, lag: np.ndarray, interval: float):
+    """``(now - lag) / interval`` into ``out``; NaN where an input is non-finite.
+
+    Computed in place, then only the non-finite results are checked
+    against their inputs: a finite pair that overflows keeps its ±inf,
+    as ``np.where(isfinite(now) & isfinite(lag), rate, nan)`` would.
+    """
+    with np.errstate(invalid="ignore"):
+        np.subtract(now, lag, out=out)
+        np.divide(out, interval, out=out)
+    suspect = np.flatnonzero(~np.isfinite(out))
+    out[suspect[~(np.isfinite(now[suspect]) & np.isfinite(lag[suspect]))]] = np.nan
+
+
 def _json_score(score: float) -> Optional[float]:
     """A score as event-payload JSON: non-finite values become None."""
     return float(score) if np.isfinite(score) else None
@@ -949,14 +963,9 @@ class FleetMonitor(_ServingFacade):
                 interval: self._history.lookup(rows, now - interval)
                 for interval in self._intervals
             }
-        with np.errstate(invalid="ignore"):
-            for column, channel, interval in self._rate_cols:
-                at = self._lag_col[channel]
-                now_value, lag = current[at], lagged[interval][at]
-                rate = (now_value - lag) / interval
-                feature_rows[column] = np.where(
-                    np.isfinite(now_value) & np.isfinite(lag), rate, np.nan
-                )
+        for column, channel, interval in self._rate_cols:
+            at = self._lag_col[channel]
+            _change_rate_into(feature_rows[column], current[at], lagged[interval][at], interval)
         if not in_place:
             self._last_rows[:, rows] = feature_rows
         self._has_row[rows] = True

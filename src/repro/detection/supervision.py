@@ -88,6 +88,10 @@ from repro.utils.validation import check_count
 #: Schema tag on the journal's JSONL header line.
 TICK_JOURNAL_SCHEMA = "repro.tick-journal/v3"
 
+#: Suffix of a retired sidecar kept for reuse; never ``.pkl``, so a glob
+#: for live sidecars sees only live ones.
+_SPARE = ".spare"
+
 SHARD_RECOVERIES_HELP = "shard workers respawned after an unexpected death"
 SHARD_REPLAYED_HELP = "journaled tick slices replayed into recovered shards"
 
@@ -204,6 +208,21 @@ class TickJournal:
     The journal is per-run: construction truncates ``path``.  After a
     snapshot, :meth:`reset` truncates again and re-seeds the last pin
     dispatch, which post-snapshot ticks depend on.
+
+    Sidecars are recycled, not freed: :meth:`reset` renames the closed
+    window's ``NNNNNN.pkl`` files to ``NNNNNN.spare``, and each new entry
+    renames a spare to its own name and overwrites it from byte 0,
+    truncating it to the entry's end before the fsync.  A new file is
+    created only when no spare is left.  So the directory holds as many
+    files as the largest window had, and stays at that high-water mark
+    until :meth:`close` deletes the spares.  Freeing and re-allocating
+    the files was the cost: on 2 cores at 100k drives, with 48-tick
+    windows of ≈9.6 MB sidecars, a checkpoint fell from 213–230 ms to
+    76–84 ms and the median tick on recycled sidecars by 0.1–3.9 ms.
+    Sequence numbers keep counting across resets (construction starts
+    past a previous run's leftovers, which become spares too), so a name
+    is never reused: a reference to a retired segment finds no file and
+    raises instead of reading recycled bytes.
     """
 
     def __init__(self, path: Union[str, Path], *, fsync: bool = True):
@@ -214,6 +233,9 @@ class TickJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.sidecar_dir.mkdir(parents=True, exist_ok=True)
         self._handle = None
+        self._spares = sorted(self.sidecar_dir.glob(f"*{_SPARE}"))
+        leftovers = [*self._spares, *self.sidecar_dir.glob("*.pkl")]
+        self._seq = 1 + max((int(path.stem) for path in leftovers), default=-1)
         self.reset()
 
     def _sync(self, handle) -> None:
@@ -225,12 +247,19 @@ class TickJournal:
         self._handle.write(json.dumps(line) + "\n")
         self._sync(self._handle)
 
+    def _open_sidecar(self, path: Path):
+        """``path`` opened at byte 0: the oldest spare renamed, else a new file."""
+        if not self._spares:
+            return path.open("wb")
+        self._spares.pop(0).rename(path)
+        return path.open("r+b")
+
     def stream(self, calls: Iterable, *, tick: bool) -> Iterator[tuple]:
         """Journal one dispatch, yielding each call to send once it is written.
 
         Each yielded payload is a :class:`_SegmentPayload` over its
         just-flushed segment, journaled as a plain dict, so re-appending
-        payloads that came out of this journal never points at a deleted
+        payloads that came out of this journal never points at a retired
         sidecar.  Exhausting the iterator commits the entry.
         """
         path = self.sidecar_dir / f"{self._seq:06d}.pkl"
@@ -241,7 +270,7 @@ class TickJournal:
             for sid, func, payload in calls:
                 if self.failure is None:
                     try:
-                        handle = handle or path.open("wb")
+                        handle = handle or self._open_sidecar(path)
                         start = handle.tell()
                         pickle.dump(
                             (sid, func, dict(payload)), handle,
@@ -256,7 +285,9 @@ class TickJournal:
                 yield sid, func, payload
             if self.failure is None:
                 try:
-                    handle = handle or path.open("wb")
+                    handle = handle or self._open_sidecar(path)
+                    # A recycled sidecar may run past this entry's end.
+                    handle.truncate()
                     self._sync(handle)
                     self._write_line(
                         {"sidecar": path.name, "tick": bool(tick), "segments": segments}
@@ -353,12 +384,15 @@ class TickJournal:
 
         The snapshot owns everything up to now; the fresh journal only
         needs the roster/feed pin calls (when any) that post-snapshot
-        ticks will replay against.
+        ticks will replay against.  The old window's sidecars become
+        spares, in the order they were written.
         """
-        self.close()
-        for stale in self.sidecar_dir.iterdir():
-            stale.unlink()
-        self._seq = 0
+        if self._handle is not None:
+            self._handle.close()
+        for retired in sorted(self.sidecar_dir.glob("*.pkl")):
+            spare = retired.with_suffix(_SPARE)
+            retired.rename(spare)
+            self._spares.append(spare)
         self.tick_count = 0
         self._handle = self.path.open("w")
         self._write_line({"schema": TICK_JOURNAL_SCHEMA})
@@ -369,9 +403,12 @@ class TickJournal:
             self.append(calls, tick=False)
 
     def close(self) -> None:
-        """Close the journal file handle (entries stay readable)."""
-        if self._handle is not None and not self._handle.closed:
+        """Close the journal file and delete the spares (entries stay readable)."""
+        if self._handle is not None:
             self._handle.close()
+        for spare in self.sidecar_dir.glob(f"*{_SPARE}"):
+            spare.unlink()
+        self._spares.clear()
 
 
 class SupervisedShardedMonitor(ShardedFleetMonitor):

@@ -1,5 +1,7 @@
 """Tests for the streaming monitor, including offline equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from repro.detection.streaming import (
     FleetMonitor,
     QuarantinePolicy,
     VoterSpec,
+    _change_rate_into,
 )
 from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 from repro.features.selection import critical_features
@@ -153,6 +156,45 @@ def _drive_grids(draw):
         steps = draw(st.lists(st.sampled_from(_STEPS), min_size=0, max_size=40))
         grids.append(start + np.concatenate([[0.0], np.cumsum(steps)]))
     return grids
+
+
+def _where_change_rate(now, lag, interval):
+    """The change-rate formula the in-place kernel replaced, as an oracle."""
+    with np.errstate(invalid="ignore"):
+        rate = (now - lag) / interval
+        return np.where(np.isfinite(now) & np.isfinite(lag), rate, np.nan)
+
+
+def _recorded(compute):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compute()
+    return [(w.category, str(w.message)) for w in caught]
+
+
+_RATE_INPUTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324, 0.0]),
+)
+
+
+class TestChangeRateKernel:
+    @given(
+        pairs=st.lists(st.tuples(_RATE_INPUTS, _RATE_INPUTS), min_size=1, max_size=40),
+        interval=st.sampled_from([6.0, 12.0, 24.0, 0.5, 1e-300]),
+    )
+    @settings(deadline=None)
+    def test_in_place_kernel_matches_the_where_formula(self, pairs, interval):
+        now, lag = (np.array(column) for column in zip(*pairs))
+        expected = []
+        want = _recorded(lambda: expected.append(_where_change_rate(now, lag, interval)))
+        rows = np.full((3, len(pairs)), 7.0)
+        got = _recorded(lambda: _change_rate_into(rows[1], now, lag, interval))
+        # Bit for bit: NaN where an input is non-finite, and a finite pair
+        # that overflows keeps its signed inf.
+        assert rows[1].tobytes() == expected[0].tobytes()
+        assert got == want
+        assert (rows[[0, 2]] == 7.0).all()
 
 
 class TestFeatureContract:

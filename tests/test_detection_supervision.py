@@ -1237,6 +1237,146 @@ class TestProcessSegmentReads:
         assert errors["process"] == errors["serial"]
 
 
+def _inodes(directory, pattern="*"):
+    return {path.name: path.stat().st_ino for path in directory.glob(pattern)}
+
+
+class TestProcessSidecarRecycling:
+    """A reset keeps its window's sidecars as spares for the next window."""
+
+    def _tick(self, hour, rows):
+        matrix = np.random.default_rng(int(hour)).normal(size=(rows, N_CHANNELS))
+        return [(0, _shard_tick, {"hour": float(hour), "shard": 0, "matrix": matrix})]
+
+    def test_process_recycled_sidecar_is_cut_to_the_entry_end_before_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        journal = TickJournal(tmp_path / "j.jsonl")
+        journal.append(self._tick(0, rows=256), tick=True)
+        journal.append(self._tick(1, rows=256), tick=True)
+        journal.reset()
+        spares = _inodes(journal.sidecar_dir, "*.spare")
+        assert sorted(spares) == ["000000.spare", "000001.spare"]
+        assert _inodes(journal.sidecar_dir, "*.pkl") == {}
+        long_size = (journal.sidecar_dir / "000000.spare").stat().st_size
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        calls = self._tick(2, rows=4)
+        journal.append(calls, tick=True)
+        monkeypatch.undo()
+        # The oldest spare took the entry's next name and was overwritten.
+        ((name, inode),) = _inodes(journal.sidecar_dir, "*.pkl").items()
+        assert (name, inode) == ("000002.pkl", spares["000000.spare"])
+        (entry,) = journal.entries()
+        ((_, _, stop),) = entry["segments"]
+        assert stop < long_size
+        assert (journal.sidecar_dir / name).stat().st_size == stop
+        # Cut before the sidecar fsync, not after it.
+        assert synced[0] == (inode, stop)
+        assert _calls_equal(entry["calls"], calls)
+        journal.close()
+
+    def test_process_segment_ref_pickled_before_reset_is_unreadable_after(self, tmp_path):
+        journal = TickJournal(tmp_path / "j.jsonl")
+        ((_, _, payload),) = journal.append(self._tick(0, rows=8), tick=True)
+        sent = pickle.dumps(payload)
+        assert _calls_equal(dict(pickle.loads(sent)), dict(payload))
+        inode = os.stat(payload.segment[0]).st_ino
+        journal.reset()
+        # The next entry recycles that very file under a new name.
+        journal.append(self._tick(1, rows=8), tick=True)
+        assert _inodes(journal.sidecar_dir, "*.pkl") == {"000001.pkl": inode}
+        assert not os.path.exists(payload.segment[0])
+        with pytest.raises(ValueError, match="unreadable journal segment"):
+            dict(pickle.loads(sent))
+        journal.close()
+
+    def test_process_close_removes_spares_and_keeps_entries_readable(self, tmp_path):
+        journal = TickJournal(tmp_path / "j.jsonl")
+        for hour in range(3):
+            journal.append(self._tick(hour, rows=16), tick=True)
+        journal.reset()
+        calls = self._tick(3, rows=16)
+        journal.append(calls, tick=True)
+        assert len(_inodes(journal.sidecar_dir, "*.spare")) == 2
+        journal.close()
+        assert sorted(_inodes(journal.sidecar_dir)) == ["000003.pkl"]
+        (entry,) = journal.entries()
+        assert _calls_equal(entry["calls"], calls)
+        journal.close()
+
+    def test_process_construction_recycles_a_previous_runs_sidecars(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        first = TickJournal(path)
+        for hour in range(3):
+            first.append(self._tick(hour, rows=16), tick=True)
+        first.reset()
+        first.append(self._tick(3, rows=16), tick=True)
+        old = set(_inodes(first.sidecar_dir).values())
+        # The previous run crashed before close(): live and spare files stay.
+        first._handle.close()
+        second = TickJournal(path)
+        assert second.entries() == []
+        assert set(_inodes(second.sidecar_dir, "*.spare").values()) == old
+        second.append(self._tick(4, rows=16), tick=True)
+        # Numbering starts past the leftovers, so no old name comes back.
+        ((name, inode),) = _inodes(second.sidecar_dir, "*.pkl").items()
+        assert name == "000004.pkl" and inode in old
+        second.close()
+        assert sorted(_inodes(second.sidecar_dir)) == ["000004.pkl"]
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_process_and_serial_kill_after_checkpoints_replays_recycled_sidecars(
+        self, tmp_path, mode
+    ):
+        serials = tuple(f"r{d:02d}" for d in range(20))
+        rng = np.random.default_rng(53)
+        ticks = [rng.normal(size=(20, N_CHANNELS)) - 0.3 for _ in range(12)]
+
+        def drive_clean(monitor):
+            monitor.register_fleet(serials)
+            for hour, matrix in enumerate(ticks):
+                monitor.observe_tick(float(hour), matrix)
+            monitor.finalize()
+
+        def drive_killed(monitor):
+            monitor.register_fleet(serials)
+            sidecar_dir = monitor.journal.sidecar_dir
+            for hour, matrix in enumerate(ticks):
+                if hour == 8:
+                    # Two checkpoints in (after hours 2 and 5): the pin and
+                    # ticks 6-7 that recovery replays sit in recycled files.
+                    live = _inodes(sidecar_dir, "*.pkl")
+                    assert len(live) == 3
+                    assert set(live.values()) <= first_window
+                    _kill(monitor, 0)
+                monitor.observe_tick(float(hour), matrix)
+                if hour == 2:
+                    # The first window: the pin plus three ticks.
+                    first_window = set(_inodes(sidecar_dir).values())
+                    assert len(first_window) == 4
+                elif hour > 2:
+                    # The pool never grows past the largest window.
+                    assert set(_inodes(sidecar_dir).values()) == first_window
+            monitor.finalize()
+            assert monitor.recoveries == 1
+            assert monitor.replayed_ticks == 2
+
+        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        assert golden["alerts"]
+        state = _run_instrumented(
+            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=3, mode=mode),
+            drive_killed,
+        )
+        assert_states_equal(golden, state)
+
+
 class TestRestartBudget:
     """A flapping shard is quarantined: degraded and reported, never paged."""
 
