@@ -729,12 +729,16 @@ def test_micro_supervised_journal_overhead(shard_bench_results, tmp_path):
         "ceiling": 2.0,
         "floor_enforced": floor_enforced,
     }
-    print(
-        f"\njournal overhead at {n_drives} drives: "
+    measured = (
+        f"journal overhead at {n_drives} drives: "
         f"unjournaled {baseline_tps:.2f} ticks/s, "
         f"journaled {buffered_tps:.2f} ticks/s ({slowdown:.2f}x slower), "
         f"fsync'd {durable_tps:.2f} ticks/s"
-        + ("" if floor_enforced else " [floor not enforced: slow disk]")
     )
-    if floor_enforced:
-        assert slowdown <= 2.0
+    print("\n" + measured)
+    if not floor_enforced:
+        pytest.skip(
+            f"2.0x ceiling not enforced: raw writes of one tick took "
+            f"{raw_seconds * 1e3:.1f} ms, over half a baseline tick; {measured}"
+        )
+    assert slowdown <= 2.0

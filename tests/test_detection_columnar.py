@@ -9,6 +9,11 @@ digests were recorded while a second, per-drive object engine still
 existed, at a moment when both engines were asserted identical on every
 scenario; they are that engine's verdict, kept as data.  Only the
 ``serve.tick_seconds`` wall-time histogram is left out of a digest.
+The same contract across shard counts, host types and supervised
+recovery, with the event stream compared as a set, is
+``tests/test_serving_matrix.py``; the drivers, scorers and
+:func:`~tests.serving_digest.digest` are shared from
+``tests/serving_digest.py``.
 
 The matrix voters are pinned vote-for-vote against a per-drive deque
 voter kept here as an oracle (:class:`_ObjectVoter`), and against the
@@ -19,8 +24,6 @@ in ``tests/test_detection_streaming.py``.
 
 import collections
 import functools
-import hashlib
-import json
 import pickle
 import re
 
@@ -41,39 +44,26 @@ from repro.detection import (
     ShardedFleetMonitor,
     VoterSpec,
 )
-from repro.features.vectorize import Feature
 from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import disable_events, enable_events
 from repro.observability.slo import SLOMonitor
-from repro.robustness import BUILTIN_PROFILES, dataset_events, inject_stream, replay_stream
+from repro.robustness import BUILTIN_PROFILES
 from repro.smart.attributes import N_CHANNELS
-from repro.smart.dataset import SmartDataset
-from repro.smart.generator import default_fleet_config
 from repro.utils.errors import FaultKind
-
-FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
-
-
-# A row holding both +inf and -inf sums to NaN (scored healthy); the
-# errstate keeps that intended NaN from warning.
-
-
-def _score_sample(row):
-    with np.errstate(invalid="ignore"):
-        total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
-    with np.errstate(invalid="ignore"):
-        return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
-
-
-def _build(detector=VoterSpec("majority", 3), **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("score_sample", _score_sample)
-    return FleetMonitor(FEATURES, detector_factory=detector, **kwargs)
-
+from tests.serving_digest import (
+    FEATURES,
+    alert_rows,
+    build_single,
+    digest,
+    dirty_tick,
+    drive_records,
+    drive_single_observe,
+    profile_driver,
+    score_batch,
+    score_sample,
+    score_sum_batch,
+    score_sum_sample,
+)
 
 # -- canonical run digests -------------------------------------------------------
 
@@ -82,37 +72,22 @@ def _strip_wall_time(metrics):
     return {k: v for k, v in metrics.items() if k != "serve.tick_seconds"}
 
 
-def _plain(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"not canonical JSON: {type(value).__name__}")
-
-
-def digest(surfaces: dict) -> str:
-    """sha256 of the canonical JSON of a run's observable surfaces."""
-    blob = json.dumps(
-        surfaces, sort_keys=True, separators=(",", ":"), default=_plain
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def run_surfaces(drive, **build_kwargs) -> dict:
+def ordered_surfaces(drive, **build_kwargs) -> dict:
     """Run ``drive(monitor)`` under live metrics and events; collect surfaces.
 
-    ``drive`` returns an error message (strict mode) or None; it is part
-    of the digest.
+    The event stream is kept in order, with its ``seq``.  ``drive``
+    returns an error message (strict mode) or None; it is part of the
+    digest.
     """
     enable_metrics()
     log = enable_events()
     try:
-        monitor = _build(slo=SLOMonitor(), **build_kwargs)
+        monitor = build_single(slo=SLOMonitor(), **build_kwargs)
         error = drive(monitor)
         report = monitor.health_report()
         report["metrics"] = _strip_wall_time(report["metrics"])
         return {
-            "alerts": [
-                [a.serial, a.hour, a.score, a.alert_id] for a in monitor.alerts
-            ],
+            "alerts": alert_rows(monitor.alerts),
             "faults": [
                 [f.serial, f.hour, f.kind.value, f.detail] for f in monitor.faults
             ],
@@ -129,45 +104,6 @@ def run_surfaces(drive, **build_kwargs) -> dict:
     finally:
         disable_metrics()
         disable_events()
-
-
-def _dirty_tick(rng, hour, n_drives):
-    """One synthetic collection tick exercising every fault kind."""
-    pairs = []
-    for d in range(n_drives):
-        values = rng.normal(size=N_CHANNELS)
-        roll = rng.random()
-        if roll < 0.08:
-            values = np.ones(3)  # wrong shape
-        elif roll < 0.16:
-            values = np.full(N_CHANNELS, np.nan)  # unscorable, not a fault
-        pairs.append((f"d{d:03d}", values))
-    if rng.random() < 0.3:
-        pairs.append((f"d{rng.integers(n_drives):03d}", rng.normal(size=N_CHANNELS)))
-    tick_hour = float(hour)
-    roll = rng.random()
-    if roll < 0.05:
-        tick_hour = float("nan")
-    elif roll < 0.15:
-        tick_hour = float(hour - 2)  # duplicate or out-of-order per drive
-    return tick_hour, pairs
-
-
-def _all_fault_kinds(monitor):
-    rng = np.random.default_rng(42)
-    for hour in range(40):
-        monitor.observe_fleet(*_dirty_tick(rng, hour, 12))
-    monitor.finalize()
-    monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-    monitor.resolve_outcome("d001", failed=False)
-
-
-def _single_observe(monitor):
-    rng = np.random.default_rng(7)
-    for hour in range(30):
-        for d in range(4):
-            monitor.observe(f"d{d}", float(hour), rng.normal(size=N_CHANNELS))
-    monitor.finalize()
 
 
 def _mean_threshold(monitor):
@@ -193,23 +129,10 @@ def _strict(monitor):
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def clean_events():
-    config = default_fleet_config(
-        w_good=4, w_failed=3, q_good=2, q_failed=1, collection_days=2, seed=13
-    )
-    return tuple(dataset_events(SmartDataset.generate(config)))
-
-
 def profile_surfaces(profile: str, seed: int) -> dict:
-    events = inject_stream(list(clean_events()), profile, seed=seed)
-
-    def replay(monitor):
-        replay_stream(monitor, events)
-
-    return run_surfaces(
-        replay,
-        detector=VoterSpec("majority", 5),
+    return ordered_surfaces(
+        profile_driver(profile, seed),
+        detector_factory=VoterSpec("majority", 5),
         quarantine=QuarantinePolicy(fault_limit=3),
     )
 
@@ -229,9 +152,7 @@ def predictor_surfaces(split) -> dict:
                 monitor.observe(drive.serial, float(hour), values)
         monitor.finalize()
         return {
-            "alerts": [
-                [a.serial, a.hour, a.score, a.alert_id] for a in monitor.alerts
-            ],
+            "alerts": alert_rows(monitor.alerts),
             "events": [e.to_json_dict() for e in log.events],
         }
     finally:
@@ -239,15 +160,17 @@ def predictor_surfaces(split) -> dict:
 
 
 SCENARIOS = {
-    "all-fault-kinds": lambda: run_surfaces(_all_fault_kinds),
-    "single-observe": lambda: run_surfaces(_single_observe),
-    "mean-threshold": lambda: run_surfaces(
-        _mean_threshold,
-        detector=VoterSpec("mean", 4, threshold=0.0),
-        score_sample=lambda row: float(np.nansum(row)),
-        score_batch=lambda X: np.nansum(X, axis=1),
+    "all-fault-kinds": lambda: ordered_surfaces(drive_records),
+    "single-observe": lambda: ordered_surfaces(
+        functools.partial(drive_single_observe, hours=30, n_drives=4)
     ),
-    "strict": lambda: run_surfaces(_strict, quarantine=None),
+    "mean-threshold": lambda: ordered_surfaces(
+        _mean_threshold,
+        detector_factory=VoterSpec("mean", 4, threshold=0.0),
+        score_sample=score_sum_sample,
+        score_batch=score_sum_batch,
+    ),
+    "strict": lambda: ordered_surfaces(_strict, quarantine=None),
 }
 
 PROFILE_CASES = [
@@ -462,7 +385,7 @@ class TestVoterMatrices:
 
     def test_factory_rejects_custom_detectors(self):
         with pytest.raises(TypeError, match="VoterSpec"):
-            _build(detector=lambda: VoterSpec("majority", 3))
+            build_single(detector_factory=lambda: VoterSpec("majority", 3))
 
     def test_columnar_monitor_rejects_custom_detectors_early(self):
         class Custom:
@@ -470,7 +393,7 @@ class TestVoterMatrices:
                 return False
 
         with pytest.raises(TypeError, match="Custom"):
-            _build(detector=Custom())
+            build_single(detector_factory=Custom())
 
 
 class _RowMajorPickle:
@@ -539,8 +462,8 @@ class TestWindowLayout:
     def test_row_major_shard_snapshot_raises_naming_the_file(self, tmp_path, mode):
         # 64 voters on the 64-row minimum roster: both layouts are (64, 64).
         monitor = ShardedFleetMonitor(
-            FEATURES, _score_sample, VoterSpec("majority", 64),
-            score_batch=_score_batch, n_shards=2, mode=mode,
+            FEATURES, score_sample, VoterSpec("majority", 64),
+            score_batch=score_batch, n_shards=2, mode=mode,
         )
         try:
             monitor.observe_fleet(0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(6)})
@@ -685,7 +608,7 @@ class TestDuplicateSerials:
                 ("a", np.full(N_CHANNELS, -1.0)),
             ])
 
-        events = run_surfaces(drive)["events"]
+        events = ordered_surfaces(drive)["events"]
         faulted = [e for e in events if e["type"] == "tick_faulted"]
         assert [e["drive"] for e in faulted] == ["a"]
         assert faulted[0]["data"]["kind"] == "duplicate-serial"
@@ -696,7 +619,7 @@ class TestDuplicateSerials:
         ]
 
     def test_duplicates_count_toward_quarantine(self):
-        monitor = _build(quarantine=QuarantinePolicy(fault_limit=0))
+        monitor = build_single(quarantine=QuarantinePolicy(fault_limit=0))
         monitor.observe_fleet(
             0.0, [("a", np.ones(N_CHANNELS)), ("a", np.ones(N_CHANNELS))]
         )
@@ -705,12 +628,12 @@ class TestDuplicateSerials:
         assert monitor.fault_counts() == {"a": 1}
 
     def test_mapping_input_cannot_duplicate(self):
-        monitor = _build()
+        monitor = build_single()
         monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS)})
         assert monitor.faults == []
 
     def test_strict_mode_raises_on_duplicate_serial(self):
-        monitor = _build(quarantine=None)
+        monitor = build_single(quarantine=None)
         with pytest.raises(ValueError, match="duplicate-serial"):
             monitor.observe_fleet(
                 0.0, [("a", np.ones(N_CHANNELS)), ("a", np.ones(N_CHANNELS))]
@@ -722,8 +645,8 @@ class TestObserveTick:
 
     def test_matches_observe_fleet(self):
         serials = tuple(f"s{i}" for i in range(20))
-        matrix_path = _build()
-        pairs_path = _build()
+        matrix_path = build_single()
+        pairs_path = build_single()
         matrix_path.register_fleet(serials)
         rng = np.random.default_rng(5)
         for hour in range(15):
@@ -736,12 +659,12 @@ class TestObserveTick:
         assert matrix_path.health_report() == pairs_path.health_report()
 
     def test_requires_a_roster(self):
-        monitor = _build()
+        monitor = build_single()
         with pytest.raises(ValueError, match="roster"):
             monitor.observe_tick(0.0, np.ones((2, N_CHANNELS)))
 
     def test_rejects_misaligned_matrix(self):
-        monitor = _build()
+        monitor = build_single()
         monitor.register_fleet(["a", "b"])
         with pytest.raises(ValueError, match="shape"):
             monitor.observe_tick(0.0, np.ones((3, N_CHANNELS)))
@@ -749,13 +672,13 @@ class TestObserveTick:
             monitor.observe_tick(0.0, np.ones((2, 3)))
 
     def test_ad_hoc_serials_override_roster(self):
-        monitor = _build()
+        monitor = build_single()
         monitor.register_fleet(["a", "b"])
         monitor.observe_tick(0.0, np.ones((1, N_CHANNELS)), serials=["solo"])
         assert monitor.watched_drives() == ["solo"]
 
     def test_duplicate_roster_serials_fault(self):
-        monitor = _build()
+        monitor = build_single()
         monitor.observe_tick(0.0, np.ones((2, N_CHANNELS)), serials=["a", "a"])
         assert [f.kind for f in monitor.faults] == [FaultKind.DUPLICATE_SERIAL]
 
@@ -784,14 +707,14 @@ class TestGoldenParity:
         assert digest(surfaces) == DIGESTS["strict"]
 
     def test_quarantine_decisions_match(self):
-        monitor = _build(quarantine=QuarantinePolicy(fault_limit=2))
+        monitor = build_single(quarantine=QuarantinePolicy(fault_limit=2))
         for _ in range(4):
             monitor.observe("bad", 0.0, np.ones(N_CHANNELS))  # dup time x3
         assert monitor.drive_status("bad").value == "degraded"
-        monitor = _build(quarantine=QuarantinePolicy(fault_limit=2))
+        monitor = build_single(quarantine=QuarantinePolicy(fault_limit=2))
         rng = np.random.default_rng(9)
         for hour in range(20):
-            monitor.observe_fleet(*_dirty_tick(rng, hour, 8))
+            monitor.observe_fleet(*dirty_tick(rng, hour, 8))
         assert digest({
             "degraded": monitor.degraded_drives(),
             "fault_counts": monitor.fault_counts(),

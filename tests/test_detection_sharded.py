@@ -1,15 +1,15 @@
-"""Golden parity suite for the sharded coordinator (`ShardedFleetMonitor`).
+"""The sharded coordinator (`ShardedFleetMonitor`) beyond the digest matrix.
 
-The contract: for any shard count and either execution mode, the
-coordinator's alerts, alert ids, faults, quarantine decisions,
-`health_report()` counters, SLO state, metrics and event *set* must
-equal a single `FleetMonitor` on the same stream.  Exemptions: the `serve.tick_seconds` wall-time histogram, the
-coordinator-only `shard.*` family, and the report's extra `"sharding"`
-section.  On top of the data path it pins the partitioner properties,
-kill-and-resume bit-identity, and the canary rollout lifecycle.
+Its data-path contract — for any shard count and either execution mode,
+the same observable surface as a single `FleetMonitor` on the same
+stream — is checked once, across deployments, by
+``tests/test_serving_matrix.py``.  This suite pins what that matrix
+does not see: the partitioner's properties, construction guards, the
+pipelined roster dispatch, the state both modes are left in after a
+hosted error, malformed-call errors, kill-and-resume bit-identity, and
+the canary rollout lifecycle.
 """
 
-import json
 import math
 import re
 from collections import Counter
@@ -28,25 +28,24 @@ from repro.detection import (
     VoterSpec,
     shard_for,
 )
-from repro.features.vectorize import Feature
-from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import disable_events, enable_events
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
-from repro.utils.errors import FaultKind, UnpicklableTaskWarning
-
-SHARD_COUNTS = (1, 2, 7)
-
-FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
-
-
-def _score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
-    return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
+from repro.utils.errors import UnpicklableTaskWarning
+from tests.serving_digest import (
+    FEATURES,
+    POISON,
+    alert_rows,
+    build_sharded,
+    build_single,
+    digest,
+    dirty_tick,
+    monitor_surfaces,
+    score_batch,
+    score_batch_missing_file,
+    score_batch_poisoned,
+    score_sample,
+)
 
 
 def _score_paging(row):
@@ -55,185 +54,6 @@ def _score_paging(row):
 
 def _score_paging_batch(X):
     return np.full(len(X), -1.0)
-
-
-#: A reading no healthy drive reports; ``_score_batch_poisoned`` rejects it.
-_POISON = 1e9
-
-
-def _score_batch_poisoned(X):
-    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
-        raise RuntimeError("scorer rejected a poisoned drive")
-    return _score_batch(X)
-
-
-def _score_batch_missing_file(X):
-    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
-        raise FileNotFoundError("scorer rejected a poisoned drive")
-    return _score_batch(X)
-
-
-def _build_single(**kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return FleetMonitor(
-        FEATURES, score_sample=_score_sample, **kwargs
-    )
-
-
-def _build_sharded(n_shards, **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return ShardedFleetMonitor(
-        FEATURES, _score_sample, kwargs.pop("detector_factory"),
-        n_shards=n_shards, **kwargs,
-    )
-
-
-def _nan_eq(a, b):
-    return a == b or (
-        isinstance(a, float) and isinstance(b, float)
-        and np.isnan(a) and np.isnan(b)
-    )
-
-
-def assert_alerts_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.serial == b.serial and a.alert_id == b.alert_id
-        assert _nan_eq(a.hour, b.hour) and _nan_eq(a.score, b.score)
-
-
-def assert_faults_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert (a.serial, a.kind, a.detail) == (b.serial, b.kind, b.detail)
-        assert _nan_eq(a.hour, b.hour)
-
-
-def _strip_metrics(metrics):
-    return {
-        k: v for k, v in metrics.items()
-        if k != "serve.tick_seconds" and not k.startswith("shard.")
-    }
-
-
-def _event_key(event):
-    # seq is assigned at absorption and the coordinator's per-tick shard
-    # interleave legitimately differs from a single monitor's record
-    # order — the parity contract is over the event *set*.
-    payload = {k: v for k, v in event.to_json_dict().items() if k != "seq"}
-    return json.dumps(payload, sort_keys=True, default=repr)
-
-
-def _dirty_tick(rng, hour, n_drives):
-    """One synthetic collection tick exercising every fault kind."""
-    pairs = []
-    for d in range(n_drives):
-        values = rng.normal(size=N_CHANNELS)
-        roll = rng.random()
-        if roll < 0.08:
-            values = np.ones(3)  # wrong shape
-        elif roll < 0.16:
-            values = np.full(N_CHANNELS, np.nan)  # unscorable, not a fault
-        pairs.append((f"d{d:03d}", values))
-    if rng.random() < 0.3:
-        pairs.append((f"d{rng.integers(n_drives):03d}", rng.normal(size=N_CHANNELS)))
-    tick_hour = float(hour)
-    roll = rng.random()
-    if roll < 0.05:
-        tick_hour = float("nan")
-    elif roll < 0.15:
-        tick_hour = float(hour - 2)  # duplicate or out-of-order per drive
-    return tick_hour, pairs
-
-
-def _drive_dirty_stream(monitor, ticks=40, n_drives=12, seed=42):
-    rng = np.random.default_rng(seed)
-    for hour in range(ticks):
-        monitor.observe_fleet(*_dirty_tick(rng, hour, n_drives))
-    monitor.finalize()
-    monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-    monitor.resolve_outcome("d001", failed=False)
-
-
-def _drive_matrix_stream(monitor, ticks=25, n_drives=30, seed=7):
-    serials = tuple(f"m{d:03d}" for d in range(n_drives))
-    monitor.register_fleet(serials)
-    rng = np.random.default_rng(seed)
-    for hour in range(ticks):
-        monitor.observe_tick(float(hour), rng.normal(size=(n_drives, N_CHANNELS)))
-    monitor.finalize()
-
-
-def _drive_matrix_faults(monitor, n_drives=30, seed=13):
-    """Roster ticks whose rows fault on several shards, then a re-ordered roster.
-
-    Records push some drives to the next tick's hour (duplicate time)
-    and others past it (out of order) before the roster ticks again;
-    re-registering the roster reversed changes every drive's position.
-    """
-    serials = tuple(f"m{d:03d}" for d in range(n_drives))
-    same, ahead = serials[4::6], serials[1::6]
-    rng = np.random.default_rng(seed)
-
-    def tick(hour):
-        monitor.observe_tick(float(hour), rng.normal(size=(n_drives, N_CHANNELS)))
-
-    monitor.register_fleet(serials)
-    for hour in range(4):
-        tick(hour)
-    monitor.observe_fleet(4.0, [(s, rng.normal(size=N_CHANNELS)) for s in same])
-    monitor.observe_fleet(6.0, [(s, rng.normal(size=N_CHANNELS)) for s in ahead])
-    tick(4)  # same: duplicate time; ahead: out of order
-    tick(5)  # ahead: out of order
-    monitor.register_fleet(serials[::-1])
-    for hour in range(6, 10):
-        tick(hour)  # ahead: duplicate time at hour 6
-    monitor.finalize()
-
-
-def _run_instrumented(build, drive):
-    """Run ``drive(monitor)`` under live metrics + event log.
-
-    Returns the full observable-state dict the parity assertions
-    compare; events are captured as an order-independent sorted key
-    list because shard envelopes interleave per tick.
-    """
-    enable_metrics()
-    log = enable_events()
-    try:
-        monitor = build()
-        try:
-            drive(monitor)
-            report = monitor.health_report()
-            report.pop("sharding", None)
-            report["metrics"] = _strip_metrics(report["metrics"])
-            return {
-                "alerts": monitor.alerts,
-                "faults": monitor.faults,
-                "vote_flips": monitor.vote_flips,
-                "watched": monitor.watched_drives(),
-                "degraded": monitor.degraded_drives(),
-                "fault_counts": monitor.fault_counts(),
-                "report": report,
-                "slo": monitor.slo.status() if monitor.slo is not None else None,
-                "events": sorted(_event_key(e) for e in log.events),
-                "metrics": _strip_metrics(get_registry().snapshot()["metrics"]),
-            }
-        finally:
-            if isinstance(monitor, ShardedFleetMonitor):
-                monitor.close()
-    finally:
-        disable_metrics()
-        disable_events()
-
-
-def assert_states_equal(left, right):
-    left, right = dict(left), dict(right)
-    assert_alerts_equal(left.pop("alerts"), right.pop("alerts"))
-    assert_faults_equal(left.pop("faults"), right.pop("faults"))
-    assert left == right
 
 
 class TestPartitioner:
@@ -339,11 +159,11 @@ class TestPicklableSpecs:
 class TestConstruction:
     def test_rejects_strict_mode(self):
         with pytest.raises(ValueError, match="quarantine"):
-            _build_sharded(2, quarantine=None)
+            build_sharded(2, quarantine=None)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            _build_sharded(2, mode="threads")
+            build_sharded(2, mode="threads")
 
     def test_unpicklable_spec_falls_back_to_serial(self):
         with pytest.warns(UnpicklableTaskWarning):
@@ -362,106 +182,7 @@ class TestConstruction:
 
 
 class TestGoldenParity:
-    """One logical monitor: sharded == single columnar, bit for bit."""
-
-    def test_dirty_stream_parity_at_pinned_shard_counts(self):
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()), _drive_dirty_stream
-        )
-        assert golden["alerts"], "stream must raise alerts for parity to mean anything"
-        assert golden["faults"]
-        for n_shards in SHARD_COUNTS:
-            state = _run_instrumented(
-                lambda: _build_sharded(n_shards, slo=SLOMonitor()),
-                _drive_dirty_stream,
-            )
-            assert_states_equal(golden, state)
-
-    def test_matrix_path_parity_at_pinned_shard_counts(self):
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()), _drive_matrix_stream
-        )
-        assert golden["alerts"]
-        for n_shards in SHARD_COUNTS:
-            state = _run_instrumented(
-                lambda: _build_sharded(n_shards, slo=SLOMonitor()),
-                _drive_matrix_stream,
-            )
-            assert_states_equal(golden, state)
-
-    def test_matrix_path_faults_parity_at_pinned_shard_counts(self):
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()), _drive_matrix_faults
-        )
-        kinds = {fault.kind for fault in golden["faults"]}
-        assert kinds == {FaultKind.DUPLICATE_TIME, FaultKind.OUT_OF_ORDER}
-        assert golden["alerts"]
-        for n_shards in SHARD_COUNTS:
-            faulted = {fault.serial for fault in golden["faults"]}
-            assert n_shards == 1 or len({shard_for(s, n_shards) for s in faulted}) > 1
-            state = _run_instrumented(
-                lambda: _build_sharded(n_shards, slo=SLOMonitor()),
-                _drive_matrix_faults,
-            )
-            assert_states_equal(golden, state)
-
-    def test_single_record_observe_parity(self):
-        def drive(monitor):
-            rng = np.random.default_rng(7)
-            for hour in range(30):
-                for d in range(4):
-                    monitor.observe(f"d{d}", float(hour), rng.normal(size=N_CHANNELS))
-            monitor.finalize()
-
-        golden = _run_instrumented(lambda: _build_single(slo=SLOMonitor()), drive)
-        state = _run_instrumented(lambda: _build_sharded(3, slo=SLOMonitor()), drive)
-        assert_states_equal(golden, state)
-
-    def test_process_mode_parity(self):
-        def drive(monitor):
-            rng = np.random.default_rng(5)
-            for hour in range(12):
-                monitor.observe_fleet(*_dirty_tick(rng, hour, 8))
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=50.0)
-
-        golden = _run_instrumented(lambda: _build_single(slo=SLOMonitor()), drive)
-
-        def build():
-            monitor = _build_sharded(2, slo=SLOMonitor(), mode="process")
-            assert monitor.mode == "process", "spec must pickle; no silent fallback"
-            return monitor
-
-        assert_states_equal(golden, _run_instrumented(build, drive))
-
-    def test_process_mode_roster_parity(self):
-        # Both roster payload forms cross the process boundary: matrix
-        # slices that fault rows, then the worker-resident pinned feed.
-        def build():
-            monitor = _build_sharded(2, slo=SLOMonitor(), mode="process")
-            assert monitor.mode == "process", "spec must pickle; no silent fallback"
-            return monitor
-
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()), _drive_matrix_faults
-        )
-        assert_states_equal(golden, _run_instrumented(build, _drive_matrix_faults))
-
-        serials = tuple(f"p{d:02d}" for d in range(20))
-        matrix = np.random.default_rng(3).normal(size=(20, N_CHANNELS))
-        single = _build_single(slo=SLOMonitor())
-        single.register_fleet(serials)
-        with build() as pinned:
-            pinned.register_fleet(serials)
-            pinned.pin_feed(matrix)
-            for hour in range(8):
-                assert_alerts_equal(
-                    single.observe_tick(float(hour), matrix),
-                    pinned.observe_tick(float(hour)),
-                )
-            report = pinned.health_report()
-        report.pop("sharding")
-        assert report == single.health_report()
+    """Sharded == single where the digest matrix does not reach."""
 
     @pytest.mark.parametrize("mode", SHARD_MODES)
     def test_process_mode_sends_each_slice_before_cutting_the_next(
@@ -479,9 +200,9 @@ class TestGoldenParity:
         monkeypatch.setattr(ShardedFleetMonitor, "_roster_payload", recording_cut)
         serials = tuple(f"q{d:02d}" for d in range(24))
         matrix = np.random.default_rng(8).normal(size=(24, N_CHANNELS))
-        single = _build_single()
+        single = build_single()
         single.register_fleet(serials)
-        with _build_sharded(3, mode=mode) as monitor:
+        with build_sharded(3, mode=mode) as monitor:
             assert monitor.mode == mode
             for sid, host in enumerate(monitor._hosts):
                 def submit(func, payload=None, *, _sid=sid, _submit=host.submit, **kw):
@@ -495,7 +216,7 @@ class TestGoldenParity:
             assert order == [
                 ("cut", 0), ("send", 0), ("cut", 1), ("send", 1), ("cut", 2), ("send", 2),
             ]
-            assert_alerts_equal(alerts, single.observe_tick(0.0, matrix))
+            assert alert_rows(alerts) == alert_rows(single.observe_tick(0.0, matrix))
             assert monitor.watched_drives() == single.watched_drives()
 
     def _assert_modes_converge_after(self, score_batch, error_type):
@@ -504,10 +225,10 @@ class TestGoldenParity:
         serials = [f"d{d:03d}" for d in range(40)]
         poisoned = next(s for s in serials if shard_for(s, 2) == 0)
         tick = {s: np.ones(N_CHANNELS) for s in serials}
-        tick[poisoned] = np.full(N_CHANNELS, _POISON)
+        tick[poisoned] = np.full(N_CHANNELS, POISON)
         outcomes = {}
         for mode in SHARD_MODES:
-            with _build_sharded(2, score_batch=score_batch, mode=mode) as monitor:
+            with build_sharded(2, score_batch=score_batch, mode=mode) as monitor:
                 assert monitor.mode == mode
                 with pytest.raises(error_type) as err:
                     monitor.observe_fleet(0.0, tick)
@@ -520,31 +241,15 @@ class TestGoldenParity:
         assert outcomes["serial"][2]["watched_drives"] == len(serials)
 
     def test_modes_converge_after_a_hosted_error(self):
-        self._assert_modes_converge_after(_score_batch_poisoned, RuntimeError)
+        self._assert_modes_converge_after(score_batch_poisoned, RuntimeError)
 
     def test_modes_converge_after_a_hosted_os_error(self):
         # An OSError the scorer raises is its error in process mode too,
         # not a dead shard worker.
-        self._assert_modes_converge_after(_score_batch_missing_file, FileNotFoundError)
-
-    def test_pinned_feed_matches_per_tick_matrix(self):
-        serials = tuple(f"p{d:02d}" for d in range(20))
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(20, N_CHANNELS))
-
-        explicit = _build_sharded(3)
-        explicit.register_fleet(serials)
-        pinned = _build_sharded(3)
-        pinned.register_fleet(serials)
-        pinned.pin_feed(matrix)
-        for hour in range(8):
-            left = explicit.observe_tick(float(hour), matrix)
-            right = pinned.observe_tick(float(hour))
-            assert_alerts_equal(left, right)
-        assert explicit.health_report() == pinned.health_report()
+        self._assert_modes_converge_after(score_batch_missing_file, FileNotFoundError)
 
     def test_observe_tick_requires_roster_or_feed(self):
-        monitor = _build_sharded(2)
+        monitor = build_sharded(2)
         with pytest.raises(ValueError, match="roster"):
             monitor.observe_tick(0.0, np.ones((2, N_CHANNELS)))
         monitor.register_fleet(["a", "b"])
@@ -554,7 +259,7 @@ class TestGoldenParity:
             monitor.observe_tick(0.0, np.ones((3, N_CHANNELS)))
 
     def test_health_report_names_the_sharding(self):
-        monitor = _build_sharded(2)
+        monitor = build_sharded(2)
         monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS), "b": np.ones(N_CHANNELS)})
         sharding = monitor.health_report()["sharding"]
         assert sharding["n_shards"] == 2
@@ -563,8 +268,8 @@ class TestGoldenParity:
         assert sum(sharding["shard_drives"]) == 2
 
     def test_drive_status_routes_to_owning_shard(self):
-        single = _build_single(quarantine=QuarantinePolicy(fault_limit=2))
-        sharded = _build_sharded(3, quarantine=QuarantinePolicy(fault_limit=2))
+        single = build_single(quarantine=QuarantinePolicy(fault_limit=2))
+        sharded = build_sharded(3, quarantine=QuarantinePolicy(fault_limit=2))
         for monitor in (single, sharded):
             for _ in range(4):
                 monitor.observe("bad", 0.0, np.ones(N_CHANNELS))  # dup time x3
@@ -614,9 +319,9 @@ class TestObserveTickContract:
     def test_malformed_call_error(self, monitor_type, case):
         roster, kwargs, message = MALFORMED_TICKS[case]
         if monitor_type is FleetMonitor:
-            monitor = _build_single()
+            monitor = build_single()
         else:
-            monitor = _build_sharded(2)
+            monitor = build_sharded(2)
         if roster is not None:
             monitor.register_fleet(roster)
         with pytest.raises(ValueError) as err:
@@ -630,7 +335,7 @@ class TestKillAndResume:
 
     def _stream(self, ticks=30, n_drives=10, seed=11):
         rng = np.random.default_rng(seed)
-        return [_dirty_tick(rng, hour, n_drives) for hour in range(ticks)]
+        return [dirty_tick(rng, hour, n_drives) for hour in range(ticks)]
 
     def _finish(self, monitor, stream):
         for hour, pairs in stream:
@@ -638,27 +343,15 @@ class TestKillAndResume:
         monitor.finalize()
         monitor.resolve_outcome("d000", failed=True, failure_hour=80.0)
 
-    def _state(self, monitor):
-        report = monitor.health_report()
-        report["metrics"] = _strip_metrics(report["metrics"])
-        return {
-            "alerts": monitor.alerts,
-            "faults": monitor.faults,
-            "watched": monitor.watched_drives(),
-            "degraded": monitor.degraded_drives(),
-            "fault_counts": monitor.fault_counts(),
-            "report": report,
-            "slo": monitor.slo.status(),
-        }
-
     def test_process_mode_kill_and_resume(self, tmp_path):
         stream = self._stream()
-        with _build_sharded(2, slo=SLOMonitor(), mode="process") as golden:
+        with build_sharded(2, slo=SLOMonitor(), mode="process") as golden:
             assert golden.mode == "process"
             self._finish(golden, stream)
-            expected = self._state(golden)
+            expected = digest(monitor_surfaces(golden))
+            sharding = golden.health_report()["sharding"]
 
-        with _build_sharded(2, slo=SLOMonitor(), mode="process") as resumed:
+        with build_sharded(2, slo=SLOMonitor(), mode="process") as resumed:
             for hour, pairs in stream[:20]:
                 resumed.observe_fleet(hour, pairs)
             store = resumed.snapshot(tmp_path / "snap")
@@ -667,15 +360,16 @@ class TestKillAndResume:
                 resumed._hosts[1].submit(len)
             resumed.restore_shard(1, store)
             self._finish(resumed, stream[20:])
-            assert_states_equal(expected, self._state(resumed))
+            assert digest(monitor_surfaces(resumed)) == expected
+            assert resumed.health_report()["sharding"] == sharding
 
     def test_full_restore_crosses_execution_modes(self, tmp_path):
         stream = self._stream(ticks=24, seed=29)
-        with _build_sharded(3, slo=SLOMonitor()) as golden:
+        with build_sharded(3, slo=SLOMonitor()) as golden:
             self._finish(golden, stream)
-            expected = self._state(golden)
+            expected = digest(monitor_surfaces(golden))
 
-        first = _build_sharded(3, slo=SLOMonitor())
+        first = build_sharded(3, slo=SLOMonitor())
         for hour, pairs in stream[:12]:
             first.observe_fleet(hour, pairs)
         first.snapshot(tmp_path / "snap")
@@ -686,10 +380,7 @@ class TestKillAndResume:
         resumed = ShardedFleetMonitor.restore(tmp_path / "snap", mode="serial")
         assert resumed.n_shards == 3
         self._finish(resumed, stream[12:])
-        got = self._state(resumed)
-        expected["report"].pop("sharding")
-        got["report"].pop("sharding")
-        assert_states_equal(expected, got)
+        assert digest(monitor_surfaces(resumed)) == expected
         resumed.close()
 
     def test_restored_shard_repins_the_current_roster(self, tmp_path):
@@ -707,7 +398,7 @@ class TestKillAndResume:
         old_feed = rng.normal(size=(len(old), N_CHANNELS))
         new_ticks = [rng.normal(size=(len(new), N_CHANNELS)) for _ in range(10)]
 
-        golden = _build_sharded(2)
+        golden = build_sharded(2)
         golden.register_fleet(old)
         golden.observe_tick(0.0, old_feed)
         golden.register_fleet(new)
@@ -716,7 +407,7 @@ class TestKillAndResume:
         expected_alerts = list(golden.alerts)
         expected_watched = golden.watched_drives()
 
-        monitor = _build_sharded(2)
+        monitor = build_sharded(2)
         monitor.register_fleet(old)
         monitor.observe_tick(0.0, old_feed)
         store = monitor.snapshot(tmp_path / "stale")  # roster: old
@@ -754,7 +445,7 @@ class TestKillAndResume:
         "method", ["kill_shard", "quarantine_shard", "snapshot_shard", "restore_shard"]
     )
     def test_shard_ids_are_validated(self, tmp_path, method, shard):
-        monitor = _build_sharded(3)
+        monitor = build_sharded(3)
         try:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(9)}
             monitor.observe_fleet(0.0, records)
@@ -773,7 +464,7 @@ class TestKillAndResume:
     @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_truncated_snapshot_file_raises_in_both_modes(self, tmp_path, mode):
         """A cut-off ``shard-<i>.pkl`` is a corrupt file, not a dead worker."""
-        monitor = _build_sharded(2, mode=mode)
+        monitor = build_sharded(2, mode=mode)
         try:
             monitor.observe_fleet(0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(6)})
             store = monitor.snapshot(tmp_path / "snap")
@@ -788,7 +479,7 @@ class TestKillAndResume:
     @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_unwritable_snapshot_file_raises_in_both_modes(self, tmp_path, mode):
         """A failed export write is an error, not a dead worker."""
-        monitor = _build_sharded(2, mode=mode)
+        monitor = build_sharded(2, mode=mode)
         try:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(6)}
             monitor.observe_fleet(0.0, records)
@@ -805,7 +496,7 @@ class TestKillAndResume:
             monitor.close()
 
     def test_restore_missing_cells_raise(self, tmp_path):
-        monitor = _build_sharded(2)
+        monitor = build_sharded(2)
         monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS)})
         store = monitor.snapshot_shard(0, tmp_path / "partial")
         with pytest.raises(KeyError, match="shard 1"):
@@ -820,8 +511,8 @@ class TestCanaryDeployment:
 
     def _quiet_fleet(self, n_shards=2):
         monitor = ShardedFleetMonitor(
-            FEATURES, _score_sample, VoterSpec("majority", 1),
-            score_batch=_score_batch, n_shards=n_shards,
+            FEATURES, score_sample, VoterSpec("majority", 1),
+            score_batch=score_batch, n_shards=n_shards,
         )
         monitor.observe_fleet(
             0.0, {f"c{d}": np.ones(N_CHANNELS) for d in range(8)}
@@ -839,7 +530,7 @@ class TestCanaryDeployment:
         try:
             monitor = self._quiet_fleet()
             generation = monitor.begin_deployment(
-                _score_sample, score_batch=_score_batch,
+                score_sample, score_batch=score_batch,
                 canary_shards=(0,), policy=CanaryPolicy(soak_ticks=2),
             )
             assert generation == 1
@@ -883,19 +574,19 @@ class TestCanaryDeployment:
         monitor = self._quiet_fleet(n_shards=3)
         try:
             with pytest.raises(ValueError, match="at least one"):
-                monitor.begin_deployment(_score_sample, canary_shards=())
+                monitor.begin_deployment(score_sample, canary_shards=())
             with pytest.raises(ValueError, match="outside"):
-                monitor.begin_deployment(_score_sample, canary_shards=(5,))
+                monitor.begin_deployment(score_sample, canary_shards=(5,))
             with pytest.raises(ValueError, match="control group"):
-                monitor.begin_deployment(_score_sample, canary_shards=(0, 1, 2))
+                monitor.begin_deployment(score_sample, canary_shards=(0, 1, 2))
             monitor.begin_deployment(
-                _score_sample, canary_shards=(0,),
+                score_sample, canary_shards=(0,),
                 policy=CanaryPolicy(soak_ticks=4),
             )
             with pytest.raises(RuntimeError, match="in flight"):
-                monitor.begin_deployment(_score_sample, canary_shards=(1,))
+                monitor.begin_deployment(score_sample, canary_shards=(1,))
             with pytest.raises(RuntimeError, match="deployment"):
-                monitor.set_model(_score_sample)
+                monitor.set_model(score_sample)
         finally:
             monitor.close()
 
@@ -905,7 +596,7 @@ class TestCanaryDeployment:
         try:
             with pytest.raises(ValueError, match="canary_shards"):
                 monitor.begin_deployment(
-                    _score_sample, canary_shards=canary_shards
+                    score_sample, canary_shards=canary_shards
                 )
             assert not monitor.deployment_active
         finally:

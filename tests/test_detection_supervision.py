@@ -1,16 +1,15 @@
 """Self-healing serving suite: supervisor, tick journal, crash recovery.
 
-The golden-parity bar from ``test_detection_sharded.py`` extended to
-crashes: a :class:`SupervisedShardedMonitor` whose shards are killed
-mid-stream — between ticks (probe-detected) or mid-dispatch (typed
-error path) — must end bit-identical to a single columnar
-``FleetMonitor`` that never crashed: same alerts and alert ids, same
-faults, same ``health_report()``, same SLO state, same event set and
-metrics (modulo the supervision lifecycle family, which only the
-supervised run emits).  On top of parity it pins the journal's
-durability contract, the restart budget's quarantine behaviour, the
-auto-snapshot cadence, and recovery with a canary deployment in
-flight.
+That a :class:`SupervisedShardedMonitor` whose shards are killed
+mid-stream — between ticks (probe-detected) or mid-dispatch — ends
+bit-identical to a single ``FleetMonitor`` that never crashed is
+checked once, across scenarios and lifecycles, by
+``tests/test_serving_matrix.py``.  This suite pins the rest: the
+journal's format and durability contract, that the journal is what the
+shards were sent, the pipelined dispatch order, a failed commit,
+sidecar reads and recycling, the restart budget's quarantine
+behaviour, the auto-snapshot cadence, hosted errors, and recovery with
+a canary deployment in flight.
 """
 
 from __future__ import annotations
@@ -18,15 +17,12 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import signal
-import time
 
 import numpy as np
 import pytest
 
 from repro.detection import (
     CanaryPolicy,
-    FleetMonitor,
     RestartPolicy,
     ShardedFleetMonitor,
     SupervisedShardedMonitor,
@@ -40,181 +36,56 @@ from repro.detection.supervision import (
     _SegmentPayload,
     _SegmentRef,
 )
-from repro.features.vectorize import Feature
-from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import (
     disable_events,
     enable_events,
     read_events,
     validate_events,
 )
-from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
 from repro.utils.errors import TornEventLogWarning
 from repro.utils.parallel import LocalHost, WorkerHost
-
-FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
-
-#: Event types only the supervised run emits: the recovery lifecycle.
-#: Parity over everything else is the whole point.
-SUPERVISION_EVENTS = {
-    "shard_died",
-    "shard_recovered",
-    "shard_quarantined",
-    "shard_snapshot",
-    "shard_restored",
-}
-
-
-def _score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
-    return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
-
-
-#: A reading no healthy drive reports; ``_score_batch_missing_file`` rejects it.
-_POISON = 1e9
-
-
-def _score_batch_missing_file(X):
-    if np.any(np.abs(np.nan_to_num(X)) >= _POISON):
-        raise FileNotFoundError("scorer lost its model file")
-    return _score_batch(X)
-
-
-def _build_single(**kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return FleetMonitor(
-        FEATURES, score_sample=_score_sample, **kwargs
-    )
-
-
-def _build_supervised(n_shards, run_dir, **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return SupervisedShardedMonitor(
-        FEATURES, _score_sample, kwargs.pop("detector_factory"),
-        n_shards=n_shards, run_dir=run_dir, **kwargs,
-    )
-
-
-def _dirty_tick(rng, hour, n_drives):
-    """One synthetic collection tick exercising every fault kind."""
-    pairs = []
-    for d in range(n_drives):
-        values = rng.normal(size=N_CHANNELS)
-        roll = rng.random()
-        if roll < 0.08:
-            values = np.ones(3)  # wrong shape
-        elif roll < 0.16:
-            values = np.full(N_CHANNELS, np.nan)
-        pairs.append((f"d{d:03d}", values))
-    if rng.random() < 0.3:
-        pairs.append((f"d{rng.integers(n_drives):03d}", rng.normal(size=N_CHANNELS)))
-    tick_hour = float(hour)
-    roll = rng.random()
-    if roll < 0.05:
-        tick_hour = float("nan")
-    elif roll < 0.15:
-        tick_hour = float(hour - 2)
-    return tick_hour, pairs
+from tests.serving_digest import (
+    FEATURES,
+    POISON,
+    SUPERVISION_EVENTS,
+    alert_rows,
+    build_single,
+    build_supervised,
+    digest,
+    dirty_tick,
+    drive_matrix,
+    kill,
+    run_digest,
+    run_surfaces,
+    score_batch,
+    score_batch_missing_file,
+    score_sample,
+    sigkill,
+)
 
 
 def _stream(ticks=30, n_drives=12, seed=42):
     rng = np.random.default_rng(seed)
-    return [_dirty_tick(rng, hour, n_drives) for hour in range(ticks)]
+    return [dirty_tick(rng, hour, n_drives) for hour in range(ticks)]
 
 
-def _nan_eq(a, b):
-    return a == b or (
-        isinstance(a, float) and isinstance(b, float)
-        and np.isnan(a) and np.isnan(b)
-    )
+@pytest.fixture
+def open_journal():
+    """Open a ``TickJournal``; every one opened is closed at teardown.
 
-
-def assert_alerts_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.serial == b.serial and a.alert_id == b.alert_id
-        assert _nan_eq(a.hour, b.hour) and _nan_eq(a.score, b.score)
-
-
-def assert_faults_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert (a.serial, a.kind, a.detail) == (b.serial, b.kind, b.detail)
-        assert _nan_eq(a.hour, b.hour)
-
-
-def _strip_metrics(metrics):
-    return {
-        k: v for k, v in metrics.items()
-        if k != "serve.tick_seconds" and not k.startswith("shard.")
-    }
-
-
-def _event_key(event):
-    payload = {k: v for k, v in event.to_json_dict().items() if k != "seq"}
-    return json.dumps(payload, sort_keys=True, default=repr)
-
-
-def _run_instrumented(build, drive):
-    """Run ``drive(monitor)`` under live metrics + event log; capture state.
-
-    Supervision lifecycle events and the ``shard.*`` metric family are
-    filtered out — they describe the crashes, not the served stream —
-    and the reports' topology sections are popped, so the remainder is
-    comparable 1:1 against a single never-crashed monitor.
+    A journal left open by a failing test would leak its file, and the
+    ``ResourceWarning`` would fail whichever test runs next.
     """
-    enable_metrics()
-    log = enable_events()
-    try:
-        monitor = build()
-        try:
-            drive(monitor)
-            report = monitor.health_report()
-            report.pop("sharding", None)
-            report.pop("supervision", None)
-            report["metrics"] = _strip_metrics(report["metrics"])
-            return {
-                "alerts": monitor.alerts,
-                "faults": monitor.faults,
-                "watched": monitor.watched_drives(),
-                "degraded": monitor.degraded_drives(),
-                "fault_counts": monitor.fault_counts(),
-                "report": report,
-                "slo": monitor.slo.status() if monitor.slo is not None else None,
-                "events": sorted(
-                    _event_key(e) for e in log.events
-                    if e.type not in SUPERVISION_EVENTS
-                ),
-                "metrics": _strip_metrics(get_registry().snapshot()["metrics"]),
-            }
-        finally:
-            if isinstance(monitor, ShardedFleetMonitor):
-                monitor.close()
-    finally:
-        disable_metrics()
-        disable_events()
+    journals = []
 
+    def open_(path):
+        journals.append(TickJournal(path))
+        return journals[-1]
 
-def assert_states_equal(left, right):
-    left, right = dict(left), dict(right)
-    assert_alerts_equal(left.pop("alerts"), right.pop("alerts"))
-    assert_faults_equal(left.pop("faults"), right.pop("faults"))
-    assert left == right
-
-
-def _finish(monitor, stream):
-    for hour, pairs in stream:
-        monitor.observe_fleet(hour, pairs)
-    monitor.finalize()
-    monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-    monitor.resolve_outcome("d001", failed=False)
+    yield open_
+    for journal in journals:
+        journal.close()
 
 
 def _calls_equal(left, right):
@@ -262,7 +133,7 @@ class TestTickJournal:
 
         feed = self._matrix()
         with Recording(
-            FEATURES, _score_sample, VoterSpec("majority", 3), n_shards=1
+            FEATURES, score_sample, VoterSpec("majority", 3), n_shards=1
         ) as monitor:
             monitor.register_fleet(("a", "b", "c", "d"))
             monitor.pin_feed(feed)
@@ -273,8 +144,8 @@ class TestTickJournal:
             )
         return sent
 
-    def test_entries_round_trip_every_kind(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_entries_round_trip_every_kind(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         appended = self._served()
         assert [
             sorted(calls[0][2]) for calls, tick in appended if tick
@@ -285,7 +156,6 @@ class TestTickJournal:
         ]
         for calls, tick in appended:
             journal.append(calls, tick=tick)
-        journal.close()
 
         entries = journal.entries()
         assert [e["tick"] for e in entries] == [tick for _, tick in appended]
@@ -294,23 +164,23 @@ class TestTickJournal:
         assert entries[2]["calls"][0][1] is _shard_tick
         assert journal.tick_count == 3
 
-    def test_header_line_is_schema_tagged(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_header_line_is_schema_tagged(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         journal.close()
         first = json.loads((tmp_path / "j.jsonl").read_text().splitlines()[0])
         assert first == {"schema": TICK_JOURNAL_SCHEMA}
 
-    def test_wrong_schema_rejected(self, tmp_path):
+    def test_wrong_schema_rejected(self, tmp_path, open_journal):
         path = tmp_path / "j.jsonl"
-        journal = TickJournal(path)
+        journal = open_journal(path)
         journal.close()
         path.write_text('{"schema": "repro.tick-journal/v999"}\n')
         with pytest.raises(ValueError, match="v999"):
             journal.entries()
 
-    def test_torn_final_line_dropped_under_warning(self, tmp_path):
+    def test_torn_final_line_dropped_under_warning(self, tmp_path, open_journal):
         path = tmp_path / "j.jsonl"
-        journal = TickJournal(path)
+        journal = open_journal(path)
         journal.append(self._pin(("a",)), tick=False)
         journal.append(
             self._tick(0.0, items=[("a", np.ones(N_CHANNELS))], duplicates=[]),
@@ -325,8 +195,8 @@ class TestTickJournal:
         with pytest.raises(ValueError, match="corrupt"):
             journal.entries(tolerant=False)
 
-    def test_missing_final_sidecar_treated_as_torn(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_missing_final_sidecar_treated_as_torn(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         journal.append(self._pin(), tick=False)
         journal.append(self._tick(0.0, matrix=self._matrix()), tick=True)
         journal.append(self._tick(1.0, matrix=self._matrix(seed=1)), tick=True)
@@ -337,9 +207,9 @@ class TestTickJournal:
             entries = journal.entries()
         assert len([e for e in entries if e["tick"]]) == 1
 
-    def test_mid_file_corruption_raises_even_when_tolerant(self, tmp_path):
+    def test_mid_file_corruption_raises_even_when_tolerant(self, tmp_path, open_journal):
         path = tmp_path / "j.jsonl"
-        journal = TickJournal(path)
+        journal = open_journal(path)
         journal.append(self._pin(("a",)), tick=False)
         journal.close()
         lines = path.read_text().splitlines()
@@ -350,8 +220,8 @@ class TestTickJournal:
         with pytest.raises(ValueError, match="corrupt"):
             journal.entries()
 
-    def test_reset_truncates_and_reseeds_context(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_reset_truncates_and_reseeds_context(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         feed = self._matrix()
         # What a dispatch sends: payloads referring to their own sidecar,
         # which the reset below deletes.
@@ -371,10 +241,9 @@ class TestTickJournal:
             _, func, payload = pickle.load(handle)
             assert handle.tell() == stop
         assert (sid, func, type(payload)) == (0, _shard_pin, dict)
-        journal.close()
 
-    def test_shard_read_loads_only_that_shards_segments(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_shard_read_loads_only_that_shards_segments(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         calls = [
             (sid, _shard_tick, {"hour": 0.0, "shard": sid, "matrix": self._matrix(seed=sid)})
             for sid in range(2)
@@ -398,12 +267,12 @@ class TestTickJournal:
         with pytest.raises(pickle.UnpicklingError):
             journal.entries()
 
-    def test_failed_write_keeps_sending_and_holds_the_error(self, tmp_path):
+    def test_failed_write_keeps_sending_and_holds_the_error(self, tmp_path, open_journal):
         class Unwritable:
             def __reduce__(self):
                 raise OSError(28, "No space left on device")
 
-        journal = TickJournal(tmp_path / "j.jsonl")
+        journal = open_journal(tmp_path / "j.jsonl")
         journal.append(self._pin(), tick=False)
         calls = [
             (sid, _shard_tick, {"hour": 0.0, "shard": sid, "matrix": self._matrix(seed=sid)})
@@ -424,18 +293,16 @@ class TestTickJournal:
         assert journal.failure is None
         journal.append(self._tick(2.0, matrix=self._matrix()), tick=True)
         assert journal.tick_count == 1
-        journal.close()
 
-    def test_construction_truncates_a_previous_run(self, tmp_path):
+    def test_construction_truncates_a_previous_run(self, tmp_path, open_journal):
         path = tmp_path / "j.jsonl"
-        first = TickJournal(path)
+        first = open_journal(path)
         first.append(self._pin(), tick=False)
         first.append(self._tick(0.0, matrix=self._matrix()), tick=True)
         first.close()
-        second = TickJournal(path)
+        second = open_journal(path)
         assert second.entries() == []
         assert list(second.sidecar_dir.glob("*.pkl")) == []
-        second.close()
 
     def test_construction_clears_a_previous_runs_snapshot(self, tmp_path):
         """Regression: a reused ``run_dir`` must not resurrect old drives.
@@ -447,7 +314,7 @@ class TestTickJournal:
         """
         run_dir = tmp_path / "run"
         old = {f"old{d:02d}": np.ones(N_CHANNELS) for d in range(8)}
-        with _build_supervised(2, run_dir, snapshot_every=0) as first:
+        with build_supervised(2, run_dir, snapshot_every=0) as first:
             first.observe_fleet(0.0, old)
             first.checkpoint()
 
@@ -455,17 +322,17 @@ class TestTickJournal:
             (float(hour), {f"new{d:02d}": np.ones(N_CHANNELS) for d in range(8)})
             for hour in range(6)
         ]
-        golden = _build_single()
+        golden = build_single()
         for hour, records in stream:
             golden.observe_fleet(hour, records)
-        with _build_supervised(2, run_dir, snapshot_every=0) as second:
+        with build_supervised(2, run_dir, snapshot_every=0) as second:
             for at, (hour, records) in enumerate(stream):
                 if at == 3:
                     second.kill_shard(0)
                 second.observe_fleet(hour, records)
             assert second.recoveries == 1
             assert second.watched_drives() == golden.watched_drives()
-            assert_alerts_equal(second.alerts, golden.alerts)
+            assert alert_rows(second.alerts) == alert_rows(golden.alerts)
 
 
 class TestPolicies:
@@ -494,7 +361,7 @@ class TestPolicies:
     @pytest.mark.parametrize("snapshot_every", [-1, 2.5, True, float("nan")])
     def test_snapshot_cadence_validates(self, tmp_path, snapshot_every):
         with pytest.raises(ValueError, match="snapshot_every"):
-            _build_supervised(2, tmp_path / "run", snapshot_every=snapshot_every)
+            build_supervised(2, tmp_path / "run", snapshot_every=snapshot_every)
 
 
 class TestJournalIsWhatShardsWereSent:
@@ -525,7 +392,7 @@ class TestJournalIsWhatShardsWereSent:
     def test_journal_equals_the_calls_each_shard_received(self, tmp_path, mode):
         rng = np.random.default_rng(5)
         serials = tuple(f"j{d:02d}" for d in range(12))
-        monitor = _build_supervised(
+        monitor = build_supervised(
             3, tmp_path / "run", snapshot_every=0, mode=mode
         )
         try:
@@ -534,7 +401,7 @@ class TestJournalIsWhatShardsWereSent:
             monitor.observe_tick(0.0, rng.normal(size=(12, N_CHANNELS)))
             monitor.pin_feed(rng.normal(size=(12, N_CHANNELS)))
             monitor.observe_tick(1.0)
-            monitor.observe_fleet(*_dirty_tick(rng, 2, 12))
+            monitor.observe_fleet(*dirty_tick(rng, 2, 12))
             monitor.observe("j03", 3.0, rng.normal(size=N_CHANNELS))
             entries = monitor.journal.entries()
         finally:
@@ -551,7 +418,7 @@ class TestJournalIsWhatShardsWereSent:
             assert _calls_equal(journaled[sid], calls)
 
     def test_rejected_pin_feed_leaves_the_journal_unchanged(self, tmp_path):
-        monitor = _build_supervised(2, tmp_path / "run")
+        monitor = build_supervised(2, tmp_path / "run")
         try:
             monitor.register_fleet(("a", "b", "a"))
             before = monitor.journal.entries()
@@ -563,322 +430,44 @@ class TestJournalIsWhatShardsWereSent:
 
 
 class TestSerialRecoveryParity:
-    """Killed-and-recovered serial shards == one never-crashed monitor."""
-
-    def test_kills_across_snapshot_boundaries_stay_bit_identical(self, tmp_path):
-        stream = _stream(ticks=30, n_drives=40, seed=42)
-        kills = {3: 0, 9: 2, 17: 1, 25: 0}  # tick -> shard to kill
-
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()),
-            lambda monitor: _finish(monitor, stream),
-        )
-        assert golden["alerts"], "stream must alert for parity to mean anything"
-        assert golden["faults"]
-
-        def drive(monitor):
-            for at, (hour, pairs) in enumerate(stream):
-                if at in kills:
-                    monitor.kill_shard(kills[at])
-                monitor.observe_fleet(hour, pairs)
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-            monitor.resolve_outcome("d001", failed=False)
-            assert monitor.recoveries == len(kills)
-            assert monitor.quarantined_shards == []
-
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                3, tmp_path / "run", slo=SLOMonitor(), snapshot_every=8
-            ),
-            drive,
-        )
-        assert_states_equal(golden, state)
-
-    def test_recovery_before_any_snapshot_rebuilds_from_fresh(self, tmp_path):
-        stream = _stream(ticks=10, n_drives=16, seed=5)
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()),
-            lambda monitor: _finish(monitor, stream),
-        )
-
-        def drive(monitor):
-            for at, (hour, pairs) in enumerate(stream):
-                if at == 4:
-                    monitor.kill_shard(1)
-                monitor.observe_fleet(hour, pairs)
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-            monitor.resolve_outcome("d001", failed=False)
-
-        # snapshot_every=0: no snapshot ever exists; the journal covers
-        # the whole run and recovery replays it from a fresh shard.
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                2, tmp_path / "run", slo=SLOMonitor(), snapshot_every=0
-            ),
-            drive,
-        )
-        assert_states_equal(golden, state)
-
-    def test_matrix_path_recovery_parity(self, tmp_path):
-        serials = tuple(f"m{d:03d}" for d in range(30))
-        rng = np.random.default_rng(7)
-        ticks = [rng.normal(size=(30, N_CHANNELS)) for _ in range(20)]
-
-        def drive_clean(monitor):
-            monitor.register_fleet(serials)
-            for hour, matrix in enumerate(ticks):
-                monitor.observe_tick(float(hour), matrix)
-            monitor.finalize()
-
-        def drive_killed(monitor):
-            monitor.register_fleet(serials)
-            for hour, matrix in enumerate(ticks):
-                if hour in (5, 13):
-                    monitor.kill_shard(hour % monitor.n_shards)
-                monitor.observe_tick(float(hour), matrix)
-            monitor.finalize()
-
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
-        assert golden["alerts"]
-        state = _run_instrumented(
-            lambda: _build_supervised(3, tmp_path / "run", snapshot_every=6),
-            drive_killed,
-        )
-        assert_states_equal(golden, state)
-
-    def test_pinned_feed_recovery_parity(self, tmp_path):
-        serials = tuple(f"p{d:02d}" for d in range(20))
-        rng = np.random.default_rng(3)
-        feed = rng.normal(size=(20, N_CHANNELS))
-
-        def drive_clean(monitor):
-            monitor.register_fleet(serials)
-            for hour in range(12):
-                monitor.observe_tick(float(hour), feed)
-            monitor.finalize()
-
-        def drive_killed(monitor):
-            monitor.register_fleet(serials)
-            monitor.pin_feed(feed)
-            for hour in range(12):
-                if hour == 6:
-                    monitor.kill_shard(0)
-                monitor.observe_tick(float(hour))  # pinned: no payload
-            monitor.finalize()
-
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
-        state = _run_instrumented(
-            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=5),
-            drive_killed,
-        )
-        # The journal re-pins the recovered shard's feed slice; the other
-        # shard keeps its original pin — no caller-side re-pin needed.
-        assert_states_equal(golden, state)
+    """What a serial recovery reads from the journal."""
 
     def test_replay_reads_only_the_recovered_shards_segments(self, tmp_path):
         """Recovering shard 0 never reads shard 1's journaled bytes."""
-        serials = tuple(f"s{d:02d}" for d in range(16))
-        rng = np.random.default_rng(29)
-        ticks = [rng.normal(size=(16, N_CHANNELS)) for _ in range(8)]
 
-        def drive_clean(monitor):
-            monitor.register_fleet(serials)
-            for hour, matrix in enumerate(ticks):
-                monitor.observe_tick(float(hour), matrix)
-            monitor.finalize()
+        def zero_shard_1_then_lose_shard_0(monitor, at):
+            if at != 5:
+                return
+            journal = monitor.journal
+            for raw in journal.path.read_text().splitlines()[1:]:
+                line = json.loads(raw)
+                sidecar = journal.sidecar_dir / line["sidecar"]
+                data = bytearray(sidecar.read_bytes())
+                for sid, start, stop in line["segments"]:
+                    if sid == 1:
+                        data[start:stop] = bytes(stop - start)
+                sidecar.write_bytes(bytes(data))
+            monitor.kill_shard(0)
 
-        def drive_killed(monitor):
-            monitor.register_fleet(serials)
-            for hour, matrix in enumerate(ticks):
-                if hour == 5:
-                    # Destroy every byte journaled for shard 1, then lose
-                    # shard 0: its replay must not need them.
-                    journal = monitor.journal
-                    for raw in journal.path.read_text().splitlines()[1:]:
-                        line = json.loads(raw)
-                        sidecar = journal.sidecar_dir / line["sidecar"]
-                        data = bytearray(sidecar.read_bytes())
-                        for sid, start, stop in line["segments"]:
-                            if sid == 1:
-                                data[start:stop] = bytes(stop - start)
-                        sidecar.write_bytes(bytes(data))
-                    monitor.kill_shard(0)
-                monitor.observe_tick(float(hour), matrix)
-            monitor.finalize()
+        def drive(monitor):
+            drive_matrix(monitor, zero_shard_1_then_lose_shard_0)
             assert monitor.recoveries == 1
             assert monitor.replayed_ticks == 5
 
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
-        state = _run_instrumented(
-            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=0),
-            drive_killed,
-        )
-        assert_states_equal(golden, state)
-
-    def test_single_record_observe_recovery_parity(self, tmp_path):
-        rng = np.random.default_rng(13)
-        records = [
-            (f"d{d}", float(hour), rng.normal(size=N_CHANNELS))
-            for hour in range(15)
-            for d in range(6)
-        ]
-        kills = {10: 0, 25: 1, 41: 2}  # record -> shard to kill
-
-        def drive_clean(monitor):
-            for serial, hour, values in records:
-                monitor.observe(serial, hour, values)
-            monitor.finalize()
-
-        def drive_killed(monitor):
-            for at, (serial, hour, values) in enumerate(records):
-                if at in kills:
-                    monitor.kill_shard(kills[at])
-                monitor.observe(serial, hour, values)
-            monitor.finalize()
-            assert monitor.recoveries == len(kills)
-
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()), drive_clean
-        )
-        assert golden["alerts"]
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                3, tmp_path / "run", slo=SLOMonitor(), snapshot_every=7
-            ),
-            drive_killed,
-        )
-        assert_states_equal(golden, state)
+        assert run_digest(
+            lambda: build_supervised(2, tmp_path / "run", snapshot_every=0), drive
+        ) == run_digest(build_single, drive_matrix)
 
 
 class TestProcessRecoveryParity:
-    """Real SIGKILL against worker processes, probe and mid-dispatch paths."""
-
-    def _sigkill_shard(self, monitor, sid, *, wait=True):
-        pids = monitor._hosts[sid].pids()
-        assert pids, "worker must be spawned before it can be killed"
-        os.kill(pids[0], signal.SIGKILL)
-        if wait:
-            deadline = time.monotonic() + 10.0
-            while monitor._hosts[sid].poll() is None and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert monitor._hosts[sid].alive is False
-
-    def test_probe_detected_sigkill_parity(self, tmp_path):
-        stream = _stream(ticks=15, n_drives=10, seed=11)
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()),
-            lambda monitor: _finish(monitor, stream),
-        )
-
-        def drive(monitor):
-            assert monitor.mode == "process"
-            for at, (hour, pairs) in enumerate(stream):
-                if at in (2, 7, 11):
-                    self._sigkill_shard(monitor, at % monitor.n_shards)
-                monitor.observe_fleet(hour, pairs)
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-            monitor.resolve_outcome("d001", failed=False)
-            assert monitor.recoveries == 3
-
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                2, tmp_path / "run", slo=SLOMonitor(),
-                snapshot_every=5, mode="process",
-            ),
-            drive,
-        )
-        assert_states_equal(golden, state)
-
-    def test_mid_dispatch_sigkill_excludes_in_flight_tick(
-        self, tmp_path, monkeypatch
-    ):
-        """Death discovered *during* a dispatch, not by the probe.
-
-        The dying tick was journaled (write-ahead) but never merged;
-        replay must exclude it and the supervisor must re-submit it
-        through the observed path — applying it twice (or zero times)
-        breaks parity.
-        """
-        stream = _stream(ticks=12, n_drives=10, seed=19)
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()),
-            lambda monitor: _finish(monitor, stream),
-        )
-        monkeypatch.setattr(
-            SupervisedShardedMonitor, "probe_shards", lambda self: None
-        )
-
-        def drive(monitor):
-            for at, (hour, pairs) in enumerate(stream):
-                if at == 6:
-                    # No poll wait: the next dispatch runs into the corpse.
-                    self._sigkill_shard(monitor, 1, wait=False)
-                monitor.observe_fleet(hour, pairs)
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-            monitor.resolve_outcome("d001", failed=False)
-            assert monitor.recoveries >= 1
-
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                2, tmp_path / "run", slo=SLOMonitor(),
-                snapshot_every=4, mode="process",
-            ),
-            drive,
-        )
-        assert_states_equal(golden, state)
-
-    def test_sigkill_mid_checkpoint_recovers_and_exports(
-        self, tmp_path, monkeypatch
-    ):
-        """A worker that dies under a checkpoint's export is recovered.
-
-        The export is an ordinary dispatch: the death goes through the
-        supervisor, which restores the shard from the files still
-        published, replays the not-yet-truncated journal and re-submits
-        the export — the stream then continues at parity.
-        """
-        stream = _stream(ticks=12, n_drives=10, seed=23)
-        golden = _run_instrumented(
-            lambda: _build_single(slo=SLOMonitor()),
-            lambda monitor: _finish(monitor, stream),
-        )
-        monkeypatch.setattr(
-            SupervisedShardedMonitor, "probe_shards", lambda self: None
-        )
-
-        def drive(monitor):
-            for at, (hour, pairs) in enumerate(stream):
-                if at == 7:
-                    # No poll wait: the export runs into the corpse.
-                    self._sigkill_shard(monitor, 1, wait=False)
-                    monitor.checkpoint()
-                    assert monitor.journal.tick_count == 0
-                monitor.observe_fleet(hour, pairs)
-            monitor.finalize()
-            monitor.resolve_outcome("d000", failed=True, failure_hour=100.0)
-            monitor.resolve_outcome("d001", failed=False)
-            assert monitor.recoveries == 1
-            assert monitor.replayed_ticks == 3
-
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                2, tmp_path / "run", slo=SLOMonitor(),
-                snapshot_every=4, mode="process",
-            ),
-            drive,
-        )
-        assert_states_equal(golden, state)
+    """Worker-process shards: the sidecar transport, pings and event logs."""
 
     def test_tick_payload_ships_as_a_sidecar_reference(self, tmp_path):
         """A worker is sent a reference to its journal segment, not the bytes."""
         serials = tuple(f"r{d:03d}" for d in range(400))
         matrix = np.random.default_rng(2).normal(size=(400, N_CHANNELS))
         sizes = []
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run", snapshot_every=0, mode="process"
         )
         try:
@@ -893,7 +482,7 @@ class TestProcessRecoveryParity:
                 host.submit = submit
             monitor.register_fleet(serials)
             monitor.observe_tick(0.0, matrix)
-            single = _build_single()
+            single = build_single()
             single.register_fleet(serials)
             single.observe_tick(0.0, matrix)
             assert monitor.watched_drives() == single.watched_drives()
@@ -904,53 +493,8 @@ class TestProcessRecoveryParity:
             assert plain > 10 * 1024
             assert sent < 1024
 
-    def test_sigkill_after_checkpoint_recovers_from_reseeded_pins(self, tmp_path):
-        """The pins a checkpoint re-journals are payloads, not references.
-
-        The checkpoint deletes the sidecars the original pin dispatch
-        pointed into; a shard lost afterwards is rebuilt from the
-        snapshot plus the re-seeded roster and feed, and keeps ticking
-        the pinned feed at parity.
-        """
-        serials = tuple(f"k{d:02d}" for d in range(24))
-        rng = np.random.default_rng(17)
-        feed = rng.normal(size=(24, N_CHANNELS))
-        feed[:6] -= 3.0  # a few drives vote to alert
-
-        def drive_clean(monitor):
-            monitor.register_fleet(serials)
-            for hour in range(10):
-                monitor.observe_tick(float(hour), feed)
-            monitor.finalize()
-
-        def drive_killed(monitor):
-            monitor.register_fleet(serials)
-            monitor.pin_feed(feed)
-            for hour in range(10):
-                if hour == 4:
-                    monitor.checkpoint()
-                    assert all(
-                        type(payload) is dict for _, _, payload in monitor._pin_calls
-                    )
-                if hour == 6:
-                    self._sigkill_shard(monitor, 0)
-                monitor.observe_tick(float(hour))
-            monitor.finalize()
-            assert monitor.recoveries == 1
-            assert monitor.replayed_ticks == 2
-
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
-        assert golden["alerts"]
-        state = _run_instrumented(
-            lambda: _build_supervised(
-                2, tmp_path / "run", snapshot_every=0, mode="process"
-            ),
-            drive_killed,
-        )
-        assert_states_equal(golden, state)
-
     def test_ping_shards_reports_request_response_health(self, tmp_path):
-        monitor = _build_supervised(2, tmp_path / "run", mode="process")
+        monitor = build_supervised(2, tmp_path / "run", mode="process")
         try:
             monitor.observe_fleet(
                 0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(4)}
@@ -974,13 +518,13 @@ class TestProcessRecoveryParity:
         log_path = tmp_path / "events.jsonl"
         enable_events(log_path)
         stream = _stream(ticks=10, n_drives=8, seed=31)
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run", snapshot_every=3, mode="process"
         )
         try:
             for at, (hour, pairs) in enumerate(stream):
                 if at == 5:
-                    self._sigkill_shard(monitor, 1)
+                    sigkill(monitor, 1)
                 monitor.observe_fleet(hour, pairs)
             monitor.finalize()
             assert monitor.recoveries == 1
@@ -1061,14 +605,6 @@ def _record_dispatch(monkeypatch, monitor):
     return events
 
 
-def _kill(monitor, sid):
-    """Lose shard ``sid``'s state: SIGKILL its worker, or drop a local host."""
-    if monitor.mode == "process":
-        os.kill(monitor._hosts[sid].pids()[0], signal.SIGKILL)
-    else:
-        monitor.kill_shard(sid)
-
-
 class TestDispatchOrder:
     """The pipelined tick: send each segment at once, commit while shards work."""
 
@@ -1079,14 +615,14 @@ class TestDispatchOrder:
         ticks = [rng.normal(size=(16, N_CHANNELS)) for _ in range(4)]
         # Deaths must be found mid-dispatch, not by the pre-tick probe.
         monkeypatch.setattr(SupervisedShardedMonitor, "probe_shards", lambda self: None)
-        single = _build_single()
+        single = build_single()
         single.register_fleet(serials)
-        with _build_supervised(2, tmp_path / "run", snapshot_every=0, mode=mode) as monitor:
+        with build_supervised(2, tmp_path / "run", snapshot_every=0, mode=mode) as monitor:
             monitor.register_fleet(serials)
             events = _record_dispatch(monkeypatch, monitor)
             for hour, matrix in enumerate(ticks):
                 if hour == 2:
-                    _kill(monitor, 1)
+                    kill(monitor, 1)
                 before = len(events)
                 lines = len(monitor.journal.path.read_text().splitlines())
                 monitor.observe_tick(float(hour), matrix)
@@ -1112,7 +648,7 @@ class TestDispatchOrder:
                 assert reads == [("entries", lines + 1)]
                 assert tick.index(reads[0]) > 3
             assert monitor.recoveries == 1
-            assert_alerts_equal(monitor.alerts, single.alerts)
+            assert alert_rows(monitor.alerts) == alert_rows(single.alerts)
             assert monitor.watched_drives() == single.watched_drives()
 
 
@@ -1175,22 +711,21 @@ class TestFailedCommit:
                 if hour == 7:
                     # Snapshot + journal now hold tick 5: a replay rebuilds
                     # the shard exactly as it was.
-                    _kill(monitor, 0)
+                    kill(monitor, 0)
                 monitor.observe_tick(float(hour), matrix)
             monitor.finalize()
             assert monitor.recoveries == 1
 
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        golden = run_surfaces(build_single, drive_clean)
         assert golden["alerts"]
-        state = _run_instrumented(
-            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=4, mode=mode),
+        assert run_digest(
+            lambda: build_supervised(2, tmp_path / "run", snapshot_every=4, mode=mode),
             drive_failing,
-        )
-        assert_states_equal(golden, state)
+        ) == digest(golden)
 
     def test_death_while_uncommitted_is_not_recovered(self, tmp_path, monkeypatch):
         records = {f"u{d}": np.ones(N_CHANNELS) for d in range(8)}
-        with _build_supervised(2, tmp_path / "run", snapshot_every=0) as monitor:
+        with build_supervised(2, tmp_path / "run", snapshot_every=0) as monitor:
             monitor.observe_fleet(0.0, records)
             with monkeypatch.context() as patch:
                 self._fsync_fails_once(patch)
@@ -1208,8 +743,8 @@ class TestFailedCommit:
 class TestProcessSegmentReads:
     """A worker reads its segment inside the call: a bad one is a task error."""
 
-    def test_process_missing_sidecar_raises_like_serial(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_process_missing_sidecar_raises_like_serial(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         matrix = np.random.default_rng(4).normal(size=(4, N_CHANNELS))
         ((_, _, payload),) = journal.append(
             [(0, _shard_tick, {"hour": 1.0, "shard": 0, "matrix": matrix})], tick=True
@@ -1218,7 +753,7 @@ class TestProcessSegmentReads:
         (journal.sidecar_dir / "000000.pkl").unlink()
         errors = {}
         for mode in ("serial", "process"):
-            with _build_supervised(
+            with build_supervised(
                 1, tmp_path / mode, snapshot_every=0, mode=mode
             ) as monitor:
                 monitor.register_fleet(("a", "b", "c", "d"))
@@ -1249,9 +784,9 @@ class TestProcessSidecarRecycling:
         return [(0, _shard_tick, {"hour": float(hour), "shard": 0, "matrix": matrix})]
 
     def test_process_recycled_sidecar_is_cut_to_the_entry_end_before_fsync(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, open_journal
     ):
-        journal = TickJournal(tmp_path / "j.jsonl")
+        journal = open_journal(tmp_path / "j.jsonl")
         journal.append(self._tick(0, rows=256), tick=True)
         journal.append(self._tick(1, rows=256), tick=True)
         journal.reset()
@@ -1280,10 +815,11 @@ class TestProcessSidecarRecycling:
         # Cut before the sidecar fsync, not after it.
         assert synced[0] == (inode, stop)
         assert _calls_equal(entry["calls"], calls)
-        journal.close()
 
-    def test_process_segment_ref_pickled_before_reset_is_unreadable_after(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_process_segment_ref_pickled_before_reset_is_unreadable_after(
+        self, tmp_path, open_journal
+    ):
+        journal = open_journal(tmp_path / "j.jsonl")
         ((_, _, payload),) = journal.append(self._tick(0, rows=8), tick=True)
         sent = pickle.dumps(payload)
         assert _calls_equal(dict(pickle.loads(sent)), dict(payload))
@@ -1295,10 +831,11 @@ class TestProcessSidecarRecycling:
         assert not os.path.exists(payload.segment[0])
         with pytest.raises(ValueError, match="unreadable journal segment"):
             dict(pickle.loads(sent))
-        journal.close()
 
-    def test_process_close_removes_spares_and_keeps_entries_readable(self, tmp_path):
-        journal = TickJournal(tmp_path / "j.jsonl")
+    def test_process_close_removes_spares_and_keeps_entries_readable(
+        self, tmp_path, open_journal
+    ):
+        journal = open_journal(tmp_path / "j.jsonl")
         for hour in range(3):
             journal.append(self._tick(hour, rows=16), tick=True)
         journal.reset()
@@ -1309,11 +846,12 @@ class TestProcessSidecarRecycling:
         assert sorted(_inodes(journal.sidecar_dir)) == ["000003.pkl"]
         (entry,) = journal.entries()
         assert _calls_equal(entry["calls"], calls)
-        journal.close()
 
-    def test_process_construction_recycles_a_previous_runs_sidecars(self, tmp_path):
+    def test_process_construction_recycles_a_previous_runs_sidecars(
+        self, tmp_path, open_journal
+    ):
         path = tmp_path / "j.jsonl"
-        first = TickJournal(path)
+        first = open_journal(path)
         for hour in range(3):
             first.append(self._tick(hour, rows=16), tick=True)
         first.reset()
@@ -1321,7 +859,7 @@ class TestProcessSidecarRecycling:
         old = set(_inodes(first.sidecar_dir).values())
         # The previous run crashed before close(): live and spare files stay.
         first._handle.close()
-        second = TickJournal(path)
+        second = open_journal(path)
         assert second.entries() == []
         assert set(_inodes(second.sidecar_dir, "*.spare").values()) == old
         second.append(self._tick(4, rows=16), tick=True)
@@ -1355,7 +893,7 @@ class TestProcessSidecarRecycling:
                     live = _inodes(sidecar_dir, "*.pkl")
                     assert len(live) == 3
                     assert set(live.values()) <= first_window
-                    _kill(monitor, 0)
+                    kill(monitor, 0)
                 monitor.observe_tick(float(hour), matrix)
                 if hour == 2:
                     # The first window: the pin plus three ticks.
@@ -1368,20 +906,19 @@ class TestProcessSidecarRecycling:
             assert monitor.recoveries == 1
             assert monitor.replayed_ticks == 2
 
-        golden = _run_instrumented(lambda: _build_single(), drive_clean)
+        golden = run_surfaces(build_single, drive_clean)
         assert golden["alerts"]
-        state = _run_instrumented(
-            lambda: _build_supervised(2, tmp_path / "run", snapshot_every=3, mode=mode),
+        assert run_digest(
+            lambda: build_supervised(2, tmp_path / "run", snapshot_every=3, mode=mode),
             drive_killed,
-        )
-        assert_states_equal(golden, state)
+        ) == digest(golden)
 
 
 class TestRestartBudget:
     """A flapping shard is quarantined: degraded and reported, never paged."""
 
     def _flapping_run(self, tmp_path, log):
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run",
             detector_factory=VoterSpec("majority", 1),
             restart_policy=RestartPolicy(max_restarts=2, window_ticks=100),
@@ -1452,7 +989,7 @@ class TestRestartBudget:
             (float(hour), {f"d{d:03d}": rng.normal(size=N_CHANNELS) for d in range(12)})
             for hour in range(14)
         ]
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run",
             restart_policy=RestartPolicy(max_restarts=1, window_ticks=1000),
             snapshot_every=0,
@@ -1482,7 +1019,7 @@ class TestRestartBudget:
             assert monitor.faults == []
 
             # Shard 0's drives match one monitor fed only those drives.
-            golden = _build_single()
+            golden = build_single()
             for hour, records in stream:
                 golden.observe_fleet(hour, {
                     s: v for s, v in records.items() if shard_for(s, 2) == 0
@@ -1497,7 +1034,7 @@ class TestRestartBudget:
             monitor.close()
 
     def test_restart_window_ages_old_deaths_out(self, tmp_path):
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run",
             detector_factory=VoterSpec("majority", 1),
             restart_policy=RestartPolicy(max_restarts=2, window_ticks=4),
@@ -1519,7 +1056,7 @@ class TestRestartBudget:
 
 class TestSnapshotCadence:
     def test_auto_snapshot_truncates_the_journal(self, tmp_path):
-        monitor = _build_supervised(2, tmp_path / "run", snapshot_every=4)
+        monitor = build_supervised(2, tmp_path / "run", snapshot_every=4)
         try:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(6)}
             for hour in range(10):
@@ -1532,13 +1069,13 @@ class TestSnapshotCadence:
             monitor.close()
 
     def test_model_change_forces_a_snapshot(self, tmp_path):
-        monitor = _build_supervised(2, tmp_path / "run", snapshot_every=0)
+        monitor = build_supervised(2, tmp_path / "run", snapshot_every=0)
         try:
             records = {f"d{d}": np.ones(N_CHANNELS) for d in range(6)}
             for hour in range(3):
                 monitor.observe_fleet(float(hour), records)
             assert monitor.journal.tick_count == 3
-            monitor.set_model(_score_sample, score_batch=_score_batch)
+            monitor.set_model(score_sample, score_batch=score_batch)
             # The snapshot owns the ticks; the journal restarts empty.
             assert monitor.journal.tick_count == 0
             assert (monitor.run_dir / "snapshot" / "coordinator.pkl").exists()
@@ -1546,7 +1083,7 @@ class TestSnapshotCadence:
             monitor.close()
 
     def test_health_report_supervision_section(self, tmp_path):
-        monitor = _build_supervised(
+        monitor = build_supervised(
             2, tmp_path / "run", snapshot_every=16,
             restart_policy=RestartPolicy(max_restarts=5, window_ticks=50),
         )
@@ -1580,18 +1117,18 @@ class TestHostedErrors:
         serials = [f"d{d:03d}" for d in range(12)]
         tick = {s: np.ones(N_CHANNELS) for s in serials}
         tick[next(s for s in serials if shard_for(s, 2) == 0)] = np.full(
-            N_CHANNELS, _POISON
+            N_CHANNELS, POISON
         )
         log = enable_events()
         try:
-            monitor = _build_supervised(
-                2, tmp_path / "run", score_batch=_score_batch_missing_file,
+            monitor = build_supervised(
+                2, tmp_path / "run", score_batch=score_batch_missing_file,
                 mode=mode,
             )
             try:
                 assert monitor.mode == mode
                 monitor.observe_fleet(0.0, {s: np.ones(N_CHANNELS) for s in serials})
-                with pytest.raises(FileNotFoundError, match="model file") as err:
+                with pytest.raises(FileNotFoundError, match="poisoned drive") as err:
                     monitor.observe_fleet(1.0, tick)
                 assert type(err.value) is FileNotFoundError
                 assert monitor.recoveries == 0
@@ -1603,74 +1140,19 @@ class TestHostedErrors:
             disable_events()
 
 
-class TestExplainReportChaos:
-    """Chaos satellite: explanation survives kill-and-resume byte-for-byte.
-
-    The explain report folds only served provenance (``alert_raised``
-    paths joined with ``outcome_resolved``); the supervision lifecycle
-    family describes the crashes, not the stream, and is not folded.  A
-    supervised run that was killed and recovered mid-stream must
-    therefore produce the byte-identical report of a run that never
-    crashed.
-    """
-
-    def _fit_tree(self):
-        from repro.tree import ClassificationTree
-
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, len(FEATURES)))
-        y = np.where(X.sum(axis=1) < 0.0, -1, 1)
-        return ClassificationTree(minsplit=8, minbucket=3, cp=0.001).fit(X, y)
-
-    def test_report_identical_before_and_after_kill_and_resume(self, tmp_path):
-        from repro.explain import build_explain_report, canonical_json
-
-        stream = _stream(ticks=20, n_drives=16, seed=23)
-        tree = self._fit_tree()
-
-        def run(run_dir, kills):
-            log = enable_events()
-            try:
-                monitor = _build_supervised(
-                    2, run_dir, slo=SLOMonitor(), snapshot_every=6, tree=tree
-                )
-                try:
-                    for at, (hour, pairs) in enumerate(stream):
-                        if at in kills:
-                            monitor.kill_shard(kills[at])
-                        monitor.observe_fleet(hour, pairs)
-                    monitor.finalize()
-                    monitor.resolve_outcome(
-                        "d000", failed=True, failure_hour=100.0
-                    )
-                    monitor.resolve_outcome("d001", failed=False)
-                    assert monitor.recoveries == len(kills)
-                finally:
-                    monitor.close()
-                return build_explain_report(list(log.events))
-            finally:
-                disable_events()
-
-        clean = run(tmp_path / "clean", {})
-        killed = run(tmp_path / "killed", {4: 0, 11: 1, 16: 0})
-        assert clean["alerts_with_path"] >= 1
-        assert clean["alerts_resolved"] >= 1
-        assert canonical_json(killed) == canonical_json(clean)
-
-
 class TestCanaryRecovery:
     def test_canary_shard_killed_mid_soak_still_resolves(self, tmp_path):
         records = {f"c{d}": np.ones(N_CHANNELS) for d in range(8)}
 
         def run(run_dir, kill):
-            monitor = _build_supervised(
+            monitor = build_supervised(
                 2, run_dir, detector_factory=VoterSpec("majority", 1),
                 snapshot_every=0,
             )
             try:
                 monitor.observe_fleet(0.0, records)
                 monitor.begin_deployment(
-                    _score_sample, score_batch=_score_batch,
+                    score_sample, score_batch=score_batch,
                     canary_shards=(0,), policy=CanaryPolicy(soak_ticks=4),
                 )
                 for hour in range(1, 5):

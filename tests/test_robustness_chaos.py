@@ -39,7 +39,9 @@ from repro.robustness import (
 )
 from repro.smart.dataset import SmartDataset, TrainTestSplit
 from repro.updating.simulator import simulate_updating
+from repro.smart.attributes import N_CHANNELS
 from repro.updating.strategies import FixedStrategy
+from tests.serving_digest import build_single, build_supervised, run_digest, sigkill
 
 PROFILES = list(BUILTIN_PROFILES)
 
@@ -205,38 +207,18 @@ class TestChaosEndToEnd:
         assert chaos_report["schema"] == "repro.chaos-report/v1"
 
 
-def _chaos_score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _chaos_score_batch(X):
-    return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
-
-
 def test_kill9_recovery(tmp_path, chaos_report):
     """Seeded SIGKILL chaos against supervised process-mode serving.
 
     A random shard worker is SIGKILLed every few ticks for the whole
     stream; the supervisor must detect each death, restore from the
     latest snapshot, replay the write-ahead journal, and end the run
-    bit-identical to a single columnar monitor that never crashed.
+    with the run digest of a single columnar monitor that never crashed.
     """
-    import os as _os
-    import signal as _signal
-    import time as _time
-
-    from repro.detection import SupervisedShardedMonitor, VoterSpec
-    from repro.features.vectorize import Feature
-
-    features = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0))
     n_ticks, n_drives, kill_every, seed = 18, 16, 5, 23
     rng = np.random.default_rng(seed)
     stream = [
-        (float(hour), [
-            (f"k{d:03d}", rng.normal(size=values.shape))
-            for d, values in enumerate([np.empty(12)] * n_drives)
-        ])
+        (float(hour), [(f"k{d:03d}", rng.normal(size=N_CHANNELS)) for d in range(n_drives)])
         for hour in range(n_ticks)
     ]
     kill_rng = np.random.default_rng(seed + 1)
@@ -245,60 +227,17 @@ def test_kill9_recovery(tmp_path, chaos_report):
         for hour in range(kill_every, n_ticks, kill_every)
     }
 
-    def build_single():
-        return FleetMonitor(
-            features,
-            score_sample=_chaos_score_sample,
-            score_batch=_chaos_score_batch,
-            detector_factory=VoterSpec("majority", 3),
-            quarantine=QuarantinePolicy(fault_limit=3),
-        )
-
-    def state_of(monitor):
-        report = monitor.health_report()
-        return {
-            "alerts": [
-                (a.serial, a.alert_id, a.hour, a.score) for a in monitor.alerts
-            ],
-            "faults": [(f.serial, f.kind, f.hour) for f in monitor.faults],
-            "watched": monitor.watched_drives(),
-            "counters": {
-                k: report[k]
-                for k in ("watched_drives", "alerts", "faults_total",
-                          "faults_by_kind", "degraded_drives", "vote_flips")
-            },
-        }
-
-    golden = build_single()
-    for hour, pairs in stream:
-        golden.observe_fleet(hour, pairs)
-    golden.finalize()
-    expected = state_of(golden)
-
-    monitor = SupervisedShardedMonitor(
-        features, _chaos_score_sample, VoterSpec("majority", 3),
-        score_batch=_chaos_score_batch,
-        quarantine=QuarantinePolicy(fault_limit=3),
-        n_shards=2, mode="process",
-        run_dir=tmp_path / "kill9", snapshot_every=4,
-    )
-    try:
-        assert monitor.mode == "process"
-        for at, (hour, pairs) in enumerate(stream):
-            if at in kills:
-                sid = kills[at]
-                (pid,) = monitor._hosts[sid].pids()
-                _os.kill(pid, _signal.SIGKILL)
-                deadline = _time.monotonic() + 10.0
-                while (
-                    monitor._hosts[sid].poll() is None
-                    and _time.monotonic() < deadline
-                ):
-                    _time.sleep(0.02)
+    def drive(monitor):
+        for hour, pairs in stream:
             monitor.observe_fleet(hour, pairs)
         monitor.finalize()
-        got = state_of(monitor)
-        assert got == expected
+
+    def drive_killed(monitor):
+        for at, (hour, pairs) in enumerate(stream):
+            if at in kills:
+                sigkill(monitor, kills[at])
+            monitor.observe_fleet(hour, pairs)
+        monitor.finalize()
         assert monitor.recoveries == len(kills)
         assert monitor.quarantined_shards == []
         chaos_report["kill9"] = {
@@ -307,10 +246,20 @@ def test_kill9_recovery(tmp_path, chaos_report):
             "recoveries": monitor.recoveries,
             "replayed_ticks": monitor.replayed_ticks,
             "alerts": len(monitor.alerts),
-            "bit_identical": True,
+            "bit_identical": False,
         }
-    finally:
-        monitor.close()
+
+    quarantine = QuarantinePolicy(fault_limit=3)
+    expected = run_digest(lambda: build_single(quarantine=quarantine), drive)
+    got = run_digest(
+        lambda: build_supervised(
+            2, tmp_path / "kill9", quarantine=quarantine,
+            mode="process", snapshot_every=4,
+        ),
+        drive_killed,
+    )
+    assert got == expected
+    chaos_report["kill9"]["bit_identical"] = True
 
 
 class TestGapsDoNotResetVoting:
@@ -318,7 +267,6 @@ class TestGapsDoNotResetVoting:
         """An all-NaN tick occupies a voting slot without resetting the
         window: failed votes before and after the gap still combine."""
         from repro.features.vectorize import Feature
-        from repro.smart.attributes import N_CHANNELS
 
         monitor = FleetMonitor(
             [Feature("POH")],
