@@ -255,19 +255,22 @@ def test_micro_train_presort_speedup(benchmark, train_matrix, train_bench_result
     The oracle grower still builds and partitions the frontier it
     ignores, which makes it about 1.09x slower than the in-product
     re-sort it replaced; the floor was raised from 3.0 by that ratio.
+    Both sides are timed best-of-6 through ``_best_of``: with best-of-3
+    a noisy stretch on a 2-core host once read 2.68x (presorted 412 ms
+    against 278-291 ms in other runs).
     """
     X, y = train_matrix
     params = dict(minsplit=20, minbucket=7, cp=0.001)
 
     tree = benchmark.pedantic(
         lambda: ClassificationTree(**params).fit(X, y),
-        rounds=3, iterations=1, warmup_rounds=0,
+        rounds=1, iterations=1, warmup_rounds=0,
     )
     assert tree.n_leaves_ >= 2
 
-    presort_ms = benchmark.stats.stats.min * 1e3
+    presort_ms = _best_of(6, lambda: ClassificationTree(**params).fit(X, y))
     legacy_ms = _best_of(
-        3, lambda: ResortingClassificationTree(**params).fit(X, y)
+        6, lambda: ResortingClassificationTree(**params).fit(X, y)
     )
     speedup = legacy_ms / presort_ms
     train_bench_results["single_tree_presort"] = {

@@ -482,6 +482,22 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         super().close()
         self._journal.close()
 
+    @classmethod
+    def restore(
+        cls, directory: Union[str, Path], *, mode: Optional[str] = None
+    ) -> "ShardedFleetMonitor":
+        """Refuse: a supervisor cannot resume from a snapshot.
+
+        A snapshot holds no journal, and a new supervisor truncates its
+        ``run_dir``; rebuild an unsupervised coordinator with
+        ``ShardedFleetMonitor.restore(directory)`` instead.
+        """
+        raise TypeError(
+            "a SupervisedShardedMonitor cannot resume from a snapshot; "
+            "use ShardedFleetMonitor.restore(directory) for an unsupervised "
+            "coordinator, or build a fresh supervisor"
+        )
+
     # -- journaled ingestion ---------------------------------------------------
 
     def _dispatch_input(self, calls, *, tick):

@@ -33,7 +33,7 @@ from repro.tree.pruning import (
 )
 from repro.tree.regression import RegressionTree
 from repro.tree.serialization import load_model, save_model
-from repro.tree.surrogates import SurrogateSplit, find_surrogate_splits
+from repro.tree.surrogates import SurrogateSplit
 from repro.tree.validation import (
     CrossValidationResult,
     GridSearchResult,
@@ -58,7 +58,6 @@ __all__ = [
     "stratified_kfold_indices",
     "weighted_error_score",
     "SurrogateSplit",
-    "find_surrogate_splits",
     "load_model",
     "save_model",
     "ClassificationTree",

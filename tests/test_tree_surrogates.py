@@ -8,12 +8,12 @@ from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
 )
-from repro.tree.surrogates import (
-    SurrogateSplit,
+from repro.tree.surrogates import SurrogateSplit, route_left_with_surrogates
+from tests.tree_oracle import (
     find_surrogate_splits,
-    route_left_with_surrogates,
+    node_decision_path,
+    node_leaf_predictions,
 )
-from tests.tree_oracle import node_decision_path, node_leaf_predictions
 
 
 @pytest.fixture

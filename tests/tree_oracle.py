@@ -16,11 +16,16 @@ against them exactly:
   pruning, ``decision_paths``).  The ``node_forest_*`` and
   ``node_adaboost_*`` functions score a fitted ensemble member by member
   through the walk.
+* **Re-sorting split search.**  :func:`find_best_split` (built on
+  :func:`best_classification_split` and :func:`best_regression_split`)
+  and :func:`find_surrogate_splits` re-sort the node's rows for every
+  feature (``O(d * n log n)`` per node) — Algorithms 1 and 2 as the
+  paper writes them.  The trees' fused presorted search in
+  :mod:`repro.tree.splitter` and :mod:`repro.tree.surrogates` must match
+  them bit for bit.
 * **Re-sorting grower.**  :class:`ResortingClassificationTree` and
   :class:`ResortingRegressionTree` ignore the presorted frontier and
-  search every node with :func:`~repro.tree.splitter.find_best_split`
-  and :func:`~repro.tree.surrogates.find_surrogate_splits`, which re-sort
-  the node's rows — Algorithms 1 and 2 as the paper writes them.
+  search every node with that reference.
 """
 
 from __future__ import annotations
@@ -32,8 +37,14 @@ import numpy as np
 from repro.tree.classification import ClassificationTree
 from repro.tree.node import Node
 from repro.tree.regression import RegressionTree
-from repro.tree.splitter import SplitCandidate, find_best_split, partition
-from repro.tree.surrogates import find_surrogate_splits, route_left_with_surrogates
+from repro.tree.splitter import (
+    _NODE_IMPURITY,
+    _ROW_IMPURITY,
+    SplitCandidate,
+    _missing_side,
+    partition,
+)
+from repro.tree.surrogates import SurrogateSplit, route_left_with_surrogates
 
 # -- node walk ----------------------------------------------------------------
 
@@ -202,6 +213,287 @@ def node_adaboost_decision_function(model, X) -> np.ndarray:
         predictions = node_predict(tree, matrix)
         margin += alpha * np.where(predictions == model.classes_[1], 1.0, -1.0)
     return margin
+
+
+# -- re-sorting split search ---------------------------------------------------
+
+
+def best_classification_split(
+    feature_values: np.ndarray,
+    class_indices: np.ndarray,
+    weights: np.ndarray,
+    n_classes: int,
+    *,
+    minbucket: int = 1,
+    criterion: str = "entropy",
+) -> Optional[tuple[float, float]]:
+    """Best (threshold, gain) for one feature at a classification node.
+
+    Returns ``None`` when no admissible split exists (constant feature,
+    all-missing feature, or minbucket unreachable).  Gain is measured on
+    the node's *finite-valued* samples, matching the convention that NaNs
+    carry no split information.
+    """
+    finite = np.isfinite(feature_values)
+    x = feature_values[finite]
+    if x.size < 2 * minbucket:
+        return None
+    cls = class_indices[finite]
+    w = weights[finite]
+
+    order = np.argsort(x, kind="stable")
+    return _sorted_classification_split(
+        x[order], cls[order], w[order], n_classes,
+        minbucket=minbucket, criterion=criterion,
+    )
+
+
+def _sorted_classification_split(
+    x_sorted: np.ndarray,
+    cls_sorted: np.ndarray,
+    w_sorted: np.ndarray,
+    n_classes: int,
+    *,
+    minbucket: int,
+    criterion: str,
+) -> Optional[tuple[float, float]]:
+    """Score a classification feature whose finite values are pre-sorted.
+
+    Inputs are the node's finite values ascending (ties in row order)
+    with the matching class indices and weights.
+    """
+    if x_sorted.size < 2 * minbucket:
+        return None
+    boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
+    if boundaries.size == 0:
+        return None
+    left_sizes = boundaries + 1
+    admissible = (left_sizes >= minbucket) & (x_sorted.size - left_sizes >= minbucket)
+    boundaries = boundaries[admissible]
+    if boundaries.size == 0:
+        return None
+
+    onehot = np.zeros((x_sorted.size, n_classes), dtype=float)
+    onehot[np.arange(x_sorted.size), cls_sorted] = w_sorted
+    prefix = np.cumsum(onehot, axis=0)
+    totals = prefix[-1]
+
+    left = prefix[boundaries]
+    right = totals[None, :] - left
+    impurity_rows = _ROW_IMPURITY[criterion]
+    total_weight = totals.sum()
+    if total_weight <= 0:
+        return None
+    parent_impurity = _NODE_IMPURITY[criterion](totals)
+    child_impurity = (
+        left.sum(axis=1) * impurity_rows(left)
+        + right.sum(axis=1) * impurity_rows(right)
+    ) / total_weight
+    gains = parent_impurity - child_impurity
+
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    if gain < -1e-12 or not np.isfinite(gain):
+        return None
+    # Zero-gain splits are admitted (within rounding tolerance): XOR-like interactions have no
+    # first-split gain, yet their children separate perfectly.  CP
+    # pruning removes the ones that never pay off.
+    boundary = boundaries[best]
+    threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
+    return threshold, max(gain, 0.0)
+
+
+def best_regression_split(
+    feature_values: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    *,
+    minbucket: int = 1,
+) -> Optional[tuple[float, float]]:
+    """Best (threshold, SSE-reduction) for one feature at a regression node.
+
+    The paper's Algorithm 2 selects the split minimising
+    ``sq = sq_left + sq_right``; we return the equivalent maximisation of
+    ``SSE(parent) - sq`` so classification and regression share a single
+    "larger gain is better" contract.
+    """
+    finite = np.isfinite(feature_values)
+    x = feature_values[finite]
+    if x.size < 2 * minbucket:
+        return None
+    y = targets[finite]
+    w = weights[finite]
+
+    order = np.argsort(x, kind="stable")
+    return _sorted_regression_split(
+        x[order], y[order], w[order], minbucket=minbucket
+    )
+
+
+def _sorted_regression_split(
+    x_sorted: np.ndarray,
+    y_sorted: np.ndarray,
+    w_sorted: np.ndarray,
+    *,
+    minbucket: int,
+) -> Optional[tuple[float, float]]:
+    """Score a regression feature whose finite values are pre-sorted."""
+    if x_sorted.size < 2 * minbucket:
+        return None
+    boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
+    if boundaries.size == 0:
+        return None
+    left_sizes = boundaries + 1
+    admissible = (left_sizes >= minbucket) & (x_sorted.size - left_sizes >= minbucket)
+    boundaries = boundaries[admissible]
+    if boundaries.size == 0:
+        return None
+
+    wy = w_sorted * y_sorted
+    wyy = wy * y_sorted
+    cw = np.cumsum(w_sorted)
+    cwy = np.cumsum(wy)
+    cwyy = np.cumsum(wyy)
+
+    def _sse(sum_w: np.ndarray, sum_wy: np.ndarray, sum_wyy: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            means_term = np.where(sum_w > 0, sum_wy**2 / sum_w, 0.0)
+        return sum_wyy - means_term
+
+    left_sse = _sse(cw[boundaries], cwy[boundaries], cwyy[boundaries])
+    right_sse = _sse(cw[-1] - cw[boundaries], cwy[-1] - cwy[boundaries], cwyy[-1] - cwyy[boundaries])
+    parent_sse = _sse(np.array([cw[-1]]), np.array([cwy[-1]]), np.array([cwyy[-1]]))[0]
+    gains = parent_sse - (left_sse + right_sse)
+
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    if gain < -1e-12 or not np.isfinite(gain):
+        return None
+    boundary = boundaries[best]
+    threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
+    return threshold, max(gain, 0.0)
+
+
+def find_best_split(
+    X: np.ndarray,
+    *,
+    task: str,
+    weights: np.ndarray,
+    minbucket: int,
+    class_indices: Optional[np.ndarray] = None,
+    n_classes: int = 0,
+    targets: Optional[np.ndarray] = None,
+    criterion: str = "entropy",
+) -> Optional[SplitCandidate]:
+    """Search every (feature, threshold) pair at a node; return the best."""
+    if task not in ("classification", "regression"):
+        raise ValueError(f"task must be classification or regression, got {task!r}")
+    best: Optional[SplitCandidate] = None
+    for feature in range(X.shape[1]):
+        column = X[:, feature]
+        if task == "classification":
+            found = best_classification_split(
+                column, class_indices, weights, n_classes,
+                minbucket=minbucket, criterion=criterion,
+            )
+        else:
+            found = best_regression_split(
+                column, targets, weights, minbucket=minbucket
+            )
+        if found is None:
+            continue
+        threshold, gain = found
+        if best is None or gain > best.gain:
+            goes_left = _missing_side(column, weights, threshold)
+            best = SplitCandidate(int(feature), threshold, gain, goes_left)
+    return best
+
+
+def find_surrogate_splits(
+    X: np.ndarray,
+    primary_left: np.ndarray,
+    weights: np.ndarray,
+    *,
+    exclude_feature: int,
+    max_surrogates: int = 3,
+) -> tuple[SurrogateSplit, ...]:
+    """Rank surrogate rules that mimic a primary split.
+
+    Args:
+        X: The node's sample matrix.
+        primary_left: Boolean mask — the primary split's left assignment
+            (only rows with a finite primary value should be passed).
+        weights: Sample weights aligned with ``X``.
+        exclude_feature: The primary split's feature (never a surrogate).
+        max_surrogates: How many rules to keep (rpart default keeps up
+            to 5; we default to 3).
+
+    Returns surrogates sorted by agreement, best first; only rules that
+    beat the majority-direction baseline are admitted.
+    """
+    if max_surrogates <= 0 or X.shape[0] == 0:
+        return ()
+    left_weight = float(weights[primary_left].sum())
+    right_weight = float(weights[~primary_left].sum())
+    total = left_weight + right_weight
+    if total <= 0:
+        return ()
+    baseline = max(left_weight, right_weight) / total
+
+    found: list[SurrogateSplit] = []
+    for feature in range(X.shape[1]):
+        if feature == exclude_feature:
+            continue
+        column = X[:, feature]
+        finite = np.isfinite(column)
+        if finite.sum() < 2:
+            continue
+        x = column[finite]
+        is_left = primary_left[finite]
+        w = weights[finite]
+        observed = float(w.sum())
+        if observed <= 0:
+            continue
+
+        order = np.argsort(x, kind="stable")
+        x_sorted = x[order]
+        boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
+        if boundaries.size == 0:
+            continue
+        left_w = np.where(is_left[order], w[order], 0.0)
+        right_w = np.where(is_left[order], 0.0, w[order])
+        cum_left = np.cumsum(left_w)
+        cum_right = np.cumsum(right_w)
+        total_left = cum_left[-1]
+        total_right = cum_right[-1]
+
+        # "x < thr goes left": matches = left-labeled below + right-labeled above.
+        normal = cum_left[boundaries] + (total_right - cum_right[boundaries])
+        # Reversed direction: the complement.
+        reversed_ = cum_right[boundaries] + (total_left - cum_left[boundaries])
+
+        best_normal = int(np.argmax(normal))
+        best_reversed = int(np.argmax(reversed_))
+        if normal[best_normal] >= reversed_[best_reversed]:
+            boundary, matched, less_left = best_normal, normal[best_normal], True
+        else:
+            boundary, matched, less_left = best_reversed, reversed_[best_reversed], False
+        agreement = float(matched) / observed
+        if agreement <= baseline + 1e-12:
+            continue
+        index = boundaries[boundary]
+        threshold = float((x_sorted[index] + x_sorted[index + 1]) / 2.0)
+        found.append(
+            SurrogateSplit(
+                feature=int(feature),
+                threshold=threshold,
+                less_goes_left=less_left,
+                agreement=agreement,
+            )
+        )
+
+    found.sort(key=lambda s: s.agreement, reverse=True)
+    return tuple(found[:max_surrogates])
 
 
 # -- re-sorting grower ---------------------------------------------------------
